@@ -12,16 +12,23 @@ package core
 // The returned token flows to Barrier after the index has released all
 // its locks; Barrier may block (e.g. on a group-committed fsync) until
 // the observed mutation is durable, without stalling readers or writers
-// on other leaves. Hooks that need no durability wait return 0 and make
-// Barrier a no-op.
+// on other leaves. Set and Del call Barrier before returning; SetNoWait
+// and DelNoWait hand the token to the caller instead, so a batch of
+// mutations can wait once. Tokens must therefore be ordered: Barrier on
+// a token must also cover every smaller token the same hook returned, so
+// waiting on the largest token of a batch makes the whole batch durable.
+// A token of 0 means there is nothing to wait for (the hook needs no
+// durability wait, or the append failed and was recorded); Barrier is
+// never called with it.
 //
 // Hooks do not fire during BulkLoad: bulk loading is the recovery path,
 // and recovery must not re-log what it replays.
 type MutationHook interface {
 	OnSet(key, val []byte) (token uint64)
 	OnDel(key []byte) (token uint64)
-	// Barrier blocks until the mutation identified by token is durable
-	// per the hook's policy. Called outside all index locks.
+	// Barrier blocks until the mutation identified by token, and every
+	// mutation with a smaller token, is durable per the hook's policy.
+	// Called outside all index locks.
 	Barrier(token uint64)
 }
 
@@ -49,10 +56,11 @@ func (w *Wormhole) logDel(key []byte) uint64 {
 	return w.hook.OnDel(key)
 }
 
-// barrier waits out the hook's durability policy for token, outside all
-// index locks.
-func (w *Wormhole) barrier(token uint64) {
-	if w.hook != nil {
+// Barrier waits out the hook's durability policy for token (from
+// SetNoWait or DelNoWait) and every smaller token. Call it with no index
+// lock held.
+func (w *Wormhole) Barrier(token uint64) {
+	if w.hook != nil && token != 0 {
 		w.hook.Barrier(token)
 	}
 }

@@ -351,17 +351,22 @@ func (r *Reader) Close() {
 // Set inserts or replaces key's value. Key and value buffers are retained;
 // the caller must not mutate them afterwards.
 func (w *Wormhole) Set(key, val []byte) {
-	h := hashKey(key)
-	var token uint64
-	if !w.opt.Concurrent {
-		token = w.setUnsafe(h, key, val)
-	} else {
-		token = w.setOnline(h, key, val)
-	}
 	// The hook observed the mutation in commit order (under the leaf
 	// lock); any blocking durability wait happens here, with every index
 	// lock released, so an fsync never stalls readers or other writers.
-	w.barrier(token)
+	w.Barrier(w.SetNoWait(key, val))
+}
+
+// SetNoWait is Set without the durability wait: the write is applied,
+// visible and handed to the mutation hook, and the hook's token is
+// returned for a later Barrier. A caller applying several writes may
+// Barrier only the largest token (see MutationHook).
+func (w *Wormhole) SetNoWait(key, val []byte) (token uint64) {
+	h := hashKey(key)
+	if !w.opt.Concurrent {
+		return w.setUnsafe(h, key, val)
+	}
+	return w.setOnline(h, key, val)
 }
 
 func (w *Wormhole) setOnline(h uint32, key, val []byte) uint64 {
@@ -509,20 +514,22 @@ func (w *Wormhole) setUnsafe(h uint32, key, val []byte) uint64 {
 // Del removes key, reporting whether it was present. When the leaf drains
 // it is opportunistically merged with a neighbor (Algorithm 2's DEL).
 func (w *Wormhole) Del(key []byte) bool {
-	h := hashKey(key)
-	var found bool
-	var token uint64
-	if !w.opt.Concurrent {
-		found, token = w.delUnsafe(h, key)
-	} else {
-		found, token = w.delOnline(h, key)
-	}
-	// Only a present key's removal is a mutation; the hook already
-	// observed it in commit order, so only the durability wait remains.
-	if found {
-		w.barrier(token)
-	}
+	found, token := w.DelNoWait(key)
+	// Only a present key's removal is a mutation (an absent key's token is
+	// 0); the hook already observed it in commit order, so only the
+	// durability wait remains.
+	w.Barrier(token)
 	return found
+}
+
+// DelNoWait is Del without the durability wait, returning the hook's
+// token for a later Barrier (0 when key was absent).
+func (w *Wormhole) DelNoWait(key []byte) (found bool, token uint64) {
+	h := hashKey(key)
+	if !w.opt.Concurrent {
+		return w.delUnsafe(h, key)
+	}
+	return w.delOnline(h, key)
 }
 
 func (w *Wormhole) delOnline(h uint32, key []byte) (bool, uint64) {

@@ -91,6 +91,28 @@ type BatchHandle interface {
 	GetBatch(keys [][]byte) (vals [][]byte, found []bool)
 }
 
+// WriteHandle is a ReadHandle that can also mutate without waiting for
+// durability. SetNoWait and DelNoWait apply and log the write, which is
+// visible when they return, and hand back a token; the store's Commit
+// then waits once for a whole batch. The netkv server routes a batch's
+// writes through the worker's or connection's handle when it supports
+// this and the index is a Committer.
+type WriteHandle interface {
+	ReadHandle
+	SetNoWait(key, val []byte) (token uint64)
+	DelNoWait(key []byte) (found bool, token uint64)
+}
+
+// Committer is implemented by partitioned stores whose WriteHandle tokens
+// can be committed as a batch.
+type Committer interface {
+	// Commit returns once every write whose token on shard i is at most
+	// tokens[i] is durable per the store's policy; tokens[i] is the
+	// largest token a WriteHandle returned for a key of shard i (0 when
+	// the batch did not write shard i).
+	Commit(tokens []uint64)
+}
+
 // Durable is implemented by stores with a persistence lifecycle (the
 // durable sharded store). Volatile indexes simply don't implement it.
 type Durable interface {

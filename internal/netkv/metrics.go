@@ -76,7 +76,7 @@ func NewServerMetrics(reg *metrics.Registry, slow *metrics.SlowLog) *ServerMetri
 	m.batches = reg.Counter("netkv_batches_total", "Request batches served.")
 	m.batchOps = reg.Counter("netkv_batch_ops_total", "Operations received inside batches.")
 	m.batchSeconds = reg.Histogram("netkv_batch_seconds",
-		"Whole-batch serving latency (process plus response flush).")
+		"Whole-batch serving latency (process and commit, up to the reply write).")
 	m.inflight = reg.Gauge("netkv_inflight_batches", "Batches currently processing.")
 	m.bpWaiting = reg.Gauge("netkv_backpressure_waiting",
 		"Batches waiting on the max-inflight cap right now.")

@@ -234,8 +234,11 @@ type fencer interface {
 // SCANDESC) go through the same per-connection handle when it supports
 // scans (index.ScanHandle), so they ride the lock-free scan path too.
 type Server struct {
-	ix  index.Index
-	bx  index.Batcher // non-nil when ix supports shard dispatch
+	ix index.Index
+	bx index.Batcher // non-nil when ix supports shard dispatch
+	// cm is set with bx when ix can commit a dispatched batch's writes
+	// once per shard (index.Committer).
+	cm  index.Committer
 	rp  index.ReadPinner
 	dx  index.Durable // non-nil when ix persists (serves OpFlush)
 	opt ServerOptions
@@ -312,6 +315,7 @@ func ServeOpts(addr string, ix index.Index, opt ServerOptions) (*Server, error) 
 	}
 	if bx, ok := ix.(index.Batcher); ok && bx.NumShards() > 1 {
 		s.bx = bx
+		s.cm, _ = ix.(index.Committer)
 		s.workers = make([]chan func(index.ReadHandle), bx.NumShards())
 		for i := range s.workers {
 			ch := make(chan func(index.ReadHandle), 16)
@@ -420,13 +424,7 @@ func (s *Server) handle(conn net.Conn) {
 				s.mx.record(OpSubscribe, StatusNotFound, nil, 0)
 				// Not a replication leader: a regular one-response frame
 				// says so and the connection stays usable.
-				var hdr [6]byte
-				binary.LittleEndian.PutUint32(hdr[:4], 3)
-				binary.LittleEndian.PutUint16(hdr[4:], 1)
-				if _, err := w.Write(hdr[:]); err != nil {
-					return
-				}
-				if err := w.WriteByte(StatusNotFound); err != nil || w.Flush() != nil {
+				if writeReply(w, 1, []byte{StatusNotFound}) != nil {
 					return
 				}
 				continue
@@ -467,23 +465,26 @@ func (s *Server) handle(conn net.Conn) {
 			t0 = time.Now()
 			s.mx.inflight.Inc()
 		}
+		var body []byte
 		var perr error
 		if s.dispatchable(reqs) {
-			perr = s.processSharded(w, reqs, h)
+			body = s.processSharded(reqs, h)
 		} else {
-			perr = s.process(w, reqs, h)
+			body, perr = s.process(reqs, h)
 		}
-		if s.opt.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opt.WriteTimeout))
-		}
-		if perr == nil {
-			perr = w.Flush()
-		}
+		// Count the batch before any byte of its reply leaves: a client
+		// that scrapes right after its reply must already see it.
 		if s.mx != nil {
 			s.mx.inflight.Dec()
 			s.mx.batches.Inc()
 			s.mx.batchOps.Add(uint64(len(reqs)))
 			s.mx.batchSeconds.Observe(time.Since(t0))
+		}
+		if perr == nil {
+			if s.opt.WriteTimeout > 0 {
+				conn.SetWriteDeadline(time.Now().Add(s.opt.WriteTimeout))
+			}
+			perr = writeReply(w, len(reqs), body)
 		}
 		if s.sem != nil {
 			<-s.sem
@@ -521,10 +522,11 @@ func (s *Server) dispatchable(reqs []Request) bool {
 // section (Get), the value. Both processing paths share it so the wire
 // semantics cannot diverge. Gets go through the calling goroutine's
 // pinned read handle when one exists. Set copies its buffers: the request
-// slices are reused per batch.
-func (s *Server) execPoint(rq *Request, h index.ReadHandle) (status byte, val []byte, hasVal bool) {
-	switch rq.Op {
-	case OpGet:
+// slices are reused per batch. With a non-nil dw, writes go through it
+// without their durability wait and token is what the caller must
+// Commit before replying; otherwise the write has waited and token is 0.
+func (s *Server) execPoint(rq *Request, h index.ReadHandle, dw index.WriteHandle) (status byte, val []byte, hasVal bool, token uint64) {
+	if rq.Op == OpGet {
 		var v []byte
 		var ok bool
 		if h != nil {
@@ -533,45 +535,46 @@ func (s *Server) execPoint(rq *Request, h index.ReadHandle) (status byte, val []
 			v, ok = s.ix.Get(rq.Key)
 		}
 		if !ok {
-			return StatusNotFound, nil, true
+			return StatusNotFound, nil, true, 0
 		}
-		return StatusOK, v, true
-	case OpSet:
-		// The fence check runs first, BEFORE the index mutates: a stale
-		// leader must refuse every write once it knows a higher epoch
-		// exists, and the refusal must prove non-application so clients
-		// can resend to the new leader.
-		if s.fc != nil && s.fc.FenceErr() != nil {
-			return StatusFenced, nil, false
-		}
-		if s.ro.Load() {
-			return StatusReadOnly, nil, false
-		}
-		// The degraded check runs BEFORE the index mutates: a write the
-		// WAL cannot log must not land in memory either, or reads would
-		// serve state that a restart loses.
-		if s.wh != nil && s.wh.WriteErr(rq.Key) != nil {
-			return StatusDegraded, nil, false
-		}
+		return StatusOK, v, true, 0
+	}
+	// OpSet or OpDel; dispatchable/process admit nothing else here. The
+	// fence check runs first, BEFORE the index mutates: a stale leader
+	// must refuse every write once it knows a higher epoch exists, and the
+	// refusal must prove non-application so clients can resend to the new
+	// leader.
+	if s.fc != nil && s.fc.FenceErr() != nil {
+		return StatusFenced, nil, false, 0
+	}
+	if s.ro.Load() {
+		return StatusReadOnly, nil, false, 0
+	}
+	// The degraded check runs BEFORE the index mutates: a write the WAL
+	// cannot log must not land in memory either, or reads would serve
+	// state that a restart loses.
+	if s.wh != nil && s.wh.WriteErr(rq.Key) != nil {
+		return StatusDegraded, nil, false, 0
+	}
+	if rq.Op == OpSet {
 		k := append([]byte{}, rq.Key...)
 		v := append([]byte{}, rq.Val...)
+		if dw != nil {
+			return StatusOK, nil, false, dw.SetNoWait(k, v)
+		}
 		s.ix.Set(k, v)
-		return StatusOK, nil, false
-	default: // OpDel; dispatchable/process admit nothing else
-		if s.fc != nil && s.fc.FenceErr() != nil {
-			return StatusFenced, nil, false
-		}
-		if s.ro.Load() {
-			return StatusReadOnly, nil, false
-		}
-		if s.wh != nil && s.wh.WriteErr(rq.Key) != nil {
-			return StatusDegraded, nil, false
-		}
-		if s.ix.Del(rq.Key) {
-			return StatusOK, nil, false
-		}
-		return StatusNotFound, nil, false
+		return StatusOK, nil, false, 0
 	}
+	var found bool
+	if dw != nil {
+		found, token = dw.DelNoWait(rq.Key)
+	} else {
+		found = s.ix.Del(rq.Key)
+	}
+	if found {
+		return StatusOK, nil, false, token
+	}
+	return StatusNotFound, nil, false, 0
 }
 
 // processSharded executes one batch through the per-shard worker pool.
@@ -583,7 +586,18 @@ func (s *Server) execPoint(rq *Request, h index.ReadHandle) (status byte, val []
 // so concurrent connections never serialize behind a single worker.
 // connHandle is the connection goroutine's pinned reader, used only on
 // that inline path; dispatched groups use their worker's own handle.
-func (s *Server) processSharded(w *bufio.Writer, reqs []Request, connHandle index.ReadHandle) error {
+//
+// When the handles can write without waiting (index.WriteHandle) and the
+// index is an index.Committer, a group's Sets and Dels skip their
+// durability wait and the group records its shard's largest token. The
+// connection goroutine then commits once per touched shard, after every
+// group has run and before the reply is built, so an acknowledged write
+// is as durable as before — at one fsync per shard per batch instead of
+// one per write. The commit runs off the shard workers, which meanwhile
+// apply other connections' groups, whose commits can then share the same
+// group-committed fsync. Per-op latencies of deferred writes exclude the
+// commit wait (wal_commit_wait_seconds measures it).
+func (s *Server) processSharded(reqs []Request, connHandle index.ReadHandle) []byte {
 	type result struct {
 		status byte
 		val    []byte // Get only; nil means no value section
@@ -599,12 +613,23 @@ func (s *Server) processSharded(w *bufio.Writer, reqs []Request, connHandle inde
 		groups[g] = append(groups[g], i)
 	}
 	results := make([]result, len(reqs))
+	// tokens[sh] is shard sh's largest deferred-write token; nil when
+	// writes wait for themselves.
+	var tokens []uint64
+	if _, ok := connHandle.(index.WriteHandle); ok && s.cm != nil {
+		tokens = make([]uint64, len(groups))
+	}
 	// Within a group, maximal runs of consecutive Gets go through the
 	// handle's batched lookup (Wormhole's memory-parallel pipeline) in one
 	// call. Runs never extend across a Set or Del, so each key's
 	// operations keep their in-batch program order.
-	runGroup := func(g []int, h index.ReadHandle) {
+	runGroup := func(sh int, g []int, h index.ReadHandle) {
 		bh, _ := h.(index.BatchHandle)
+		var dw index.WriteHandle
+		if tokens != nil {
+			dw, _ = h.(index.WriteHandle)
+		}
+		var tok uint64
 		var keys [][]byte
 		var run []int
 		flush := func() {
@@ -645,18 +670,22 @@ func (s *Server) processSharded(w *bufio.Writer, reqs []Request, connHandle inde
 			if s.mx != nil {
 				t0 = time.Now()
 			}
-			st, v, hasVal := s.execPoint(&reqs[i], h)
+			st, v, hasVal, t := s.execPoint(&reqs[i], h, dw)
 			if s.mx != nil {
 				s.mx.record(reqs[i].Op, st, reqs[i].Key, time.Since(t0))
 			}
 			results[i] = result{status: st, val: v, hasVal: hasVal}
+			tok = max(tok, t)
 		}
 		flush()
+		if tokens != nil {
+			tokens[sh] = tok
+		}
 	}
 	if active == 1 {
-		for _, g := range groups {
+		for sh, g := range groups {
 			if len(g) > 0 {
-				runGroup(g, connHandle)
+				runGroup(sh, g, connHandle)
 			}
 		}
 	} else {
@@ -682,10 +711,13 @@ func (s *Server) processSharded(w *bufio.Writer, reqs []Request, connHandle inde
 						}
 					}
 				}()
-				runGroup(g, h)
+				runGroup(sh, g, h)
 			}
 		}
 		wg.Wait()
+	}
+	if tokens != nil {
+		s.cm.Commit(tokens)
 	}
 	var body []byte
 	for _, rs := range results {
@@ -695,14 +727,7 @@ func (s *Server) processSharded(w *bufio.Writer, reqs []Request, connHandle inde
 			body = append(body, rs.val...)
 		}
 	}
-	var hdr [6]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)+2))
-	binary.LittleEndian.PutUint16(hdr[4:], uint16(len(reqs)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
+	return body
 }
 
 // stat assembles the OpStat document from the served index plus the
@@ -775,10 +800,9 @@ func (s *Server) scanner(h index.ReadHandle, desc bool) func([]byte, func(k, v [
 	return nil
 }
 
-func (s *Server) process(w *bufio.Writer, reqs []Request, h index.ReadHandle) error {
-	var hdr [6]byte
-	binary.LittleEndian.PutUint16(hdr[4:], uint16(len(reqs)))
-	// The frame length is not known upfront; buffer the body.
+// process executes one batch in order on the connection goroutine and
+// returns the reply body.
+func (s *Server) process(reqs []Request, h index.ReadHandle) ([]byte, error) {
 	var body []byte
 	for _, rq := range reqs {
 		// Every case writes its status byte first, so body[stAt] after the
@@ -791,7 +815,7 @@ func (s *Server) process(w *bufio.Writer, reqs []Request, h index.ReadHandle) er
 		}
 		switch rq.Op {
 		case OpGet, OpSet, OpDel:
-			st, v, hasVal := s.execPoint(&rq, h)
+			st, v, hasVal, _ := s.execPoint(&rq, h, nil)
 			body = append(body, st)
 			if hasVal {
 				body = binary.LittleEndian.AppendUint32(body, uint32(len(v)))
@@ -857,18 +881,27 @@ func (s *Server) process(w *bufio.Writer, reqs []Request, h index.ReadHandle) er
 			})
 			binary.LittleEndian.PutUint16(body[lenAt:], uint16(n))
 		default:
-			return fmt.Errorf("netkv: bad opcode %d", rq.Op)
+			return nil, fmt.Errorf("netkv: bad opcode %d", rq.Op)
 		}
 		if s.mx != nil {
 			s.mx.record(rq.Op, body[stAt], rq.Key, time.Since(t0))
 		}
 	}
+	return body, nil
+}
+
+// writeReply frames body as the response to n requests and sends it.
+func writeReply(w *bufio.Writer, n int, body []byte) error {
+	var hdr [6]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)+2))
+	binary.LittleEndian.PutUint16(hdr[4:], uint16(n))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(body)
-	return err
+	if _, err := w.Write(body); err != nil {
+		return err
+	}
+	return w.Flush()
 }
 
 func readRequests(r *bufio.Reader, reqs []Request) ([]Request, error) {

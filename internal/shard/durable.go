@@ -142,6 +142,7 @@ func Open(o Options) (*Store, error) {
 	s := New(o)
 	s.dir = dir
 	s.fs = fsys
+	s.syncAlways = o.Durability.Sync == wal.SyncAlways
 	s.epoch = epochs.Epoch
 	s.history = epochs.History
 	s.fencedBy = epochs.FencedBy

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/repro/wormhole/internal/metrics"
+	"github.com/repro/wormhole/internal/vfs"
 	"github.com/repro/wormhole/internal/wal"
 )
 
@@ -157,6 +159,73 @@ func TestDurableSnapshotAndBatchedOps(t *testing.T) {
 		if want := i >= 100; ok != want {
 			t.Fatalf("GetBatch[%d] = %v, want %v", i, ok, want)
 		}
+	}
+}
+
+// TestBatchCommitOncePerShard: under SyncAlways, SetBatch and DelBatch
+// take one fsync per touched shard per call, and return only once the
+// whole batch survives a crash.
+func TestBatchCommitOncePerShard(t *testing.T) {
+	mem := vfs.NewMemFS()
+	mx := wal.NewMetrics(metrics.NewRegistry())
+	open := func() *Store {
+		s, err := Open(Options{Dir: "/db", Partitioner: NewExplicit([][]byte{[]byte("m")}),
+			Durability: wal.Options{Sync: wal.SyncAlways, FS: mem, Metrics: mx, NoSelfHeal: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := open()
+	var keys, vals [][]byte
+	for i := 0; i < 64; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("%c-%02d", "az"[i%2], i)))
+		vals = append(vals, []byte(fmt.Sprintf("v%d", i)))
+	}
+	fsyncs := func(what string, op func()) {
+		t.Helper()
+		before := mx.Fsyncs.Value()
+		op()
+		if d := mx.Fsyncs.Value() - before; d == 0 || d > 2 {
+			t.Fatalf("%s over 2 shards took %d fsyncs, want 1 or 2", what, d)
+		}
+	}
+	fsyncs("SetBatch(64)", func() { s.SetBatch(keys, vals) })
+	fsyncs("DelBatch(16)", func() { s.DelBatch(keys[:16]) })
+	mem.Crash()
+	s.Close()
+	mem.Restart()
+
+	s = open()
+	defer s.Close()
+	_, found := s.GetBatch(keys)
+	for i, ok := range found {
+		if want := i >= 16; ok != want {
+			t.Fatalf("after crash: key %s present %v, want %v", keys[i], ok, want)
+		}
+	}
+}
+
+// TestCommitFreeWithoutSyncAlways: a store that does not sync every write
+// has nothing to commit, and Commit must cost no allocation or goroutine.
+func TestCommitFreeWithoutSyncAlways(t *testing.T) {
+	s, err := Open(Options{Dir: "/db", Shards: 2,
+		Durability: wal.Options{Sync: wal.SyncNone, FS: vfs.NewMemFS()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r := s.NewReader()
+	defer r.Close()
+	tokens := make([]uint64, s.NumShards())
+	for _, k := range []string{"\x01low", "\xf0high"} {
+		tokens[s.ShardOf([]byte(k))] = r.SetNoWait([]byte(k), []byte("v"))
+	}
+	if tokens[0] == 0 || tokens[1] == 0 {
+		t.Fatalf("logged writes returned tokens %v, want non-zero", tokens)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Commit(tokens) }); n != 0 {
+		t.Fatalf("Commit under SyncNone allocated %v times per call", n)
 	}
 }
 

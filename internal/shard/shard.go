@@ -84,6 +84,9 @@ type Store struct {
 	dir  string
 	wals []*wal.Store
 	fs   vfs.FS
+	// syncAlways is set when every shard's WAL runs wal.SyncAlways: the
+	// only policy under which Commit has anything to wait for.
+	syncAlways bool
 
 	// Replication epoch state (epoch.go). Durable stores persist it in
 	// the MANIFEST; volatile stores keep it in memory only.
@@ -418,7 +421,57 @@ func (r *Reader) Close() {
 	r.rs = nil
 }
 
-// SetBatch inserts or replaces keys[i] -> vals[i], grouped by shard.
+// SetNoWait inserts or replaces key like Store.Set but skips the
+// durability wait: the write is applied, visible and logged when it
+// returns. The result is the owning shard's (ShardOf) token; pass the
+// largest token of each shard to Commit before acknowledging the batch.
+// The write side lives on the handle, not the store, so a wrapper that
+// embeds *Store cannot carry writes past its own Set unnoticed.
+func (r *Reader) SetNoWait(key, val []byte) (token uint64) {
+	return r.s.shards[r.s.part.Locate(key)].SetNoWait(key, val)
+}
+
+// DelNoWait removes key like Store.Del but skips the durability wait,
+// returning the owning shard's token for Commit (0 when key was absent).
+func (r *Reader) DelNoWait(key []byte) (found bool, token uint64) {
+	return r.s.shards[r.s.part.Locate(key)].DelNoWait(key)
+}
+
+// Commit makes durable every write whose token on shard i is at most
+// tokens[i], the largest token SetNoWait/DelNoWait returned for that
+// shard (0: nothing to wait for). One wait per shard covers the shard's
+// whole batch, and touched shards wait in parallel, so a batch costs the
+// slowest shard's fsync. Unless the store syncs every write
+// (wal.SyncAlways) it returns at once, with no goroutine and no
+// allocation. As with Set, an fsync failure is not reported here: it
+// degrades the shard and surfaces on Flush, WriteErr and Health.
+func (s *Store) Commit(tokens []uint64) {
+	if !s.syncAlways {
+		return
+	}
+	var wg sync.WaitGroup
+	last := -1
+	for i, t := range tokens {
+		if t == 0 {
+			continue
+		}
+		if last >= 0 {
+			wg.Add(1)
+			go func(w *core.Wormhole, t uint64) {
+				defer wg.Done()
+				w.Barrier(t)
+			}(s.shards[last], tokens[last])
+		}
+		last = i
+	}
+	if last >= 0 {
+		s.shards[last].Barrier(tokens[last]) // the last shard waits inline
+	}
+	wg.Wait()
+}
+
+// SetBatch inserts or replaces keys[i] -> vals[i], grouped by shard, and
+// returns once the batch is durable (one Commit for the whole batch).
 // Duplicate keys within one batch apply in batch order.
 func (s *Store) SetBatch(keys, vals [][]byte) {
 	var t0 time.Time
@@ -426,18 +479,21 @@ func (s *Store) SetBatch(keys, vals [][]byte) {
 	if bmx != nil {
 		t0 = time.Now()
 	}
+	tokens := make([]uint64, len(s.shards))
 	s.fanOut(s.group(keys), len(keys), func(sh int, idxs []int) {
 		w := s.shards[sh]
 		for _, i := range idxs {
-			w.Set(keys[i], vals[i])
+			tokens[sh] = max(tokens[sh], w.SetNoWait(keys[i], vals[i]))
 		}
 	})
+	s.Commit(tokens)
 	if bmx != nil {
 		bmx.observeBatch(bmx.SetBatchSeconds, len(keys), t0)
 	}
 }
 
-// DelBatch removes keys grouped by shard, reporting presence per key.
+// DelBatch removes keys grouped by shard, reporting presence per key, and
+// returns once the batch is durable.
 func (s *Store) DelBatch(keys [][]byte) []bool {
 	var t0 time.Time
 	bmx := s.bmx.Load()
@@ -445,12 +501,16 @@ func (s *Store) DelBatch(keys [][]byte) []bool {
 		t0 = time.Now()
 	}
 	found := make([]bool, len(keys))
+	tokens := make([]uint64, len(s.shards))
 	s.fanOut(s.group(keys), len(keys), func(sh int, idxs []int) {
 		w := s.shards[sh]
 		for _, i := range idxs {
-			found[i] = w.Del(keys[i])
+			var t uint64
+			found[i], t = w.DelNoWait(keys[i])
+			tokens[sh] = max(tokens[sh], t)
 		}
 	})
+	s.Commit(tokens)
 	if bmx != nil {
 		bmx.observeBatch(bmx.DelBatchSeconds, len(keys), t0)
 	}

@@ -407,7 +407,8 @@ var recordPool = sync.Pool{
 // Tokens returned by OnSet/OnDel pack the WAL generation (high 24 bits)
 // with the record's sequence in that generation (low 40 bits), so
 // Barrier can tell whether the record's log is still active or was
-// already made durable wholesale by a rotation.
+// already made durable wholesale by a rotation, and so a later append
+// always has the larger token.
 const tokenSeqBits = 40
 
 func packToken(gen, seq uint64) uint64 { return gen<<tokenSeqBits | seq&(1<<tokenSeqBits-1) }
@@ -492,7 +493,10 @@ func (s *Store) OnDel(key []byte) uint64 {
 // configured sync policy (the core mutation hook's post-unlock phase).
 // Under SyncAlways the wait joins the group commit; a token from an
 // already-rotated generation returns immediately — rotation syncs and
-// closes the old log before the new one takes over.
+// closes the old log before the new one takes over. Tokens are ordered
+// (generation, then sequence), and a wait on one covers every smaller
+// token: a lower sequence in the same generation lies inside the synced
+// prefix, and a lower generation was synced when it rotated out.
 func (s *Store) Barrier(token uint64) {
 	if token == 0 || s.opt.Sync != SyncAlways || s.closed.Load() {
 		return
