@@ -12,7 +12,9 @@
 // Absolute numbers depend on the host; the paper's shapes (ordering of
 // indexes, rough ratios, crossover points) are the reproduction target.
 // See README.md for reproduction notes and docs/ARCHITECTURE.md for the
-// paper-to-code map behind each experiment.
+// paper-to-code map behind each experiment. End-to-end performance of the
+// store (reads, scans, commits, recovery, replication) is measured by the
+// separate benchmark/ module, not by whbench.
 package main
 
 import (
@@ -29,8 +31,7 @@ import (
 
 // run is the machine-readable document -json writes: one whbench
 // invocation's environment plus every recorded benchmark cell. The
-// BENCH_*.json perf-trajectory files committed per PR hold one run per
-// labelled section.
+// historical docs/history/BENCH_*.json files hold runs in this shape.
 type run struct {
 	GoVersion  string         `json:"go_version"`
 	GOMAXPROCS int            `json:"gomaxprocs"`
@@ -51,12 +52,8 @@ func main() {
 		seed     = flag.Int64("seed", 42, "workload seed")
 		batch    = flag.Int("batch", 800, "netkv request batch size (fig12)")
 		shards   = flag.Int("shards", 0, "extra shard count for shard-sweep's 2/4/8 ladder")
-		interlv  = flag.Int("interleave", 0, "extra GetBatch interleave depth for batchread's ladder")
-		dir      = flag.String("dir", "", "durability experiment: persist stores under this directory (default: a temp dir, removed afterwards)")
-		syncSel  = flag.String("sync", "", "durability experiment: comma-separated rows from {none,interval,always,recover} (default: all)")
-		segBytes = flag.Int("seg-bytes", 0, "recovery experiment: extra snapshot segment size for the 256KiB/1MiB ladder")
-		decodeW  = flag.Int("decode-workers", 0, "recovery experiment: extra decode-worker count for the 1/2/8 ladder")
-		jsonOut  = flag.String("json", "", "write machine-readable results (trajectory experiments, e.g. readpath) to this file")
+		dir      = flag.String("dir", "", "failover experiment: persist stores under this directory (default: a temp dir, removed afterwards)")
+		jsonOut  = flag.String("json", "", "write machine-readable results (failover) to this file")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
@@ -70,8 +67,7 @@ func main() {
 	cfg := &bench.Config{
 		Keys: *keys, Threads: *threads, Duration: *duration,
 		Seed: *seed, Batch: *batch, Shards: *shards,
-		Interleave: *interlv, Dir: *dir, Sync: *syncSel,
-		SegBytes: *segBytes, DecodeWorkers: *decodeW, Out: os.Stdout,
+		Dir: *dir, Out: os.Stdout,
 	}
 	cfg.Normalize()
 	var recorded []bench.Result

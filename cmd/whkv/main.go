@@ -78,7 +78,6 @@ func serve(args []string) {
 	syncMode := fs.String("sync", "none", "durable mode sync policy: none, interval or always")
 	segBytes := fs.Int("seg-bytes", 0, "durable mode: target snapshot segment size in bytes (0: 1MiB default); v2 snapshots split at this size so recovery decodes segments concurrently")
 	decodeWorkers := fs.Int("decode-workers", 0, "durable mode: snapshot segment decode workers per shard at recovery (0: GOMAXPROCS)")
-	snapV1 := fs.Bool("snap-v1", false, "durable mode: write monolithic v1 snapshots instead of v2 segments (both formats always recoverable)")
 	follow := fs.String("follow", "", "follower mode: replicate from this leader address, serve reads (writes answer StatusReadOnly); SIGUSR1 promotes to standalone. Combine with -dir so restarts resume the leader's WAL tail instead of resyncing")
 	connectTimeout := fs.Duration("connect-timeout", 0, "follower mode: keep retrying the first leader handshake this long before giving up and exiting non-zero (0: one attempt, fail fast)")
 	autoPromote := fs.Bool("auto-promote", false, "follower mode: promote automatically when the leader goes silent for -heartbeat-timeout, bumping the replication epoch so the old leader is fenced on first contact")
@@ -99,7 +98,7 @@ func serve(args []string) {
 	if *follow != "" {
 		serveFollower(followerConfig{
 			addr: *addr, leader: *follow, dir: *dir, syncMode: *syncMode,
-			segBytes: *segBytes, decodeWorkers: *decodeWorkers, snapV1: *snapV1,
+			segBytes: *segBytes, decodeWorkers: *decodeWorkers,
 			connectTimeout: *connectTimeout, autoPromote: *autoPromote,
 			heartbeatTimeout: *heartbeatTimeout, hardening: hardening,
 			metricsAddr: *metricsAddr, obs: obs,
@@ -140,7 +139,6 @@ func serve(args []string) {
 			Sync:          policy,
 			SegmentBytes:  *segBytes,
 			DecodeWorkers: *decodeWorkers,
-			SnapshotV1:    *snapV1,
 			Metrics:       obs.wal,
 		}}
 		if *bounds != "" {
@@ -231,7 +229,6 @@ func printDegraded(hs []wal.Health) {
 type followerConfig struct {
 	addr, leader, dir, syncMode string
 	segBytes, decodeWorkers     int
-	snapV1                      bool
 	connectTimeout              time.Duration
 	autoPromote                 bool
 	heartbeatTimeout            time.Duration
@@ -265,7 +262,6 @@ func serveFollower(c followerConfig) {
 			Sync:          policy,
 			SegmentBytes:  c.segBytes,
 			DecodeWorkers: c.decodeWorkers,
-			SnapshotV1:    c.snapV1,
 			Metrics:       c.obs.wal,
 		},
 		Logf: func(format string, args ...any) {

@@ -14,7 +14,6 @@ import (
 
 	"github.com/repro/wormhole/internal/index"
 	"github.com/repro/wormhole/internal/keyset"
-	"github.com/repro/wormhole/internal/metrics"
 )
 
 // Config scales the experiments. Defaults (via Normalize) are laptop-sized:
@@ -29,26 +28,12 @@ type Config struct {
 	// Shards: an explicitly requested shard count that shard-sweep adds
 	// to its default ladder; 0 means the ladder alone.
 	Shards int
-	// Interleave: an explicitly requested GetBatch interleave depth that
-	// batchread adds to its default ladder; 0 means the ladder alone.
-	Interleave int
-	// Dir roots the durability experiment's store directories; empty
-	// means a temp directory removed after the run.
+	// Dir roots the failover experiment's store directories; empty means
+	// a temp directory removed after the run.
 	Dir string
-	// Sync filters the durability experiment's rows (comma-separated
-	// from {none, interval, always, recover}); empty means all.
-	Sync string
-	// SegBytes: an explicitly requested snapshot segment size that the
-	// recovery experiment adds to its default ladder; 0 means the ladder
-	// alone.
-	SegBytes int
-	// DecodeWorkers: an explicitly requested snapshot decode-worker count
-	// that the recovery experiment adds to its default ladder; 0 means
-	// the ladder alone.
-	DecodeWorkers int
-	Out           io.Writer // result sink
+	Out io.Writer // result sink
 	// Record, when non-nil, receives every machine-readable benchmark
-	// cell an experiment produces (the -json trajectory output).
+	// cell an experiment produces (the -json output).
 	Record func(Result)
 }
 
@@ -273,24 +258,4 @@ func (c *Config) Keyset(name string) [][]byte {
 
 func (c *Config) printf(format string, args ...any) {
 	fmt.Fprintf(c.Out, format, args...)
-}
-
-// SampleLatency runs op single-threaded for roughly dur, timing every
-// call into a metrics histogram, and returns the p50/p99/p999
-// nanoseconds. It is a separate pass from the throughput loop on
-// purpose: two clock reads per operation would deflate MOPS, so
-// throughput and latency are measured on the same workload but never in
-// the same loop.
-func SampleLatency(dur time.Duration, op func()) (p50, p99, p999 float64) {
-	h := metrics.NewHistogram()
-	deadline := time.Now().Add(dur)
-	for time.Now().Before(deadline) {
-		for i := 0; i < 16; i++ {
-			t0 := time.Now()
-			op()
-			h.ObserveNs(int64(time.Since(t0)))
-		}
-	}
-	s := h.Snapshot()
-	return s.Quantile(0.5), s.Quantile(0.99), s.Quantile(0.999)
 }

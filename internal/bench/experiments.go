@@ -16,8 +16,10 @@ import (
 // KeysetNames is the Table 1 keyset order used by every figure.
 var KeysetNames = []string{"Az1", "Az2", "Url", "K3", "K4", "K6", "K8", "K10"}
 
-// Experiments maps experiment ids (table1, fig09..fig18, ablation-*) to
-// their runners, in paper order.
+// Experiments maps experiment ids (table1, fig09..fig18, ablation-*,
+// shard-sweep, failover) to their runners, in paper order. Performance
+// trajectory questions — read, batch-read, scan, commit, recovery and
+// replication cost — belong to the benchmark/ workloads, not here.
 func Experiments() []struct {
 	ID   string
 	Desc string
@@ -43,12 +45,6 @@ func Experiments() []struct {
 		{"ablation-unsafe", "thread-safe vs unsafe overhead (extension)", AblationUnsafe},
 		{"ablation-shortanchors", "anchor-minimizing split points (paper's future work)", AblationShortAnchors},
 		{"shard-sweep", "sharded store: shard count × goroutines scaling (extension)", ShardSweep},
-		{"readpath", "point-read path: plain vs pinned-reader lookups (perf trajectory)", ReadPath},
-		{"batchread", "batched reads: scalar loop vs prefetch-interleaved GetBatch pipeline (perf trajectory)", BatchRead},
-		{"scanpath", "range-scan path: lock-free vs locked, plain vs pinned (perf trajectory)", ScanPath},
-		{"durability", "durable store: volatile vs WAL sync policies, plus recovery rate (extension)", Durability},
-		{"recovery", "snapshot format v2: recovery rate and file size vs v1, segment size × decode workers (perf trajectory)", Recovery},
-		{"replication", "leader→follower WAL shipping: steady lag, catch-up, follower reads (extension)", Replication},
 		{"failover", "leader kill → auto-promotion: time to writable, client-observed gap (extension)", Failover},
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -203,4 +204,30 @@ func Failover(c *Config) {
 	if err := st.Close(); err != nil {
 		c.printf("failover: close promoted store: %v\n", err)
 	}
+}
+
+// loadStriped loads keys with `threads` workers over contiguous stripes —
+// a full pass, not a timed window, so the leader holds the whole keyset
+// before the follower subscribes.
+func loadStriped(st *shard.Store, keys [][]byte, threads int) {
+	if threads < 1 {
+		threads = 1
+	}
+	var wg sync.WaitGroup
+	stripe := (len(keys) + threads - 1) / threads
+	for t := 0; t < threads; t++ {
+		lo := t * stripe
+		hi := min(lo+stripe, len(keys))
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		go func(part [][]byte) {
+			defer wg.Done()
+			for _, k := range part {
+				st.Set(k, k)
+			}
+		}(keys[lo:hi])
+	}
+	wg.Wait()
 }

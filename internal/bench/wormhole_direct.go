@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"github.com/repro/wormhole/internal/core"
-	"github.com/repro/wormhole/internal/index"
-)
+import "github.com/repro/wormhole/internal/core"
 
 // whDirect exposes a Wormhole with non-default options plus its Stats to
 // the ablation experiments, bypassing the name registry.
@@ -29,24 +26,3 @@ func (ix *whDirect) Del(k []byte) bool           { return ix.t.Del(k) }
 func (ix *whDirect) Count() int64                { return ix.t.Count() }
 func (ix *whDirect) Footprint() int64            { return ix.t.Footprint() }
 func (ix *whDirect) Stats() core.Stats           { return ix.t.Stats() }
-
-// NewWormholeLockedScans builds a Wormhole whose range scans are forced
-// through the per-leaf locks — the pre-snapshot scan path, kept as the
-// in-binary baseline the scanpath experiment compares against.
-func NewWormholeLockedScans() *whDirect {
-	o := core.DefaultOptions()
-	o.LockedScans = true
-	return &whDirect{t: core.New(o)}
-}
-
-func (ix *whDirect) Scan(s []byte, fn func(k, v []byte) bool) {
-	ix.t.Scan(s, fn)
-}
-
-func (ix *whDirect) ScanDesc(s []byte, fn func(k, v []byte) bool) {
-	ix.t.ScanDesc(s, fn)
-}
-
-// NewReadHandle implements index.ReadPinner (core.Reader also satisfies
-// index.ScanHandle, so scans ride the pinned slot too).
-func (ix *whDirect) NewReadHandle() index.ReadHandle { return ix.t.NewReader() }

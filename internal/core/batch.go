@@ -46,33 +46,10 @@ import (
 // the point where extra lanes stop adding overlappable misses.
 const maxBatchLanes = 32
 
-// defaultBatchInterleave is the depth used when Options.BatchInterleave
-// is zero. Eight lanes cover typical L1-miss latency with issue slots to
-// spare without thrashing the scratch.
-const defaultBatchInterleave = 8
-
-// normalizeInterleave maps the user-facing BatchInterleave convention
-// (0 default, negative = scalar loop) onto the stored depth.
-func normalizeInterleave(n int) int32 {
-	switch {
-	case n == 0:
-		return defaultBatchInterleave
-	case n < 0:
-		return 0
-	case n > maxBatchLanes:
-		return maxBatchLanes
-	}
-	return int32(n)
-}
-
-// SetBatchInterleave retunes the GetBatch pipeline depth on a live
-// index: 0 restores the default, negative selects the scalar per-key
-// loop (the pre-pipeline behavior, kept so benchmarks can compare both
-// in one process), values above the lane cap are clamped. Safe to call
-// concurrently with readers; in-flight batches finish at the old depth.
-func (w *Wormhole) SetBatchInterleave(n int) {
-	w.batchDepth.Store(normalizeInterleave(n))
-}
+// defaultBatchDepth is the pipeline's interleave depth. Eight lanes
+// cover typical L1-miss latency with issue slots to spare without
+// thrashing the scratch.
+const defaultBatchDepth = 8
 
 // batchLane is one key's in-flight state across the pipeline stages.
 type batchLane struct {
@@ -96,11 +73,10 @@ type batchScratch struct {
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // getBatchOnline answers the batch inside an already-announced reader
-// section (slot s). Depth 0 — or SortByTag off, where the leaf probe has
-// no lock-free form — degrades to the scalar loop.
+// section (slot s). With SortByTag off the leaf probe has no lock-free
+// form, so the batch degrades to the scalar loop.
 func (w *Wormhole) getBatchOnline(s *qsbr.Slot, keys, vals [][]byte, found []bool, idxs []int) {
-	depth := int(w.batchDepth.Load())
-	if depth <= 0 || !w.opt.SortByTag {
+	if !w.opt.SortByTag {
 		if idxs == nil {
 			for i := range keys {
 				vals[i], found[i] = w.getOnline(s, hashKey(keys[i]), keys[i])
@@ -116,6 +92,7 @@ func (w *Wormhole) getBatchOnline(s *qsbr.Slot, keys, vals [][]byte, found []boo
 	if idxs != nil {
 		count = len(idxs)
 	}
+	depth := int(w.batchDepth.Load())
 	sc := batchScratchPool.Get().(*batchScratch)
 	for base := 0; base < count; base += depth {
 		wave := min(depth, count-base)

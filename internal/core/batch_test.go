@@ -55,7 +55,7 @@ func batchTestKeys(n int) [][]byte {
 // depth, that GetBatch is byte-identical to sequential scalar Gets over
 // batches with duplicates, misses, the empty key, and long keys, both
 // through the index and through a pinned Reader, with and without an
-// idxs subset.
+// idxs subset. The scalar per-key loop is the "nosort" shape.
 func TestGetBatchEquivalence(t *testing.T) {
 	for name, o := range batchConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -69,8 +69,8 @@ func TestGetBatchEquivalence(t *testing.T) {
 			r := rand.New(rand.NewSource(11))
 			rd := w.NewReader()
 			defer rd.Close()
-			for _, depth := range []int{-1, 1, 2, 8, 64} {
-				w.SetBatchInterleave(depth)
+			for _, depth := range []int32{1, 2, defaultBatchDepth, maxBatchLanes} {
+				w.batchDepth.Store(depth)
 				for trial := 0; trial < 20; trial++ {
 					n := 1 + r.Intn(300) // up to well past a 128-key leaf
 					batch := make([][]byte, n)
@@ -119,62 +119,53 @@ func TestGetBatchEquivalence(t *testing.T) {
 
 // TestGetBatchZeroAllocs guards the pooled pipeline scratch: a batched
 // lookup through a pinned Reader with caller-provided result slices must
-// not allocate, at any depth including the scalar baseline.
+// not allocate, at any depth, nor on the scalar loop a SortByTag-off
+// index takes.
 func TestGetBatchZeroAllocs(t *testing.T) {
-	w := New(DefaultOptions())
-	var keys [][]byte
-	for i := 0; i < 50000; i++ {
-		k := []byte(fmt.Sprintf("az-%09d-shared-suffix", i*7))
-		keys = append(keys, k)
-		w.Set(k, k)
-	}
-	batch := make([][]byte, 64)
-	vals := make([][]byte, len(batch))
-	found := make([]bool, len(batch))
-	r := w.NewReader()
-	defer r.Close()
-	miss := []byte("az-miss-000000000")
-	for _, depth := range []int{-1, 8, 32} {
-		w.SetBatchInterleave(depth)
-		i := 0
-		if n := testing.AllocsPerRun(500, func() {
-			for j := range batch {
-				batch[j] = keys[(i*2654435761+j*40503)%len(keys)]
+	noSort := DefaultOptions()
+	noSort.SortByTag, noSort.DirectPos = false, false
+	for _, tc := range []struct {
+		name   string
+		o      Options
+		depths []int32
+	}{
+		{"full", DefaultOptions(), []int32{defaultBatchDepth, maxBatchLanes}},
+		{"nosort", noSort, []int32{defaultBatchDepth}},
+	} {
+		w := New(tc.o)
+		var keys [][]byte
+		for i := 0; i < 50000; i++ {
+			k := []byte(fmt.Sprintf("az-%09d-shared-suffix", i*7))
+			keys = append(keys, k)
+			w.Set(k, k)
+		}
+		batch := make([][]byte, 64)
+		vals := make([][]byte, len(batch))
+		found := make([]bool, len(batch))
+		r := w.NewReader()
+		miss := []byte("az-miss-000000000")
+		for _, depth := range tc.depths {
+			w.batchDepth.Store(depth)
+			i := 0
+			if n := testing.AllocsPerRun(500, func() {
+				for j := range batch {
+					batch[j] = keys[(i*2654435761+j*40503)%len(keys)]
+				}
+				batch[3] = miss // a guaranteed miss per batch
+				r.GetBatch(batch, vals, found, nil)
+				i++
+			}); n != 0 {
+				t.Errorf("%s depth %d: Reader.GetBatch: %v allocs/op, want 0", tc.name, depth, n)
 			}
-			batch[3] = miss // a guaranteed miss per batch
-			r.GetBatch(batch, vals, found, nil)
-			i++
-		}); n != 0 {
-			t.Errorf("depth %d: Reader.GetBatch: %v allocs/op, want 0", depth, n)
+			i = 0
+			if n := testing.AllocsPerRun(500, func() {
+				w.GetBatch(batch, vals, found, nil)
+				i++
+			}); n != 0 {
+				t.Errorf("%s depth %d: Wormhole.GetBatch: %v allocs/op, want 0", tc.name, depth, n)
+			}
 		}
-		i = 0
-		if n := testing.AllocsPerRun(500, func() {
-			w.GetBatch(batch, vals, found, nil)
-			i++
-		}); n != 0 {
-			t.Errorf("depth %d: Wormhole.GetBatch: %v allocs/op, want 0", depth, n)
-		}
-	}
-}
-
-// TestSetBatchInterleaveClamps pins the depth-normalization contract the
-// bench sweep relies on.
-func TestSetBatchInterleaveClamps(t *testing.T) {
-	w := New(DefaultOptions())
-	cases := []struct {
-		in   int
-		want int32
-	}{{0, defaultBatchInterleave}, {-5, 0}, {1, 1}, {maxBatchLanes, maxBatchLanes}, {1000, maxBatchLanes}}
-	for _, c := range cases {
-		w.SetBatchInterleave(c.in)
-		if got := w.batchDepth.Load(); got != c.want {
-			t.Errorf("SetBatchInterleave(%d): depth %d, want %d", c.in, got, c.want)
-		}
-	}
-	o := DefaultOptions()
-	o.BatchInterleave = -1
-	if w2 := New(o); w2.batchDepth.Load() != 0 {
-		t.Errorf("Options.BatchInterleave=-1: depth %d, want 0", w2.batchDepth.Load())
+		r.Close()
 	}
 }
 
@@ -227,7 +218,7 @@ func TestGetBatchUnderChurn(t *testing.T) {
 			vals := make([][]byte, len(batch))
 			found := make([]bool, len(batch))
 			for round := 0; round < 600; round++ {
-				w.SetBatchInterleave([]int{-1, 4, 8, 32}[round%4])
+				w.batchDepth.Store([]int32{1, 4, defaultBatchDepth, maxBatchLanes}[round%4])
 				for i := range batch {
 					if i > 0 && r.Intn(8) == 0 {
 						batch[i] = batch[r.Intn(i)]

@@ -10,7 +10,7 @@ import (
 // keys — drawn from the same bytes, so the fuzzer can steer shared
 // prefixes, duplicates within the batch, and near-miss keys — and
 // cross-checks GetBatch against both the oracle and sequential scalar
-// Gets at several interleave depths, including the scalar baseline.
+// Gets at several interleave depths, down to a single lane.
 func FuzzBatchGet(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x02ab\x02ab\xff\x02ab\x02ac"))
@@ -83,8 +83,8 @@ func FuzzBatchGet(f *testing.F) {
 
 		vals := make([][]byte, len(batch))
 		found := make([]bool, len(batch))
-		for _, depth := range []int{-1, 2, 8, maxBatchLanes} {
-			w.SetBatchInterleave(depth)
+		for _, depth := range []int32{1, 2, defaultBatchDepth, maxBatchLanes} {
+			w.batchDepth.Store(depth)
 			for i := range vals {
 				vals[i], found[i] = nil, false
 			}

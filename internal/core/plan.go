@@ -160,15 +160,25 @@ func tryCut(a, b, own, nextStored []byte, cut int) *splitPlan {
 // upper half of l's items into a new leaf, re-keys l's anchor if the plan
 // converted it, and links the new leaf after l. It returns the new leaf.
 // The caller holds l's write lock and has already bumped l's version, so
-// optimistic readers that observe the truncated tag array retry; the seq
-// bump additionally invalidates any read overlapping the mutation. The
-// new leaf is not yet reachable.
-func executeLeafSplit(l *leafNode, p *splitPlan) *leafNode {
+// optimistic readers that observe the truncated tag array retry.
+//
+// The truncation and the relink share one seq bracket on l: a lock-free
+// chunk on l validates only against a state with both the full base and
+// the old l.next, or the lower half and l.next == newL — never a
+// truncated base whose next still skips the moved upper half. newL is
+// complete before it becomes reachable: it carries l's bumped version
+// and, with lockNew (the concurrent index), is returned write-locked so
+// the caller can finish the pending insert before locked readers enter.
+func executeLeafSplit(l *leafNode, p *splitPlan, lockNew bool) *leafNode {
 	right := l.kvs[p.cut:]
 	newL := newLeafNode(anchor{stored: p.stored, realLen: p.realLen}, cap(l.kvs))
 	newL.kvs = append(newL.kvs, right...)
 	newL.sorted = len(newL.kvs)
 	newL.rebuildTags()
+	newL.version.Store(l.version.Load())
+	if lockNew {
+		newL.mu.Lock()
+	}
 
 	l.beginMutate()
 	l.kvs = l.kvs[:p.cut]
@@ -178,11 +188,17 @@ func executeLeafSplit(l *leafNode, p *splitPlan) *leafNode {
 		old := l.anchor.Load()
 		l.anchor.Store(&anchor{stored: p.conv.to, realLen: old.realLen})
 	}
+	linkAfter(l, newL)
 	l.endMutate()
 	return newL
 }
 
-// linkAfter splices newL into the list immediately after l.
+// linkAfter splices newL into the list immediately after l. Only l's
+// bracket covers it (executeLeafSplit): r.prev is stored outside r's. A
+// descending chunk on r that captures the old r.prev == l hops to l, whose
+// next is now newL, so the hop check (l.next == r) fails and the cursor
+// re-seeks; one that captures newL arrives at a complete leaf whose next
+// is r.
 func linkAfter(l, newL *leafNode) {
 	r := l.next.Load()
 	newL.prev.Store(l)

@@ -347,8 +347,21 @@ func mergeDesc(l *leafNode, items []*kv, order []int32, bound []byte, incl, unbo
 	for {
 		// Emit the tail entries due above this position (pos > oi), then
 		// a tight compare-free run of base items down to the next tail
-		// position.
-		for ti >= 0 && len(out) < cap(out) && int(l.tailPos[ti].Load()) > oi {
+		// position. Each tail position is loaded once and that one value
+		// decides both whether the entry is emitted now and where the base
+		// run stops (low), so a writer racing the slot cannot make the two
+		// disagree: either a tail entry is emitted (ti drops) or low <= oi
+		// and the run emits at least order[oi] (oi drops). Every iteration
+		// of this loop therefore decrements ti or oi, and the walk ends —
+		// the descending twin of mergeAsc's len(order) clamp.
+		low := 0
+		for ti >= 0 && len(out) < cap(out) {
+			p := int(l.tailPos[ti].Load())
+			if p <= oi {
+				// The next tail entry comes after order[p..oi].
+				low = p
+				break
+			}
 			it := l.tailItem[ti].Load()
 			ti--
 			if it == nil {
@@ -359,11 +372,6 @@ func mergeDesc(l *leafNode, items []*kv, order []int32, bound []byte, incl, unbo
 		}
 		if len(out) == cap(out) {
 			return out, oi >= 0 || ti >= 0
-		}
-		low := 0
-		if ti >= 0 {
-			// The next tail entry (pos <= oi) comes after order[pos..oi].
-			low = int(l.tailPos[ti].Load())
 		}
 		if n := oi - (cap(out) - len(out)) + 1; low < n {
 			low = n
@@ -382,7 +390,7 @@ func mergeDesc(l *leafNode, items []*kv, order []int32, bound []byte, incl, unbo
 	}
 }
 
-// lockedChunk is the contention fallback (and, with Options.LockedScans,
+// lockedChunk is the contention fallback (and, when tests set lockedScans,
 // the whole path): lock the leaf — write-locked only when the append
 // region must first be incSort-ed — validate it, copy one chunk out of
 // kvs, and unlock before anything is emitted.
@@ -481,7 +489,7 @@ outer:
 			}
 			tver, checkVer = t.version, true
 		}
-		if !w.opt.LockedScans {
+		if !w.lockedScans {
 			for tries := 0; tries < seqlockAttempts; tries++ {
 				out, res := c.tryFastChunk(l, tver, checkVer, buf)
 				switch res {

@@ -231,12 +231,12 @@ func TestScanZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestLockedScansAblation pins the LockedScans escape hatch: the forced
-// locked path must produce identical traversals to the lock-free default.
+// TestLockedScansAblation pins the contention fallback on its own: with
+// every chunk forced through lockedChunk, traversals must match the
+// lock-free default.
 func TestLockedScansAblation(t *testing.T) {
-	o := smallOpts(true)
-	o.LockedScans = true
-	w := New(o)
+	w := New(smallOpts(true))
+	w.lockedScans = true
 	for i := 0; i < 500; i++ {
 		w.Set([]byte(fmt.Sprintf("lk-%04d", i)), []byte{1})
 	}

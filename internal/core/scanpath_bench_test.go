@@ -38,27 +38,6 @@ func BenchmarkScan100(b *testing.B) {
 	}
 }
 
-// BenchmarkScan100Locked is the same workload forced through the per-leaf
-// locks (the pre-snapshot baseline).
-func BenchmarkScan100Locked(b *testing.B) {
-	o := DefaultOptions()
-	o.LockedScans = true
-	w := New(o)
-	keys := shuffledBenchKeys(200000)
-	for _, k := range keys {
-		w.Set(k, k)
-	}
-	w.Scan(nil, func(_, _ []byte) bool { return true })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cnt := 0
-		w.Scan(keys[(i*2654435761)%len(keys)], func(_, _ []byte) bool {
-			cnt++
-			return cnt < 100
-		})
-	}
-}
-
 // BenchmarkIter100 measures pull-cursor setup plus 100 draws.
 func BenchmarkIter100(b *testing.B) {
 	w := New(DefaultOptions())

@@ -30,11 +30,6 @@ type Options struct {
 	IncHashing  bool // §3.1: incremental CRC across the prefix binary search
 	SortByTag   bool // §3.2: hash-ordered leaf search instead of key-sorted
 	DirectPos   bool // §3.2: speculative start position in the tag array
-	// LockedScans forces every range-scan chunk through the per-leaf lock
-	// (the pre-snapshot behavior), disabling the seqlock scan fast path.
-	// It exists so the scanpath benchmark can measure the locked baseline
-	// in the same binary; leave it off.
-	LockedScans bool
 	// ShortAnchors enables the split-point optimization the paper defers
 	// to future work: among the cuts in a full leaf's middle half, pick
 	// the one producing the shortest anchor instead of the middlemost
@@ -45,14 +40,6 @@ type Options struct {
 	// QSBRSlots sizes the initial reader-slot bank (Concurrent only); the
 	// slot set grows on demand when more readers pin simultaneously.
 	QSBRSlots int
-
-	// BatchInterleave sets how many keys GetBatch keeps in flight at once
-	// in its memory-parallel pipeline: 0 selects the default depth,
-	// negative disables the pipeline entirely (a scalar per-key loop, the
-	// pre-pipeline behavior kept so benchmarks can measure both in one
-	// binary), and values above the lane cap are clamped. Adjustable at
-	// runtime with SetBatchInterleave.
-	BatchInterleave int
 }
 
 // DefaultOptions returns the full Wormhole configuration used throughout
@@ -99,9 +86,14 @@ type Wormhole struct {
 	head  *leafNode // leftmost leaf; never removed (merges consume the right node)
 	count atomic.Int64
 
-	// batchDepth is the GetBatch pipeline's interleave depth (0 = scalar
-	// loop); atomic so SetBatchInterleave can retune a live index.
+	// batchDepth is the GetBatch pipeline's interleave depth, always
+	// defaultBatchDepth outside this package's tests, which vary it (in
+	// [1, maxBatchLanes]) on live indexes; hence atomic.
 	batchDepth atomic.Int32
+	// lockedScans forces every scan chunk through lockedChunk, the
+	// contention fallback; set only by this package's tests, before the
+	// index is shared.
+	lockedScans bool
 
 	// hook, when non-nil, observes every committed mutation (see
 	// SetMutationHook); installed before the index is shared.
@@ -112,7 +104,7 @@ type Wormhole struct {
 func New(opt Options) *Wormhole {
 	opt.normalize()
 	w := &Wormhole{opt: opt}
-	w.batchDepth.Store(normalizeInterleave(opt.BatchInterleave))
+	w.batchDepth.Store(defaultBatchDepth)
 	w.head = newLeafNode(anchor{stored: []byte{}}, 8)
 	t1 := newMetaTable(64)
 	t1.set(&metaNode{key: []byte{}, leaf: w.head})
@@ -451,10 +443,7 @@ func (w *Wormhole) splitInsert(h uint32, key, val []byte) uint64 {
 	nv := t.version + 1
 	l.version.Store(nv)
 	oldRight := l.next.Load()
-	newL := executeLeafSplit(l, p)
-	newL.version.Store(nv)
-	newL.mu.Lock()
-	linkAfter(l, newL)
+	newL := executeLeafSplit(l, p, true)
 	// Insert the pending item into the correct half before publication.
 	target := l
 	if bytes.Compare(key, newL.anchor.Load().real()) >= 0 {
@@ -499,8 +488,7 @@ func (w *Wormhole) setUnsafe(h uint32, key, val []byte) uint64 {
 		return w.logSet(key, val)
 	}
 	oldRight := l.next.Load()
-	newL := executeLeafSplit(l, p)
-	linkAfter(l, newL)
+	newL := executeLeafSplit(l, p, false)
 	target := l
 	if bytes.Compare(key, newL.anchor.Load().real()) >= 0 {
 		target = newL

@@ -69,8 +69,7 @@ func openFaultStore(t *testing.T, fsys vfs.FS) (*core.Wormhole, *Store) {
 }
 
 // openFaultStoreOpt opens the harness store with the format-selecting
-// fields of opt (SnapshotV1, SegmentBytes) layered onto the harness
-// defaults.
+// field of opt (SegmentBytes) layered onto the harness defaults.
 func openFaultStoreOpt(t *testing.T, fsys vfs.FS, opt Options) (*core.Wormhole, *Store) {
 	t.Helper()
 	opt.Sync, opt.FS, opt.NoSelfHeal = SyncAlways, fsys, true
@@ -84,18 +83,16 @@ func openFaultStoreOpt(t *testing.T, fsys vfs.FS, opt Options) (*core.Wormhole, 
 }
 
 // TestCrashPointMatrix runs the crash-point harness once per snapshot
-// format: the legacy monolithic v1 writer, the segmented v2 writer at
-// its default budget (one segment at this scale — crash points around
-// the footer rename), and v2 with a tiny segment budget so the mid-
-// workload snapshot writes MANY segments — every temp write, rename and
-// directory sync between segments and before the footer becomes a crash
-// point, and recovery must never observe a half-visible segment set.
+// segment budget: the default (one segment at this scale — crash points
+// around the footer rename), and a tiny budget so the mid-workload
+// snapshot writes MANY segments — every temp write, rename and directory
+// sync between segments and before the footer becomes a crash point, and
+// recovery must never observe a half-visible segment set.
 func TestCrashPointMatrix(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opt  Options
 	}{
-		{"v1-monolithic", Options{SnapshotV1: true}},
 		{"v2-default", Options{}},
 		{"v2-tiny-segments", Options{SegmentBytes: 32}},
 	} {

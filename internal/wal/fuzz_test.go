@@ -226,7 +226,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	seed := func(pairs ...string) []byte {
 		dir := f.TempDir()
 		p := filepath.Join(dir, "s.snap")
-		if err := WriteSnapshot(p, func(fn func(k, v []byte) bool) {
+		if err := writeSnapshotFS(vfs.OS(), p, func(fn func(k, v []byte) bool) {
 			for i := 0; i+1 < len(pairs); i += 2 {
 				if !fn([]byte(pairs[i]), []byte(pairs[i+1])) {
 					return

@@ -1,20 +1,21 @@
 package wal
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 
 	"github.com/repro/wormhole/internal/vfs"
 )
 
-// Snapshot files hold one key-ordered copy of the index:
+// v1 snapshot files hold one key-ordered copy of the index in a single
+// monolithic file. Snapshot writes only the segmented v2 format
+// (segment.go); recovery still reads v1, so stores written by older
+// builds open unchanged and upgrade on their next Snapshot. Layout:
 //
 //	[magic "WHSNAP1\n"][count uint64]
 //	count × ([klen uvarint][vlen uvarint][key][val])
@@ -23,105 +24,14 @@ import (
 // The trailing CRC covers everything before it, including the header, so
 // a truncated, bit-flipped or zero-extended snapshot never loads — the
 // store falls back to an older generation or an empty index plus the WAL.
-// Keys are written in ascending order straight off a scan cursor, so
-// loading streams into the index's bulkload path without sorting.
+// Keys are stored in ascending order, so loading streams into the index's
+// bulkload path without sorting.
 var snapMagic = []byte("WHSNAP1\n")
 
 const snapTrailer = 4
 
 // errSnapshot marks an invalid snapshot file (any reason).
 var errSnapshot = errors.New("wal: invalid snapshot")
-
-// WriteSnapshot streams the pairs produced by scan into path atomically:
-// the bytes go to a temporary file in the same directory, are fsynced, and
-// are renamed over path only when complete, so a crash mid-snapshot leaves
-// no half-written file under the real name. scan must yield keys in
-// strictly ascending order (the index's scan cursor does).
-func WriteSnapshot(path string, scan func(fn func(key, val []byte) bool)) (err error) {
-	return writeSnapshotFS(vfs.OS(), path, scan)
-}
-
-// writeSnapshotFS is WriteSnapshot over an injectable filesystem.
-func writeSnapshotFS(fsys vfs.FS, path string, scan func(fn func(key, val []byte) bool)) (err error) {
-	tmp, err := fsys.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			fsys.Remove(tmp.Name())
-		}
-	}()
-
-	// The pair count is not known until the scan finishes: write a zero
-	// placeholder, patch it afterwards, and compute the trailer CRC with
-	// one sequential re-read of the (page-cache-hot) file — snapshot
-	// writing is not on any latency path.
-	bw := bufio.NewWriterSize(tmp, 1<<16)
-	if _, err = bw.Write(snapMagic); err != nil {
-		return err
-	}
-	var cnt [8]byte
-	if _, err = bw.Write(cnt[:]); err != nil {
-		return err
-	}
-	var count uint64
-	var scratch []byte
-	scan(func(key, val []byte) bool {
-		scratch = scratch[:0]
-		scratch = binary.AppendUvarint(scratch, uint64(len(key)))
-		scratch = binary.AppendUvarint(scratch, uint64(len(val)))
-		if _, err = bw.Write(scratch); err != nil {
-			return false
-		}
-		if _, err = bw.Write(key); err != nil {
-			return false
-		}
-		if _, err = bw.Write(val); err != nil {
-			return false
-		}
-		count++
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if err = bw.Flush(); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(cnt[:], count)
-	if _, err = tmp.WriteAt(cnt[:], int64(len(snapMagic))); err != nil {
-		return err
-	}
-
-	if _, err = tmp.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	h := crc32.New(castagnoli)
-	if _, err = bufio.NewReaderSize(tmp, 1<<16).WriteTo(h); err != nil {
-		return err
-	}
-	var tr [snapTrailer]byte
-	binary.LittleEndian.PutUint32(tr[:], h.Sum32())
-	if _, err = tmp.Seek(0, io.SeekEnd); err != nil {
-		return err
-	}
-	if _, err = tmp.Write(tr[:]); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	if err = fsys.Rename(tmp.Name(), path); err != nil {
-		fsys.Remove(tmp.Name())
-		return err
-	}
-	return syncDirFS(fsys, filepath.Dir(path))
-}
 
 // LoadSnapshot reads and validates a snapshot, returning its pairs in
 // ascending key order, ready for bulkload. The returned slices alias one
@@ -200,8 +110,7 @@ func syncDirFS(fsys vfs.FS, dir string) error {
 // WriteFileAtomic writes data to path with full crash durability: temp
 // file in the same directory, fsync, rename over path, directory fsync
 // (tolerating filesystems that reject it, like syncDir). The shard
-// layer's MANIFEST uses it; it is the canonical small-file counterpart
-// of WriteSnapshot's streaming path.
+// layer's MANIFEST and the v2 snapshot footer use it.
 func WriteFileAtomic(path string, data []byte) (err error) {
 	return WriteFileAtomicFS(vfs.OS(), path, data)
 }

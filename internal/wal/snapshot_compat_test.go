@@ -8,11 +8,13 @@ import (
 	"github.com/repro/wormhole/internal/vfs"
 )
 
-// Format-compatibility suite: stores written by the v1 code path must
-// recover byte-identically through the current loader, directories
-// mixing v1 and v2 generations must recover from the newest valid one,
-// and a v2 footer whose segment set is incomplete must fall back to the
-// previous generation rather than load a partial shard.
+// Format-compatibility suite: stores holding a v1 snapshot (written by
+// older builds; here by the writeSnapshotFS fixture) must recover
+// byte-identically through the current loader and upgrade to v2 on the
+// next Snapshot, directories mixing v1 and v2 generations must recover
+// from the newest valid one, and a v2 footer whose segment set is
+// incomplete must fall back to the previous generation rather than load
+// a partial shard.
 
 func scanAll(b Backend) []string {
 	var out []string
@@ -25,20 +27,28 @@ func scanAll(b Backend) []string {
 
 func TestV1WrittenStoreRecoversThroughCurrentLoader(t *testing.T) {
 	dir := t.TempDir()
-	w, st := openStore(t, dir, Options{Sync: SyncNone, SnapshotV1: true})
+	// A v1-era store: a monolithic snapshot at generation 1, then a WAL
+	// tail logged on top of it.
+	var keys, vals [][]byte
 	for i := 0; i < 500; i++ {
-		w.Set([]byte(fmt.Sprintf("https://example.com/page/%05d", i)), []byte(fmt.Sprintf("v%d", i)))
+		keys = append(keys, []byte(fmt.Sprintf("https://example.com/page/%05d", i)))
+		vals = append(vals, []byte(fmt.Sprintf("v%d", i)))
 	}
-	if err := st.Snapshot(); err != nil {
+	if err := writeSnapshotFS(vfs.OS(), snapPath(dir, 1), scanPairs(keys, vals)); err != nil {
 		t.Fatal(err)
 	}
+	w, st := openStore(t, dir, Options{Sync: SyncNone})
 	w.Set([]byte("after-snap"), []byte("tail"))
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	want := scanAll(w)
+	if len(want) != 501 {
+		t.Fatalf("v1 store holds %d keys, want 501", len(want))
+	}
 
-	// Current (v2-default) code path opens the v1-written directory.
+	// Reopen: the snapshot comes back through the v1 loader, the tail
+	// through WAL replay.
 	w2, st2 := openStore(t, dir, Options{Sync: SyncNone})
 	if st2.RecoveredPairs() != 500 {
 		t.Fatalf("recovered %d snapshot pairs, want 500", st2.RecoveredPairs())

@@ -56,10 +56,6 @@ type Options struct {
 	// Open; <= 0 means GOMAXPROCS. Recovery is byte-identical at any
 	// setting — workers fill disjoint ranges of the result.
 	DecodeWorkers int
-	// SnapshotV1 forces Snapshot to write the legacy monolithic v1
-	// format. Recovery always reads both formats regardless; the bench
-	// harness uses this to compare v1 and v2 in one binary.
-	SnapshotV1 bool
 	// Metrics, when non-nil, arms append/fsync/commit-wait latency
 	// histograms and byte/record/rotation counters. A sharded store
 	// passes one bundle to every shard, so the series aggregate. Nil
@@ -598,12 +594,7 @@ func (s *Store) Snapshot() error {
 	}
 
 	scan := func(fn func(k, v []byte) bool) { s.b.Scan(nil, fn) }
-	if s.opt.SnapshotV1 {
-		err = writeSnapshotFS(s.fs, snapPath(s.dir, newGen), scan)
-	} else {
-		err = writeSnapshotV2FS(s.fs, s.dir, newGen, s.opt.SegmentBytes, scan)
-	}
-	if err != nil {
+	if err = writeSnapshotV2FS(s.fs, s.dir, newGen, s.opt.SegmentBytes, scan); err != nil {
 		return errors.Join(closeErr, err)
 	}
 	// The durable snapshot covers every mutation of the generations before

@@ -133,7 +133,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 		keys = append(keys, []byte(fmt.Sprintf("key-%06d", i)))
 		vals = append(vals, []byte(fmt.Sprintf("val-%d", i*i)))
 	}
-	err := WriteSnapshot(path, func(fn func(k, v []byte) bool) {
+	err := writeSnapshotFS(vfs.OS(), path, func(fn func(k, v []byte) bool) {
 		for i := range keys {
 			if !fn(keys[i], vals[i]) {
 				return
@@ -159,7 +159,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 
 func TestSnapshotEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.snap")
-	if err := WriteSnapshot(path, func(func(k, v []byte) bool) {}); err != nil {
+	if err := writeSnapshotFS(vfs.OS(), path, func(func(k, v []byte) bool) {}); err != nil {
 		t.Fatal(err)
 	}
 	gk, gv, err := LoadSnapshot(path)
@@ -171,7 +171,7 @@ func TestSnapshotEmpty(t *testing.T) {
 func TestSnapshotCorruptionRejected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.snap")
-	if err := WriteSnapshot(path, func(fn func(k, v []byte) bool) {
+	if err := writeSnapshotFS(vfs.OS(), path, func(fn func(k, v []byte) bool) {
 		fn([]byte("a"), []byte("1"))
 		fn([]byte("b"), []byte("2"))
 	}); err != nil {
