@@ -98,6 +98,7 @@ func (w *Wormhole) BulkLoad(keys, vals [][]byte) error {
 	// Materialize the leaves left-to-right. The head leaf reuses w.head so
 	// the existing list invariants (head never replaced) hold.
 	var leaves []*leafNode
+	bufp := getSorted()
 	for i := len(spans) - 1; i >= 0; i-- {
 		start := spans[i].start
 		stop := len(keys)
@@ -109,19 +110,20 @@ func (w *Wormhole) BulkLoad(keys, vals [][]byte) error {
 			l = w.head
 			l.anchor.Store(&anchor{stored: anchors[i], realLen: realLens[i]})
 		} else {
-			l = newLeafNode(anchor{stored: anchors[i], realLen: realLens[i]}, stop-start)
+			l = newLeafNode(anchor{stored: anchors[i], realLen: realLens[i]})
 		}
 		// Pre-size the slab exactly: the leaf's items are known up front.
 		l.slab = make([]kv, 0, stop-start)
+		items := (*bufp)[:0]
 		for j := start; j < stop; j++ {
 			var v []byte
 			if vals != nil {
 				v = vals[j]
 			}
-			l.kvs = append(l.kvs, l.newKV(hashKey(keys[j]), keys[j], v))
+			items = append(items, l.newKV(hashKey(keys[j]), keys[j], v))
 		}
-		l.sorted = len(l.kvs)
-		l.rebuildTags()
+		l.setSorted(items)
+		*bufp = items
 		if len(leaves) > 0 {
 			prev := leaves[len(leaves)-1]
 			l.prev.Store(prev)
@@ -129,6 +131,7 @@ func (w *Wormhole) BulkLoad(keys, vals [][]byte) error {
 		}
 		leaves = append(leaves, l)
 	}
+	putSorted(bufp, *bufp)
 	w.count.Store(int64(len(keys)))
 
 	t1 := buildMetaTable(leaves)

@@ -13,12 +13,12 @@ import (
 //     prefix-freedom (which, for sorted keys, implies global
 //     prefix-freedom), real anchors non-decreasing leaf spans;
 //   - leaf spans: real(anchor) <= every key < real(next anchor);
-//   - leaf internals: sorted prefix really sorted, the published tag array
-//     strictly (hash, key)-ordered and in 1:1 pointer correspondence with
-//     kvs (every item exactly once, no stale or duplicate entries), the
-//     published key-sorted scan view strictly key-ordered and in 1:1
-//     correspondence with the base entries, all keys unique, the seqlock
-//     word even (no writer abandoned mid-section);
+//   - leaf internals: the published tag array strictly (hash, key)-ordered,
+//     every base and tail entry a distinct item with a current hash, the
+//     tail within tagTailMax, the key-sorted order view a strictly
+//     key-ordered permutation of the base, every tail merge position
+//     exact, the merged item list strictly key-ordered (all keys unique),
+//     the seqlock word even (no writer abandoned mid-section);
 //   - MetaTrieHT completeness: leaf item per anchor, internal item per
 //     proper prefix, no extras, bitmap bits exactly matching existing
 //     children, leftmost/rightmost equal to the true subtree boundaries;
@@ -85,49 +85,28 @@ func (w *Wormhole) checkLeafList() error {
 		if nx := l.next.Load(); nx != nil {
 			nextReal = nx.anchor.Load().real()
 		}
-		if l.sorted > len(l.kvs) {
-			return fmt.Errorf("leaf %q sorted=%d > size=%d", a.stored, l.sorted, len(l.kvs))
-		}
-		seen := make(map[string]bool, len(l.kvs))
-		members := make(map[*kv]bool, len(l.kvs))
-		for i, it := range l.kvs {
-			if it.hash != hashKey(it.key) {
-				return fmt.Errorf("stale hash for key %q", it.key)
-			}
-			if seen[string(it.key)] {
-				return fmt.Errorf("duplicate key %q in leaf %q", it.key, a.stored)
-			}
-			seen[string(it.key)] = true
-			members[it] = true
-			if bytes.Compare(it.key, a.real()) < 0 {
-				return fmt.Errorf("key %q below anchor %q", it.key, a.real())
-			}
-			if nextReal != nil && bytes.Compare(it.key, nextReal) >= 0 {
-				return fmt.Errorf("key %q not below next anchor %q", it.key, nextReal)
-			}
-			if i > 0 && i < l.sorted && bytes.Compare(l.kvs[i-1].key, it.key) >= 0 {
-				return fmt.Errorf("sorted prefix unsorted at %d in leaf %q", i, a.stored)
-			}
-		}
 		tags := l.tags()
-		if tags.size() != len(l.kvs) {
-			return fmt.Errorf("tag array size mismatch in leaf %q: %d entries, %d items",
-				a.stored, tags.size(), len(l.kvs))
-		}
 		if len(tags.tail) > tagTailMax {
 			return fmt.Errorf("tag array tail overgrown in leaf %q: %d > %d",
 				a.stored, len(tags.tail), tagTailMax)
 		}
+		members := make(map[*kv]bool, tags.size())
 		check := func(e tagEnt, region string, i int) error {
-			// 1:1 pointer correspondence with kvs: every entry references a
-			// current member, and no member twice. Combined with the equal
-			// sizes above, every kvs item appears exactly once.
-			if e.it == nil || !members[e.it] {
-				return fmt.Errorf("tag %s entry %d of leaf %q references a non-member item", region, i, a.stored)
+			// Every entry references its own item: no nil slot, no item
+			// twice across base and tail.
+			if e.it == nil || members[e.it] {
+				return fmt.Errorf("tag %s entry %d of leaf %q is nil or a duplicate item", region, i, a.stored)
 			}
-			delete(members, e.it)
-			if e.hash != e.it.hash {
-				return fmt.Errorf("tag array entry hash stale for %q", e.it.key)
+			members[e.it] = true
+			key := e.it.keyBytes()
+			if e.hash != e.it.hash || e.it.hash != hashKey(key) {
+				return fmt.Errorf("stale hash for key %q", key)
+			}
+			if bytes.Compare(key, a.real()) < 0 {
+				return fmt.Errorf("key %q below anchor %q", key, a.real())
+			}
+			if nextReal != nil && bytes.Compare(key, nextReal) >= 0 {
+				return fmt.Errorf("key %q not below next anchor %q", key, nextReal)
 			}
 			return nil
 		}
@@ -137,7 +116,7 @@ func (w *Wormhole) checkLeafList() error {
 			}
 			if i > 0 {
 				p := tags.base[i-1]
-				if p.hash > e.hash || (p.hash == e.hash && bytes.Compare(p.it.key, e.it.key) >= 0) {
+				if p.hash > e.hash || (p.hash == e.hash && bytes.Compare(p.it.keyBytes(), e.it.keyBytes()) >= 0) {
 					return fmt.Errorf("tag array base out of (hash, key) order in leaf %q", a.stored)
 				}
 			}
@@ -152,22 +131,19 @@ func (w *Wormhole) checkLeafList() error {
 		// every tail slot's merge position must match a fresh search of
 		// that view, so a refactor cannot silently desynchronize what
 		// lock-free scans walk from what lookups see.
-		block := l.base.Load()
-		bn := int(l.baseN.Load())
-		_, baseItems := block.view(bn)
-		order := block.orderView(bn)
+		baseItems, order := l.sortedView()
 		if len(order) != len(tags.base) {
 			return fmt.Errorf("sorted view size mismatch in leaf %q: %d entries, base has %d",
 				a.stored, len(order), len(tags.base))
 		}
 		seenIdx := make([]bool, len(order))
 		for i, ix := range order {
-			if ix < 0 || int(ix) >= len(baseItems) || seenIdx[ix] {
+			if ix < 0 || int(ix) >= len(order) || seenIdx[ix] {
 				return fmt.Errorf("sorted view entry %d of leaf %q has bad or duplicate index %d",
 					i, a.stored, ix)
 			}
 			seenIdx[ix] = true // each base item exactly once
-			if i > 0 && bytes.Compare(baseItems[order[i-1]].key, baseItems[ix].key) >= 0 {
+			if i > 0 && bytes.Compare(baseItems[order[i-1]].keyBytes(), baseItems[ix].keyBytes()) >= 0 {
 				return fmt.Errorf("sorted view out of key order in leaf %q at %d", a.stored, i)
 			}
 		}
@@ -177,16 +153,24 @@ func (w *Wormhole) checkLeafList() error {
 		for i := 0; i < tl && i < tagTailMax; i++ {
 			itm := l.tailItem[i].Load()
 			pos := l.tailPos[i].Load()
-			if want := lowerBoundIdx(baseItems, order, itm.key, true); int(pos) != want {
+			if want := lowerBoundIdx(baseItems, order, itm.keyBytes(), true); int(pos) != want {
 				return fmt.Errorf("tail slot %d of leaf %q has merge position %d, want %d",
 					i, a.stored, pos, want)
 			}
-			if pos < prevPos || (pos == prevPos && bytes.Compare(prevKey, itm.key) >= 0) {
+			if pos < prevPos || (pos == prevPos && bytes.Compare(prevKey, itm.keyBytes()) >= 0) {
 				return fmt.Errorf("tail slots of leaf %q out of (pos, key) order at %d", a.stored, i)
 			}
-			prevPos, prevKey = pos, itm.key
+			prevPos, prevKey = pos, itm.keyBytes()
 		}
-		total += int64(len(l.kvs))
+		// The merged key-sorted list — what scans, splits and merges walk —
+		// must be strictly increasing, which also makes every key unique.
+		sorted := sortedItems(l, nil)
+		for i := 1; i < len(sorted); i++ {
+			if bytes.Compare(sorted[i-1].keyBytes(), sorted[i].keyBytes()) >= 0 {
+				return fmt.Errorf("leaf %q items out of key order or duplicated at %d", a.stored, i)
+			}
+		}
+		total += int64(len(sorted))
 		prevLeaf = l
 	}
 	if total != w.count.Load() {

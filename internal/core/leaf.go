@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -14,9 +15,13 @@ import (
 // (§3.2). Key and value buffers are owned by the index once inserted and
 // must not be mutated by the caller.
 //
-// key and hash are immutable after construction. The value is stored as
-// an atomic (pointer, length) pair so a lock-free reader racing an
-// overwrite reads both halves without a data race; the pair itself can
+// The key is held as a raw (kptr, klen) pair rather than a slice header:
+// the capacity word is never needed, and dropping it packs a kv into 32
+// bytes, two per cache line. keyBytes rebuilds the slice.
+//
+// hash, klen and kptr are immutable after construction. The value is
+// stored as an atomic (pointer, length) pair so a lock-free reader racing
+// an overwrite reads both halves without a data race; the pair itself can
 // still be torn (old pointer, new length), which is exactly what the
 // leaf's seqlock detects — writers bump it around setValue, and an
 // optimistic reader discards any value whose enclosing read saw the
@@ -27,9 +32,24 @@ import (
 // slab (newKV).
 type kv struct {
 	hash uint32
-	key  []byte
+	klen uint32
+	kptr *byte
 	vptr atomic.Pointer[byte]
 	vlen atomic.Int64
+}
+
+// keyBytes returns the item's key. A nil key reads back nil and an empty
+// non-nil key reads back empty and non-nil, as stored.
+func (it *kv) keyBytes() []byte { return unsafe.Slice(it.kptr, it.klen) }
+
+// setKey stores key in the item (construction only). Keys of 4 GiB or
+// more do not fit the 32-bit length and are rejected.
+func (it *kv) setKey(key []byte) {
+	if uint64(len(key)) > math.MaxUint32 {
+		panic("wormhole: key longer than 4 GiB")
+	}
+	it.kptr = unsafe.SliceData(key)
+	it.klen = uint32(len(key))
 }
 
 // value returns the current value slice. A nil stored value reads back
@@ -96,8 +116,8 @@ const tagTailMax = 15
 //     hash, one pointer, and the new length — all atomics on leaf-local
 //     cache lines, no allocation, no copying — and the O(leaf) fold into
 //     a fresh base block is paid once per tagTailMax+1 inserts. This is
-//     the paper's delayed, batched sorting (Algorithm 3's incSort)
-//     applied to the tag array.
+//     the paper's delayed, batched sorting (Algorithm 3) applied to the
+//     tag array.
 //
 // Both structures may be read without any lock: the block is immutable
 // and self-consistent, and the tail's individual loads are atomic (item
@@ -109,9 +129,12 @@ const tagTailMax = 15
 // validation discards exactly those reads.
 
 // tagBlockCap sizes the block's inline arrays: the default 128-key leaf
-// plus a full tail, with headroom. Leaves that outgrow it (fat leaves,
-// large custom LeafCap) spill to the slice-based big form.
-const tagBlockCap = 160
+// plus a full tail. The block is then 2,296 bytes, and with the 8-byte
+// header the allocator puts before every pointerful object over 512 bytes
+// it fills the 2,304-byte size class exactly (one entry more would land
+// in the 2,688-byte class). Leaves that outgrow it (fat leaves, large
+// custom LeafCap) spill to the slice-based big form.
+const tagBlockCap = 128 + tagTailMax
 
 // tagBlock is one immutable published base: hashes[i] == items[i].hash,
 // ordered by (hash, key). The arrays are inline and fixed-size, and the
@@ -124,19 +147,22 @@ const tagBlockCap = 160
 // arrays, where a stale slot holds either zero or a still-live item — and
 // the seqlock bracket rejects such reads anyway.
 //
-// order is the published key-sorted view lock-free range scans walk:
-// order[k] is the items index of the k-th smallest key. Indices, not a
+// order is the published key-sorted view: order[k] is the items index of
+// the k-th smallest key. Together with the leaf's (pos, key)-sorted inline
+// tail it is the leaf's only item list — lock-free and locked scans,
+// splits, merges and the key-sorted search all read it. Indices, not a
 // second pointer array — the array stays out of the garbage collector's
 // pointer scans and costs half the bytes, which matters because a block
 // is reallocated on every fold, so its size is a write-path cost. The
 // lookup side keeps its direct hashes[i]/items[i] layout (one less
 // dependent load on the Get path); scans pay the one-hop
 // items[order[k]] indirection per emitted pair, which long chunks
-// pipeline well.
+// pipeline well. The 4-byte arrays trail the pointer array so they pack
+// without padding.
 type tagBlock struct {
 	big    *tagBlockBig // non-nil iff the entries exceed tagBlockCap
-	hashes [tagBlockCap]uint32
 	items  [tagBlockCap]*kv
+	hashes [tagBlockCap]uint32
 	order  [tagBlockCap]int32
 }
 
@@ -150,43 +176,6 @@ type tagBlockBig struct {
 // emptyTagBlock is the zero-entry block shared by all fresh leaves.
 var emptyTagBlock = &tagBlock{}
 
-// makeTagBlock packs (hash, key)-sorted entries into a fresh block,
-// deriving the key-sorted index view with one extra sort (cold paths
-// only; the insert fold maintains it by position-merging instead).
-func makeTagBlock(entries []tagEnt) *tagBlock {
-	if len(entries) == 0 {
-		return emptyTagBlock
-	}
-	b := &tagBlock{}
-	if len(entries) > tagBlockCap {
-		bg := &tagBlockBig{
-			hashes: make([]uint32, len(entries)),
-			items:  make([]*kv, len(entries)),
-			order:  make([]int32, len(entries)),
-		}
-		for i, e := range entries {
-			bg.hashes[i] = e.hash
-			bg.items[i] = e.it
-			bg.order[i] = int32(i)
-		}
-		sortOrderIdx(bg.order, bg.items)
-		b.big = bg
-		return b
-	}
-	for i, e := range entries {
-		b.hashes[i] = e.hash
-		b.items[i] = e.it
-		b.order[i] = int32(i)
-	}
-	sortOrderIdx(b.order[:len(entries)], b.items[:len(entries)])
-	return b
-}
-
-// sortOrderIdx orders the index view by the referenced items' keys.
-func sortOrderIdx(idx []int32, items []*kv) {
-	slices.SortFunc(idx, func(x, y int32) int { return bytes.Compare(items[x].key, items[y].key) })
-}
-
 // lowerBoundIdx returns the first position in the key-sorted index view
 // whose key is >= bound (incl) or > bound (!incl); len(idx) when none
 // qualifies. A plain loop instead of sort.Search keeps callers
@@ -195,7 +184,7 @@ func lowerBoundIdx(items []*kv, idx []int32, bound []byte, incl bool) int {
 	lo, hi := 0, len(idx)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		cmp := bytes.Compare(items[idx[mid]].key, bound)
+		cmp := bytes.Compare(items[idx[mid]].keyBytes(), bound)
 		if cmp < 0 || (!incl && cmp == 0) {
 			lo = mid + 1
 		} else {
@@ -210,7 +199,7 @@ func lowerBoundIdx(items []*kv, idx []int32, bound []byte, incl bool) int {
 // case.
 func keyPosIn(items []*kv, idx []int32, key []byte) int {
 	n := len(idx)
-	if n == 0 || bytes.Compare(items[idx[n-1]].key, key) < 0 {
+	if n == 0 || bytes.Compare(items[idx[n-1]].keyBytes(), key) < 0 {
 		return n
 	}
 	return lowerBoundIdx(items, idx, key, true)
@@ -229,24 +218,29 @@ func (b *tagBlock) view(n int) ([]uint32, []*kv) {
 	return b.hashes[:n], b.items[:n]
 }
 
-// orderView returns the block's key-sorted index view (indices into the
-// item array); n is the leaf's published entry count (authoritative while
-// the caller's seqlock bracket holds). Like view, any count a racing
-// reader can pass stays in bounds — and so does every index the view
-// holds, because indices and items are published together in one block.
-func (b *tagBlock) orderView(n int) []int32 {
+// sortedView returns the block's key-sorted index view for the leaf's
+// published entry count n, and the item array it indexes: order[k] is an
+// index into items. items is the block's whole array, not cut to n,
+// because a lock-free reader can pair the block with an n from another
+// generation — and every index the block holds is below its own
+// population, which n does not bound. A stale smaller n thus still
+// indexes populated slots, and a stale larger n reads zero indices past
+// the population, i.e. items[0], which every block but the shared empty
+// one populates. Memory-safe either way; the seqlock bracket discards the
+// mixed read. Under mu, n is exact.
+func (b *tagBlock) sortedView(n int) ([]*kv, []int32) {
 	if bg := b.big; bg != nil {
-		return bg.order[:min(n, len(bg.order))]
+		return bg.items, bg.order[:min(n, len(bg.order))]
 	}
-	if n > tagBlockCap {
-		n = tagBlockCap
+	if b == emptyTagBlock {
+		return nil, nil
 	}
-	return b.order[:n]
+	return b.items[:], b.order[:min(n, tagBlockCap)]
 }
 
 // tagsView is a point-in-time view of a leaf's hash index, materialized
-// as entries for the cold paths (invariants, stats, merges); the hot
-// lookup path reads the structures directly (findTags).
+// as entries for the cold paths (invariants, tests); the hot lookup path
+// reads the structures directly (findTags).
 type tagsView struct {
 	base, tail []tagEnt
 }
@@ -254,41 +248,12 @@ type tagsView struct {
 // size returns the number of items the view covers.
 func (v tagsView) size() int { return len(v.base) + len(v.tail) }
 
-// all appends every entry (base then tail) to dst and returns it.
-func (v tagsView) all(dst []tagEnt) []tagEnt {
-	dst = append(dst, v.base...)
-	dst = append(dst, v.tail...)
-	return dst
-}
-
-// cmpTagEnts is the (hash, key) order of tag arrays.
-func cmpTagEnts(x, y tagEnt) int {
-	if x.hash != y.hash {
-		if x.hash < y.hash {
-			return -1
-		}
-		return 1
-	}
-	return bytes.Compare(x.it.key, y.it.key)
-}
-
-// sortTagEnts orders entries by (hash, key). slices.SortFunc, not
-// sort.Slice: the reflect-based swapper's write barriers dominated split
-// and fold cost in profiles.
-func sortTagEnts(a []tagEnt) {
-	slices.SortFunc(a, cmpTagEnts)
-}
-
 // leafNode is one LeafList node (Figure 7).
 //
-// kvs holds items in insertion order: kvs[:sorted] is key-sorted, the tail
-// is the unsorted append region. incSort merges the two on demand (range
-// scan or split), which is the paper's delayed, batched sorting. kvs and
-// sorted are guarded by mu; only lock-holding paths (writers, scans, the
-// BaseWormhole key-sorted search) touch them.
-//
-// base, tailLen, tailHash and tailItem form the hash index lock-free
-// readers search (see the tagBlock comment).
+// base, baseN, tailLen and the tail slots are the leaf's one item list:
+// the hash index lock-free readers search and, through the base's order
+// view merged with the tail by position, the key-sorted list every scan,
+// split and merge walks (see the tagBlock comment; sortedItems).
 //
 // seq is the leaf's seqlock word: even when the leaf is stable, odd while
 // a writer is mutating the item set or overwriting a value in place. An
@@ -316,9 +281,6 @@ type leafNode struct {
 
 	mu sync.RWMutex
 
-	kvs    []*kv
-	sorted int
-
 	tailHash [tagTailMax]atomic.Uint32
 	tailItem [tagTailMax]atomic.Pointer[kv]
 	// tailPos[i] is tailItem[i]'s merge position in the published
@@ -345,13 +307,17 @@ type leafNode struct {
 	prev, next atomic.Pointer[leafNode]
 }
 
-func newLeafNode(a anchor, capHint int) *leafNode {
-	l := &leafNode{
-		kvs: make([]*kv, 0, capHint),
-	}
+func newLeafNode(a anchor) *leafNode {
+	l := &leafNode{}
 	l.base.Store(emptyTagBlock)
 	l.anchor.Store(&a)
 	return l
+}
+
+// sortedView returns the key-sorted view of l's base block (see
+// tagBlock.sortedView).
+func (l *leafNode) sortedView() ([]*kv, []int32) {
+	return l.base.Load().sortedView(int(l.baseN.Load()))
 }
 
 // tags returns an entry view of the current hash index (cold paths; the
@@ -370,14 +336,6 @@ func (l *leafNode) tags() tagsView {
 		v.tail = append(v.tail, tagEnt{hash: l.tailHash[i].Load(), it: l.tailItem[i].Load()})
 	}
 	return v
-}
-
-// setTags publishes entries ((hash, key)-sorted) as the new base block
-// and empties the tail; caller holds mu.
-func (l *leafNode) setTags(entries []tagEnt) {
-	l.base.Store(makeTagBlock(entries))
-	l.baseN.Store(int32(len(entries)))
-	l.tailLen.Store(0)
 }
 
 // findTags locates (h, key) in the hash index: positioned search over the
@@ -399,7 +357,7 @@ func (l *leafNode) findTags(h uint32, key []byte, directPos bool) *kv {
 	}
 	if i := tagPos(hashes, h, directPos); i < len(hashes) {
 		for ; i < len(hashes) && hashes[i] == h; i++ {
-			if it := items[i]; it != nil && bytes.Equal(it.key, key) {
+			if it := items[i]; it != nil && bytes.Equal(it.keyBytes(), key) {
 				return it
 			}
 		}
@@ -407,7 +365,7 @@ func (l *leafNode) findTags(h uint32, key []byte, directPos bool) *kv {
 	tl := int(l.tailLen.Load())
 	for i := 0; i < tl && i < tagTailMax; i++ {
 		if l.tailHash[i].Load() == h {
-			if it := l.tailItem[i].Load(); it != nil && bytes.Equal(it.key, key) {
+			if it := l.tailItem[i].Load(); it != nil && bytes.Equal(it.keyBytes(), key) {
 				return it
 			}
 		}
@@ -441,14 +399,15 @@ func (l *leafNode) newKV(h uint32, key, val []byte) *kv {
 	l.slab = l.slab[:len(l.slab)+1]
 	it := &l.slab[len(l.slab)-1]
 	it.hash = h
-	it.key = key
+	it.setKey(key)
 	if val != nil {
 		it.setValue(val)
 	}
 	return it
 }
 
-func (l *leafNode) size() int { return len(l.kvs) }
+// size returns the leaf's item count (exact under mu).
+func (l *leafNode) size() int { return int(l.baseN.Load() + l.tailLen.Load()) }
 
 // tagPos returns the first index in the sorted hash array a whose value
 // is >= h (== len(a) when every hash is smaller).
@@ -477,21 +436,23 @@ func tagPos(a []uint32, h uint32, directPos bool) int {
 }
 
 // find locates key in the leaf. With sortByTag it searches the published
-// tag-array snapshot; without (BaseWormhole) it binary-searches the
-// key-sorted region and scans the unsorted tail, comparing full keys —
-// the behaviour Figure 11's ablation isolates. The kvs path requires mu
-// to be held.
+// tag-array snapshot; without (BaseWormhole) it binary-searches the base's
+// key-sorted order view and scans the short tail linearly, comparing full
+// keys — the behaviour Figure 11's ablation isolates. The key-sorted path
+// requires mu to be held.
 func (l *leafNode) find(h uint32, key []byte, sortByTag, directPos bool) *kv {
 	if sortByTag {
 		return l.findTags(h, key, directPos)
 	}
-	s := l.kvs[:l.sorted]
-	i := sort.Search(len(s), func(j int) bool { return bytes.Compare(s[j].key, key) >= 0 })
-	if i < len(s) && bytes.Equal(s[i].key, key) {
-		return s[i]
+	items, order := l.sortedView()
+	if i := lowerBoundIdx(items, order, key, true); i < len(order) {
+		if it := items[order[i]]; bytes.Equal(it.keyBytes(), key) {
+			return it
+		}
 	}
-	for _, it := range l.kvs[l.sorted:] {
-		if bytes.Equal(it.key, key) {
+	tl := int(l.tailLen.Load())
+	for i := 0; i < tl; i++ {
+		if it := l.tailItem[i].Load(); bytes.Equal(it.keyBytes(), key) {
 			return it
 		}
 	}
@@ -504,18 +465,10 @@ func (l *leafNode) find(h uint32, key []byte, sortByTag, directPos bool) *kv {
 // on the insert that would exceed tagTailMax.
 func (l *leafNode) insert(it *kv) {
 	l.beginMutate()
-	// Keep the sorted prefix maximal for the common ascending-insert case.
-	if l.sorted == len(l.kvs) &&
-		(l.sorted == 0 || bytes.Compare(l.kvs[l.sorted-1].key, it.key) < 0) {
-		l.sorted++
-	}
-	l.kvs = append(l.kvs, it)
 	tl := int(l.tailLen.Load())
 	if tl < tagTailMax {
-		b := l.base.Load()
-		bn := int(l.baseN.Load())
-		_, items := b.view(bn)
-		pos := int32(keyPosIn(items, b.orderView(bn), it.key))
+		items, order := l.sortedView()
+		pos := int32(keyPosIn(items, order, it.keyBytes()))
 		// Keep the inline tail (pos, key)-sorted: find the insertion
 		// slot, shift the greater suffix up one, store the new item. The
 		// shift's transient duplicates are inside this bracket, so
@@ -524,7 +477,7 @@ func (l *leafNode) insert(it *kv) {
 		s := tl
 		for s > 0 {
 			p := l.tailPos[s-1].Load()
-			if p < pos || (p == pos && bytes.Compare(l.tailItem[s-1].Load().key, it.key) < 0) {
+			if p < pos || (p == pos && bytes.Compare(l.tailItem[s-1].Load().keyBytes(), it.keyBytes()) < 0) {
 				break
 			}
 			s--
@@ -552,14 +505,14 @@ func (l *leafNode) insert(it *kv) {
 		ob := l.base.Load()
 		bn := int(l.baseN.Load())
 		oh, oldItems := ob.view(bn)
-		oo := ob.orderView(bn)
+		_, oo := ob.sortedView(bn)
 
 		// The new item joins the (pos, key)-sorted tail in a local copy.
-		newPos := int32(keyPosIn(oldItems, oo, it.key))
+		newPos := int32(keyPosIn(oldItems, oo, it.keyBytes()))
 		sl := tl
 		for sl > 0 {
 			p := l.tailPos[sl-1].Load()
-			if p < newPos || (p == newPos && bytes.Compare(l.tailItem[sl-1].Load().key, it.key) < 0) {
+			if p < newPos || (p == newPos && bytes.Compare(l.tailItem[sl-1].Load().keyBytes(), it.keyBytes()) < 0) {
 				break
 			}
 			sl--
@@ -586,7 +539,7 @@ func (l *leafNode) insert(it *kv) {
 			for j := i; j > 0; j-- {
 				x, y := hs[j], hs[j-1]
 				if thash[x] > thash[y] || (thash[x] == thash[y] &&
-					bytes.Compare(titems[x].key, titems[y].key) >= 0) {
+					bytes.Compare(titems[x].keyBytes(), titems[y].keyBytes()) >= 0) {
 					break
 				}
 				hs[j], hs[j-1] = hs[j-1], hs[j]
@@ -608,7 +561,7 @@ func (l *leafNode) insert(it *kv) {
 		for bi < len(oh) && ti < m {
 			j := hs[ti]
 			if oh[bi] < thash[j] || (oh[bi] == thash[j] &&
-				bytes.Compare(oldItems[bi].key, titems[j].key) < 0) {
+				bytes.Compare(oldItems[bi].keyBytes(), titems[j].keyBytes()) < 0) {
 				nh[o], ni[o] = oh[bi], oldItems[bi]
 				oldToNew[bi] = int32(o)
 				bi++
@@ -655,10 +608,14 @@ func (l *leafNode) insert(it *kv) {
 // pendingTagBlock passes the block under construction from
 // newTagBlockInto to publishTagBlock (single writer; caller holds mu).
 //
-// newTagBlockInto allocates a block sized for n entries and returns its
-// writable arrays; publishTagBlock stores it as the new base and empties
-// the tail.
+// newTagBlockInto allocates a block sized for n entries (the shared empty
+// block when n is 0) and returns its writable arrays; publishTagBlock
+// stores it as the new base and empties the tail.
 func newTagBlockInto(l *leafNode, n int) ([]uint32, []*kv, []int32) {
+	if n == 0 {
+		l.pendingBlock = emptyTagBlock
+		return nil, nil, nil
+	}
 	b := &tagBlock{}
 	if n > tagBlockCap {
 		b.big = &tagBlockBig{hashes: make([]uint32, n), items: make([]*kv, n), order: make([]int32, n)}
@@ -680,8 +637,8 @@ func (l *leafNode) publishTagBlock(n int) {
 // The item's slab slot is not recycled — an optimistic reader may still
 // hold a reference to it — but its value pointer is dropped so the slot
 // does not pin the value buffer for the life of its slab chunk. (The key
-// field stays: it is read race-free by lock-free readers precisely
-// because it is never written after construction.)
+// pair stays: it is read race-free by lock-free readers precisely because
+// it is never written after construction.)
 func (l *leafNode) remove(it *kv) {
 	l.beginMutate()
 	// Inside the bracket: a reader that loaded the (nil, 0) pair observes
@@ -705,7 +662,7 @@ func (l *leafNode) remove(it *kv) {
 		ob := l.base.Load()
 		bn := int(l.baseN.Load())
 		oh, oi := ob.view(bn)
-		oo := ob.orderView(bn)
+		_, oo := ob.sortedView(bn)
 		nh, ni, no := newTagBlockInto(l, len(oh)-1)
 		o := 0
 		ri := len(oi) // removed item's index in the old item array
@@ -741,20 +698,6 @@ func (l *leafNode) remove(it *kv) {
 			}
 		}
 	}
-	for i, k := range l.kvs {
-		if k != it {
-			continue
-		}
-		if i < l.sorted {
-			copy(l.kvs[i:], l.kvs[i+1:])
-			l.kvs = l.kvs[:len(l.kvs)-1]
-			l.sorted--
-		} else {
-			l.kvs[i] = l.kvs[len(l.kvs)-1]
-			l.kvs = l.kvs[:len(l.kvs)-1]
-		}
-		break
-	}
 	l.endMutate()
 }
 
@@ -769,73 +712,67 @@ func (l *leafNode) tailIndexOf(it *kv) int {
 	return -1
 }
 
-// incSortScratch recycles the merge buffer of incSort across calls; the
-// buffer never escapes the lock-holding caller, so pooling it makes the
-// scan/split sort path allocation-free for leaves within LeafCap.
-var incSortScratch = sync.Pool{
+// sortedScratch recycles the key-sorted item buffers that splits and
+// merges build with sortedItems. A buffer never escapes its lock-holding
+// caller and is cleared before it goes back (putSorted), so pooling keeps
+// splits allocation-free without pinning items.
+var sortedScratch = sync.Pool{
 	New: func() any {
-		b := make([]*kv, 0, 128)
+		b := make([]*kv, 0, tagBlockCap)
 		return &b
 	},
 }
 
-// incSort makes kvs fully key-sorted: sort the unsorted tail, then merge it
-// with the sorted prefix (Algorithm 3's incSort). The published tag array
-// is untouched — kvs order is invisible to lock-free readers. Caller
-// holds mu (write).
-func (l *leafNode) incSort() {
-	if l.sorted == len(l.kvs) {
-		return
-	}
-	tail := l.kvs[l.sorted:]
-	slices.SortFunc(tail, func(x, y *kv) int { return bytes.Compare(x.key, y.key) })
-	if l.sorted == 0 {
-		l.sorted = len(l.kvs)
-		return
-	}
-	bufp := incSortScratch.Get().(*[]*kv)
-	merged := (*bufp)[:0]
-	a, b := l.kvs[:l.sorted], tail
-	for len(a) > 0 && len(b) > 0 {
-		if bytes.Compare(a[0].key, b[0].key) <= 0 {
-			merged = append(merged, a[0])
-			a = a[1:]
-		} else {
-			merged = append(merged, b[0])
-			b = b[1:]
+func getSorted() *[]*kv { return sortedScratch.Get().(*[]*kv) }
+
+func putSorted(bufp *[]*kv, items []*kv) {
+	clear(items[:cap(items)])
+	*bufp = items[:0]
+	sortedScratch.Put(bufp)
+}
+
+// sortedItems appends l's items to dst in key order: the base block's
+// order view merged with the (pos, key)-sorted inline tail by merge
+// position, comparing no keys — the walk mergeAsc does for scans. Caller
+// holds mu.
+func sortedItems(l *leafNode, dst []*kv) []*kv {
+	items, order := l.sortedView()
+	tl := int(l.tailLen.Load())
+	ti := 0
+	for x, ix := range order {
+		for ; ti < tl && int(l.tailPos[ti].Load()) <= x; ti++ {
+			dst = append(dst, l.tailItem[ti].Load())
 		}
+		dst = append(dst, items[ix])
 	}
-	merged = append(merged, a...)
-	merged = append(merged, b...)
-	copy(l.kvs, merged)
-	l.sorted = len(l.kvs)
-	*bufp = merged[:0]
-	incSortScratch.Put(bufp)
-}
-
-// rebuildTags builds and publishes a fresh fully-sorted base block from
-// kvs (used after splits and bulk loads). The previous block is left
-// intact for readers still holding it. Caller holds mu.
-func (l *leafNode) rebuildTags() {
-	nb := make([]tagEnt, len(l.kvs))
-	for i, it := range l.kvs {
-		nb[i] = tagEnt{hash: it.hash, it: it}
+	for ; ti < tl; ti++ {
+		dst = append(dst, l.tailItem[ti].Load())
 	}
-	sortTagEnts(nb)
-	l.setTags(nb)
+	return dst
 }
 
-// firstAtLeast returns the index of the first sorted item with key >= k.
-// Requires incSort to have run (sorted == len(kvs)).
-func (l *leafNode) firstAtLeast(k []byte) int {
-	return sort.Search(len(l.kvs), func(i int) bool {
-		return bytes.Compare(l.kvs[i].key, k) >= 0
-	})
-}
-
-// firstGreater returns the index of the first sorted item with key > k.
-func (l *leafNode) firstGreater(k []byte) int {
-	return sort.Search(len(l.kvs), func(i int) bool {
-		return bytes.Compare(l.kvs[i].key, k) > 0
-	})
+// setSorted publishes key-sorted items as l's whole item list — a fresh
+// base block and an empty tail — after a split, a merge or a bulk load.
+// The previous block is left intact for readers still holding it. Caller
+// holds mu.
+//
+// The input's key order makes an item's index its key rank, so the
+// (hash, key) order is a plain sort of packed hash<<32|rank integers and
+// the order view falls out of it: no key is compared.
+func (l *leafNode) setSorted(items []*kv) {
+	var buf [tagBlockCap]uint64
+	ranks := buf[:0]
+	if len(items) > tagBlockCap {
+		ranks = make([]uint64, 0, len(items))
+	}
+	for i, it := range items {
+		ranks = append(ranks, uint64(it.hash)<<32|uint64(i))
+	}
+	slices.Sort(ranks)
+	nh, ni, no := newTagBlockInto(l, len(items))
+	for i, r := range ranks {
+		k := uint32(r)
+		nh[i], ni[i], no[k] = uint32(r>>32), items[k], int32(i)
+	}
+	l.publishTagBlock(len(items))
 }

@@ -11,13 +11,14 @@ import (
 
 func mkKV(key string) *kv {
 	k := []byte(key)
-	it := &kv{hash: hashKey(k), key: k}
+	it := &kv{hash: hashKey(k)}
+	it.setKey(k)
 	it.setValue([]byte("v"))
 	return it
 }
 
 func TestLeafInsertFindRemove(t *testing.T) {
-	l := newLeafNode(anchor{stored: []byte{}}, 8)
+	l := newLeafNode(anchor{stored: []byte{}})
 	keys := []string{"delta", "alpha", "echo", "bravo", "charlie"}
 	for _, k := range keys {
 		l.insert(mkKV(k))
@@ -26,7 +27,7 @@ func TestLeafInsertFindRemove(t *testing.T) {
 		for _, sbt := range []bool{true, false} {
 			for _, k := range keys {
 				it := l.find(hashKey([]byte(k)), []byte(k), sbt, dp)
-				if it == nil || string(it.key) != k {
+				if it == nil || string(it.keyBytes()) != k {
 					t.Fatalf("find(%q, sortByTag=%v, directPos=%v) failed", k, sbt, dp)
 				}
 			}
@@ -45,34 +46,35 @@ func TestLeafInsertFindRemove(t *testing.T) {
 	}
 }
 
-func TestLeafIncSort(t *testing.T) {
-	l := newLeafNode(anchor{stored: []byte{}}, 8)
-	// Ascending inserts keep the sorted prefix maximal.
+// TestLeafSortedItems checks the leaf's one item list: after ascending,
+// out-of-order and enough inserts to fold the tail into the base, the
+// order view merged with the tail yields every item exactly once in key
+// order, and the hash index still finds each.
+func TestLeafSortedItems(t *testing.T) {
+	l := newLeafNode(anchor{stored: []byte{}})
 	for i := 0; i < 5; i++ {
 		l.insert(mkKV(fmt.Sprintf("a%d", i)))
 	}
-	if l.sorted != 5 {
-		t.Fatalf("ascending inserts: sorted = %d, want 5", l.sorted)
-	}
-	// Out-of-order insert lands in the append region.
 	l.insert(mkKV("a0x"))
 	l.insert(mkKV("a00"))
-	if l.sorted == l.size() {
-		t.Fatal("out-of-order insert should not extend the sorted prefix")
+	for i := 0; i < tagTailMax+3; i++ {
+		l.insert(mkKV(fmt.Sprintf("z%02d", (i*7)%(tagTailMax+3))))
 	}
-	l.incSort()
-	if l.sorted != l.size() {
-		t.Fatal("incSort did not sort everything")
+	if l.baseN.Load() == 0 || l.tailLen.Load() == 0 {
+		t.Fatalf("want items in both base and tail, have %d/%d", l.baseN.Load(), l.tailLen.Load())
 	}
-	for i := 1; i < len(l.kvs); i++ {
-		if bytes.Compare(l.kvs[i-1].key, l.kvs[i].key) >= 0 {
-			t.Fatalf("kvs unsorted after incSort at %d", i)
+	items := sortedItems(l, nil)
+	if len(items) != l.size() {
+		t.Fatalf("sortedItems returned %d items, leaf holds %d", len(items), l.size())
+	}
+	for i := 1; i < len(items); i++ {
+		if bytes.Compare(items[i-1].keyBytes(), items[i].keyBytes()) >= 0 {
+			t.Fatalf("items out of key order at %d", i)
 		}
 	}
-	// byHash must survive the reorder (it stores pointers).
-	for _, it := range l.kvs {
-		if f := l.find(it.hash, it.key, true, true); f != it {
-			t.Fatalf("byHash lost %q after incSort", it.key)
+	for _, it := range items {
+		if f := l.find(it.hash, it.keyBytes(), true, true); f != it {
+			t.Fatalf("hash index lost %q", it.keyBytes())
 		}
 	}
 }
@@ -84,7 +86,7 @@ func TestLeafHashPosQuick(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := int(nRaw%100) + 1
-		l := newLeafNode(anchor{stored: []byte{}}, n)
+		l := newLeafNode(anchor{stored: []byte{}})
 		present := map[string]bool{}
 		for i := 0; i < n; i++ {
 			k := fmt.Sprintf("q%03d", r.Intn(500))
@@ -94,7 +96,7 @@ func TestLeafHashPosQuick(t *testing.T) {
 			present[k] = true
 			l.insert(mkKV(k))
 		}
-		l.rebuildTags() // fold the append tail so tagPos sees every item
+		l.setSorted(sortedItems(l, nil)) // fold the tail so tagPos sees every item
 		base := l.tags().base
 		hashes := make([]uint32, len(base))
 		for i, e := range base {
@@ -106,7 +108,7 @@ func TestLeafHashPosQuick(t *testing.T) {
 				i := tagPos(hashes, h, dp)
 				found := false
 				for ; i < len(base) && base[i].hash == h; i++ {
-					if string(base[i].it.key) == k {
+					if string(base[i].it.keyBytes()) == k {
 						found = true
 						break
 					}
@@ -138,12 +140,13 @@ func TestLeafHashPosQuick(t *testing.T) {
 	}
 }
 
-func TestLeafFirstAtLeastGreater(t *testing.T) {
-	l := newLeafNode(anchor{stored: []byte{}}, 8)
+func TestLeafLowerBound(t *testing.T) {
+	l := newLeafNode(anchor{stored: []byte{}})
 	for _, k := range []string{"b", "d", "f"} {
 		l.insert(mkKV(k))
 	}
-	l.incSort()
+	l.setSorted(sortedItems(l, nil))
+	items, order := l.sortedView()
 	cases := []struct {
 		k                string
 		atLeast, greater int
@@ -151,18 +154,18 @@ func TestLeafFirstAtLeastGreater(t *testing.T) {
 		{"a", 0, 0}, {"b", 0, 1}, {"c", 1, 1}, {"f", 2, 3}, {"g", 3, 3},
 	}
 	for _, c := range cases {
-		if got := l.firstAtLeast([]byte(c.k)); got != c.atLeast {
-			t.Errorf("firstAtLeast(%q) = %d, want %d", c.k, got, c.atLeast)
+		if got := lowerBoundIdx(items, order, []byte(c.k), true); got != c.atLeast {
+			t.Errorf("lowerBoundIdx(%q, incl) = %d, want %d", c.k, got, c.atLeast)
 		}
-		if got := l.firstGreater([]byte(c.k)); got != c.greater {
-			t.Errorf("firstGreater(%q) = %d, want %d", c.k, got, c.greater)
+		if got := lowerBoundIdx(items, order, []byte(c.k), false); got != c.greater {
+			t.Errorf("lowerBoundIdx(%q, excl) = %d, want %d", c.k, got, c.greater)
 		}
 	}
 }
 
 func TestMergeLeavesKeepsOrder(t *testing.T) {
-	a := newLeafNode(anchor{stored: []byte{}}, 8)
-	b := newLeafNode(anchor{stored: []byte("m"), realLen: 1}, 8)
+	a := newLeafNode(anchor{stored: []byte{}})
+	b := newLeafNode(anchor{stored: []byte("m"), realLen: 1})
 	for _, k := range []string{"a1", "a2", "a3"} {
 		a.insert(mkKV(k))
 	}
@@ -176,8 +179,12 @@ func TestMergeLeavesKeepsOrder(t *testing.T) {
 	if a.size() != 5 || a.tags().size() != 5 {
 		t.Fatalf("merged sizes wrong: %d/%d", a.size(), a.tags().size())
 	}
-	if a.sorted != 5 {
-		t.Fatalf("merged sorted prefix = %d, want 5", a.sorted)
+	var keys []string
+	for _, it := range sortedItems(a, nil) {
+		keys = append(keys, string(it.keyBytes()))
+	}
+	if !sort.StringsAreSorted(keys) {
+		t.Fatalf("merged items out of key order: %q", keys)
 	}
 	var hs []uint32
 	for _, it := range a.tags().base {

@@ -90,7 +90,7 @@ func TestBitmapSiblingsQuick(t *testing.T) {
 
 func TestMetaTableBasics(t *testing.T) {
 	tb := newMetaTable(8)
-	leaf := newLeafNode(anchor{}, 4)
+	leaf := newLeafNode(anchor{})
 	keys := []string{"", "a", "ab", "abc", "b", "xyz"}
 	for _, k := range keys {
 		tb.set(&metaNode{key: []byte(k), leaf: leaf})
@@ -132,7 +132,7 @@ func TestMetaTableBasics(t *testing.T) {
 
 func TestMetaTableGrowth(t *testing.T) {
 	tb := newMetaTable(8)
-	leaf := newLeafNode(anchor{}, 4)
+	leaf := newLeafNode(anchor{})
 	const n = 5000
 	for i := 0; i < n; i++ {
 		tb.set(&metaNode{key: []byte(fmt.Sprintf("grow-%06d", i)), leaf: leaf})
@@ -157,7 +157,7 @@ func TestMetaTableOverflowChains(t *testing.T) {
 	// Tiny table, no growth until count > buckets*6: with 8 buckets that is
 	// 48 items in 8 buckets — overflow chains must engage correctly.
 	tb := newMetaTable(1) // rounds up to 8
-	leaf := newLeafNode(anchor{}, 4)
+	leaf := newLeafNode(anchor{})
 	for i := 0; i < 48; i++ {
 		tb.set(&metaNode{key: []byte{byte(i)}, leaf: leaf})
 	}
@@ -171,7 +171,7 @@ func TestMetaTableOverflowChains(t *testing.T) {
 
 func TestGetTagOnlyFalsePositiveIsPossibleButGetIsExact(t *testing.T) {
 	tb := newMetaTable(8)
-	leaf := newLeafNode(anchor{}, 4)
+	leaf := newLeafNode(anchor{})
 	// Insert many keys; getTagOnly may confuse same-tag keys, get must not.
 	for i := 0; i < 2000; i++ {
 		tb.set(&metaNode{key: []byte(fmt.Sprintf("t%05d", i)), leaf: leaf})

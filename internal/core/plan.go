@@ -13,7 +13,7 @@ package core
 
 // splitPlan describes one leaf split.
 type splitPlan struct {
-	cut     int    // kvs index where the right half starts (requires incSort)
+	cut     int    // index in the key-sorted items where the right half starts
 	stored  []byte // new anchor, stored form (separator + appended ⊥ tokens)
 	realLen int    // length of the separator (real) part
 	conv    *conversion
@@ -31,9 +31,10 @@ type conversion struct {
 	to   []byte
 }
 
-// planSplit chooses a cut point for a full leaf and builds the plan.
-// It requires l.incSort() to have run. By default cut points are tried
-// middle-out and the first legal one wins (Algorithm 4 line 3–5). With
+// planSplit chooses a cut point for a full leaf and builds the plan;
+// sorted holds l's items in key order (sortedItems). By default cut
+// points are tried middle-out and the first legal one wins (Algorithm 4
+// line 3–5). With
 // shortAnchors — the split-point optimization the paper leaves as future
 // work (§2.3: "search time is only proportional to anchor lengths, which
 // can be further reduced by intelligently choosing the location where a
@@ -42,8 +43,8 @@ type conversion struct {
 // middle; the full middle-out search remains the fallback so split balance
 // never degrades below the default. nil means no valid cut exists anywhere
 // and the leaf must grow fat (§3.3).
-func planSplit(l *leafNode, shortAnchors bool) *splitPlan {
-	n := len(l.kvs)
+func planSplit(l *leafNode, sorted []*kv, shortAnchors bool) *splitPlan {
+	n := len(sorted)
 	if n < 2 {
 		return nil
 	}
@@ -64,7 +65,7 @@ func planSplit(l *leafNode, shortAnchors bool) *splitPlan {
 		var best *splitPlan
 		bestDist := 0
 		for i := lo; i <= hi; i++ {
-			p := tryCut(l.kvs[i-1].key, l.kvs[i].key, own, nextStored, i)
+			p := tryCut(sorted[i-1].keyBytes(), sorted[i].keyBytes(), own, nextStored, i)
 			if p == nil {
 				continue
 			}
@@ -87,13 +88,13 @@ func planSplit(l *leafNode, shortAnchors bool) *splitPlan {
 		ok := false
 		if hi >= 1 && hi <= n-1 {
 			ok = true
-			if p := tryCut(l.kvs[hi-1].key, l.kvs[hi].key, own, nextStored, hi); p != nil {
+			if p := tryCut(sorted[hi-1].keyBytes(), sorted[hi].keyBytes(), own, nextStored, hi); p != nil {
 				return p
 			}
 		}
 		if off > 0 && lo >= 1 && lo <= n-1 {
 			ok = true
-			if p := tryCut(l.kvs[lo-1].key, l.kvs[lo].key, own, nextStored, lo); p != nil {
+			if p := tryCut(sorted[lo-1].keyBytes(), sorted[lo].keyBytes(), own, nextStored, lo); p != nil {
 				return p
 			}
 		}
@@ -157,8 +158,9 @@ func tryCut(a, b, own, nextStored []byte, cut int) *splitPlan {
 }
 
 // executeLeafSplit mutates the LeafList for a planned split: moves the
-// upper half of l's items into a new leaf, re-keys l's anchor if the plan
-// converted it, and links the new leaf after l. It returns the new leaf.
+// upper half of l's items (sorted, the key-sorted list the plan was made
+// from) into a new leaf, re-keys l's anchor if the plan converted it, and
+// links the new leaf after l. It returns the new leaf.
 // The caller holds l's write lock and has already bumped l's version, so
 // optimistic readers that observe the truncated tag array retry.
 //
@@ -169,21 +171,16 @@ func tryCut(a, b, own, nextStored []byte, cut int) *splitPlan {
 // complete before it becomes reachable: it carries l's bumped version
 // and, with lockNew (the concurrent index), is returned write-locked so
 // the caller can finish the pending insert before locked readers enter.
-func executeLeafSplit(l *leafNode, p *splitPlan, lockNew bool) *leafNode {
-	right := l.kvs[p.cut:]
-	newL := newLeafNode(anchor{stored: p.stored, realLen: p.realLen}, cap(l.kvs))
-	newL.kvs = append(newL.kvs, right...)
-	newL.sorted = len(newL.kvs)
-	newL.rebuildTags()
+func executeLeafSplit(l *leafNode, sorted []*kv, p *splitPlan, lockNew bool) *leafNode {
+	newL := newLeafNode(anchor{stored: p.stored, realLen: p.realLen})
+	newL.setSorted(sorted[p.cut:])
 	newL.version.Store(l.version.Load())
 	if lockNew {
 		newL.mu.Lock()
 	}
 
 	l.beginMutate()
-	l.kvs = l.kvs[:p.cut]
-	l.sorted = p.cut
-	l.rebuildTags()
+	l.setSorted(sorted[:p.cut])
 	if p.conv != nil {
 		old := l.anchor.Load()
 		l.anchor.Store(&anchor{stored: p.conv.to, realLen: old.realLen})
@@ -315,29 +312,18 @@ func applyMerge(t *metaTable, p *mergePlan) {
 // mergeLeaves moves every item of victim into left and unlinks victim.
 // Caller holds both write locks and has bumped victim's version, so
 // optimistic readers routed to victim through a stale table retry (the
-// dead flag catches those routed through any table). left's merged tag
-// array is published as a fresh snapshot; victim's is left intact for
-// readers still holding it.
+// dead flag catches those routed through any table). left's merged item
+// list is published as a fresh block; victim's is left intact for readers
+// still holding it.
 func mergeLeaves(left, victim *leafNode) {
 	left.beginMutate()
 	victim.beginMutate()
-	if left.sorted == len(left.kvs) {
-		// All of victim's keys sort after all of left's, so victim's sorted
-		// prefix extends left's.
-		left.kvs = append(left.kvs, victim.kvs...)
-		left.sorted += victim.sorted
-	} else {
-		left.kvs = append(left.kvs, victim.kvs...)
-	}
-	// Combine the two snapshots into one fully sorted base. Both leaves
-	// are small (their sizes sum below MergeSize), so a flatten-and-sort
-	// beats maintaining a 4-way merge across two bases and two tails.
-	a, b := left.tags(), victim.tags()
-	merged := make([]tagEnt, 0, a.size()+b.size())
-	merged = a.all(merged)
-	merged = b.all(merged)
-	sortTagEnts(merged)
-	left.setTags(merged)
+	// Every victim key sorts after every left key, so the two key-sorted
+	// lists concatenate into left's new one.
+	bufp := getSorted()
+	merged := sortedItems(victim, sortedItems(left, *bufp))
+	left.setSorted(merged)
+	putSorted(bufp, merged)
 
 	victim.dead.Store(true)
 	r := victim.next.Load()

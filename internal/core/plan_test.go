@@ -136,12 +136,11 @@ func TestTryCutQuick(t *testing.T) {
 }
 
 func TestPlanSplitMiddleOut(t *testing.T) {
-	l := newLeafNode(anchor{stored: []byte{}}, 8)
+	l := newLeafNode(anchor{stored: []byte{}})
 	for _, k := range []string{"aa", "ab", "ba", "bb", "ca", "cb"} {
 		l.insert(mkKV(k))
 	}
-	l.incSort()
-	p := planSplit(l, false)
+	p := planSplit(l, sortedItems(l, nil), false)
 	if p == nil {
 		t.Fatal("no plan for a trivially splittable leaf")
 	}
@@ -154,13 +153,12 @@ func TestPlanSplitMiddleOut(t *testing.T) {
 }
 
 func TestPlanSplitUnsplittable(t *testing.T) {
-	l := newLeafNode(anchor{stored: []byte{1}, realLen: 1}, 8)
+	l := newLeafNode(anchor{stored: []byte{1}, realLen: 1})
 	one := []byte{1}
 	for zeros := 0; zeros < 6; zeros++ {
 		l.insert(mkKV(string(append(one[:1:1], make([]byte, zeros)...))))
 	}
-	l.incSort()
-	if p := planSplit(l, false); p != nil {
+	if p := planSplit(l, sortedItems(l, nil), false); p != nil {
 		t.Fatalf("pathological leaf got a plan: %+v", p)
 	}
 }

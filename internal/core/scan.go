@@ -15,13 +15,14 @@ import (
 // chunk is copied out of the leaf's published key-sorted view (the tag
 // block's sorted index over its item array) interleaved with the short
 // inline tail of recent inserts by pre-published merge positions, the
-// whole copy bracketed between two loads of the leaf's seqlock word. Nothing is locked, nothing is written to shared state, and
-// the leaf's append region is never incSort-ed on behalf of a reader. Only
-// after the bracket validates are the copied (vptr, vlen) pairs
-// materialized and handed to the callback, which therefore runs with no
-// locks held and may call back into the index. Leaves under persistent
-// write pressure (seqlockAttempts collisions) fall back to the classic
-// locked chunk copy, which sorts the append region in place.
+// whole copy bracketed between two loads of the leaf's seqlock word.
+// Nothing is locked and nothing is written to shared state. Only after the
+// bracket validates are the copied (vptr, vlen) pairs materialized and
+// handed to the callback, which therefore runs with no locks held and may
+// call back into the index. Leaves under persistent write pressure
+// (seqlockAttempts collisions) fall back to the same copy under the leaf's
+// read lock, which excludes writers but neither blocks nor is blocked by
+// other readers.
 //
 // Concurrent splits and merges are tolerated by three rules:
 //
@@ -47,7 +48,7 @@ import (
 const scanChunk = 128
 
 // scanEntry is one copied-out pair in pre-materialized form: the item —
-// whose key field is immutable and therefore safe to read even after the
+// whose key pair is immutable and therefore safe to read even after the
 // bracket — plus the raw (vptr, vlen) value pair, which was loaded inside
 // the bracket and may only be turned into a slice once the bracket has
 // validated (or under the leaf lock, where the pair is always consistent).
@@ -59,7 +60,7 @@ type scanEntry struct {
 	vn int64
 }
 
-func (e *scanEntry) key() []byte   { return e.it.key }
+func (e *scanEntry) key() []byte   { return e.it.keyBytes() }
 func (e *scanEntry) value() []byte { return valueSlice(e.vp, e.vn) }
 
 // scanBufPool recycles chunk copy-out buffers; range-heavy workloads
@@ -162,57 +163,69 @@ const (
 	fastOK
 )
 
-// tryFastChunk performs one optimistic chunk copy-out from l: the validity
-// checks, the boundary search over the published key-sorted view, the
-// inline-tail merge, the value-pair loads, and the adjacency pointer all
-// sit between two loads of l's seqlock word, so a validated chunk is
-// consistent with one stable leaf state. No store to shared memory, no
-// incSort, no lock.
-func (c *cursor) tryFastChunk(l *leafNode, tver uint64, checkVer bool, buf []scanEntry) ([]scanEntry, fastResult) {
-	s1 := l.seq.Load()
-	if s1&1 != 0 {
-		return nil, fastRetry // writer mid-mutation
+// leafUsable reports whether l can serve the cursor's next chunk, given
+// its version ver as loaded inside the caller's bracket or lock: not merged
+// away, not newer than the table that routed to it (checkVer), and for a
+// descending cursor neither bypassed by a split since the hop pointer was
+// captured nor split while a same-leaf continuation paused (its upper
+// half — keys the cursor still owes — moved to a right sibling the
+// continuation would skip).
+func (c *cursor) leafUsable(l *leafNode, tver uint64, checkVer bool, ver uint64) bool {
+	if l.dead.Load() || (checkVer && ver > tver) {
+		return false
 	}
-	if l.dead.Load() || (checkVer && l.version.Load() > tver) {
-		return nil, fastReseek
-	}
-	ver := l.version.Load()
 	if c.desc {
 		if c.from != nil && l.next.Load() != c.from {
-			// A split slid new keys in between since the hop pointer was
-			// captured; re-seek.
-			return nil, fastReseek
+			return false
 		}
 		if c.sameLeaf && ver != c.seenVer {
-			// The leaf split while the cursor paused: its upper half moved
-			// to a right sibling this continuation would skip.
-			return nil, fastReseek
+			return false
 		}
 	}
-	b := l.base.Load()
-	bn := int(l.baseN.Load())
-	_, items := b.view(bn)
-	order := b.orderView(bn)
+	return true
+}
+
+// copyChunk copies one chunk out of l's key-sorted item list into buf and
+// returns it, whether qualifying items remain in l, and — when none do —
+// the adjacent leaf in scan direction. The caller holds l's read lock or
+// brackets the call with l's seqlock.
+func (c *cursor) copyChunk(l *leafNode, buf []scanEntry) (out []scanEntry, more bool, adj *leafNode) {
+	items, order := l.sortedView()
 	bound, incl, unbounded := c.boundKey()
 	// After a validated hop every key in l lies strictly beyond the bound
 	// (leaf spans are ordered and a real anchor never moves down), so the
 	// merge starts at the leaf edge without any boundary search.
 	edge := c.leaf != nil && !c.sameLeaf
-	var out []scanEntry
-	var more bool
 	if c.desc {
 		out, more = mergeDesc(l, items, order, bound, incl, unbounded || edge, buf)
+		if !more {
+			adj = l.prev.Load()
+		}
 	} else {
 		out, more = mergeAsc(l, items, order, bound, incl, edge, buf)
-	}
-	var adj *leafNode
-	if !more {
-		if c.desc {
-			adj = l.prev.Load()
-		} else {
+		if !more {
 			adj = l.next.Load()
 		}
 	}
+	return out, more, adj
+}
+
+// tryFastChunk performs one optimistic chunk copy-out from l: the validity
+// checks, the boundary search over the published key-sorted view, the
+// inline-tail merge, the value-pair loads, and the adjacency pointer all
+// sit between two loads of l's seqlock word, so a validated chunk is
+// consistent with one stable leaf state. No store to shared memory, no
+// lock.
+func (c *cursor) tryFastChunk(l *leafNode, tver uint64, checkVer bool, buf []scanEntry) ([]scanEntry, fastResult) {
+	s1 := l.seq.Load()
+	if s1&1 != 0 {
+		return nil, fastRetry // writer mid-mutation
+	}
+	ver := l.version.Load()
+	if !c.leafUsable(l, tver, checkVer, ver) {
+		return nil, fastReseek
+	}
+	out, more, adj := c.copyChunk(l, buf)
 	if l.seq.Load() != s1 {
 		return nil, fastRetry
 	}
@@ -252,7 +265,7 @@ func mergeAsc(l *leafNode, items []*kv, order []int32, bound []byte, incl, edge 
 				ti++
 				continue
 			}
-			cmp := bytes.Compare(it.key, bound)
+			cmp := bytes.Compare(it.keyBytes(), bound)
 			if cmp > 0 || (incl && cmp == 0) {
 				break
 			}
@@ -336,7 +349,7 @@ func mergeDesc(l *leafNode, items []*kv, order []int32, bound []byte, incl, unbo
 				ti--
 				continue
 			}
-			cmp := bytes.Compare(it.key, bound)
+			cmp := bytes.Compare(it.keyBytes(), bound)
 			if cmp < 0 || (incl && cmp == 0) {
 				break
 			}
@@ -391,65 +404,18 @@ func mergeDesc(l *leafNode, items []*kv, order []int32, bound []byte, incl, unbo
 }
 
 // lockedChunk is the contention fallback (and, when tests set lockedScans,
-// the whole path): lock the leaf — write-locked only when the append
-// region must first be incSort-ed — validate it, copy one chunk out of
-// kvs, and unlock before anything is emitted.
-func (c *cursor) lockedChunk(l *leafNode, tver uint64, checkVer bool, buf []scanEntry) ([]scanEntry, bool) {
-	write, ok := c.w.lockScanLeaf(l, tver, checkVer)
-	if !ok {
+// the whole path): the same chunk copy as tryFastChunk under l's read lock
+// instead of its seqlock bracket, unlocked before anything is emitted.
+// ok=false means l cannot serve the scan and the caller must re-seek.
+func (c *cursor) lockedChunk(l *leafNode, tver uint64, checkVer bool, buf []scanEntry) (out []scanEntry, ok bool) {
+	l.mu.RLock()
+	ver := l.version.Load()
+	if !c.leafUsable(l, tver, checkVer, ver) {
+		l.mu.RUnlock()
 		return nil, false
 	}
-	if c.desc {
-		if c.from != nil && l.next.Load() != c.from {
-			unlockScanLeaf(l, write)
-			return nil, false
-		}
-		if c.sameLeaf && l.version.Load() != c.seenVer {
-			unlockScanLeaf(l, write)
-			return nil, false
-		}
-	}
-	out := buf
-	var more bool
-	var adj *leafNode
-	if c.desc {
-		var i int
-		switch {
-		case c.started:
-			i = l.firstAtLeast(c.bound) - 1
-		case c.start != nil:
-			i = l.firstGreater(c.start) - 1
-		default:
-			i = len(l.kvs) - 1
-		}
-		for ; i >= 0 && len(out) < cap(out); i-- {
-			it := l.kvs[i]
-			vp, vn := it.valueParts() // consistent under the leaf lock
-			out = append(out, scanEntry{it: it, vp: vp, vn: vn})
-		}
-		more = i >= 0
-		if !more {
-			adj = l.prev.Load()
-		}
-	} else {
-		var i int
-		if c.started {
-			i = l.firstGreater(c.bound)
-		} else {
-			i = l.firstAtLeast(c.start)
-		}
-		for ; i < len(l.kvs) && len(out) < cap(out); i++ {
-			it := l.kvs[i]
-			vp, vn := it.valueParts()
-			out = append(out, scanEntry{it: it, vp: vp, vn: vn})
-		}
-		more = i < len(l.kvs)
-		if !more {
-			adj = l.next.Load()
-		}
-	}
-	ver := l.version.Load()
-	unlockScanLeaf(l, write)
+	out, more, adj := c.copyChunk(l, buf)
+	l.mu.RUnlock()
 	c.advance(l, adj, ver, more, out)
 	return out, true
 }
@@ -540,7 +506,7 @@ func (w *Wormhole) scanLoop(s *qsbr.Slot, start []byte, desc bool, fn func(key, 
 // A nil start scans from the smallest key.
 func (w *Wormhole) Scan(start []byte, fn func(key, val []byte) bool) {
 	if !w.opt.Concurrent {
-		w.scanUnsafe(start, fn)
+		w.scanLoop(nil, start, false, fn)
 		return
 	}
 	s := w.q.Enter()
@@ -552,44 +518,12 @@ func (w *Wormhole) Scan(start []byte, fn func(key, val []byte) bool) {
 // A nil start scans from the largest key.
 func (w *Wormhole) ScanDesc(start []byte, fn func(key, val []byte) bool) {
 	if !w.opt.Concurrent {
-		w.scanDescUnsafe(start, fn)
+		w.scanLoop(nil, start, true, fn)
 		return
 	}
 	s := w.q.Enter()
 	defer w.q.Leave(s)
 	w.scanLoop(s, start, true, fn)
-}
-
-// lockScanLeaf locks l for a chunk copy-out: a read lock when the leaf is
-// already fully sorted, otherwise a write lock so incSort may run.
-// checkVersion applies the §2.5 stale-table test (only meaningful when the
-// leaf was found through a meta table). ok=false means the lock was
-// abandoned and the caller must re-seek.
-func (w *Wormhole) lockScanLeaf(l *leafNode, version uint64, checkVersion bool) (write, ok bool) {
-	l.mu.RLock()
-	if l.dead.Load() || (checkVersion && l.version.Load() > version) {
-		l.mu.RUnlock()
-		return false, false
-	}
-	if l.sorted == len(l.kvs) {
-		return false, true
-	}
-	l.mu.RUnlock()
-	l.mu.Lock()
-	if l.dead.Load() || (checkVersion && l.version.Load() > version) {
-		l.mu.Unlock()
-		return false, false
-	}
-	l.incSort()
-	return true, true
-}
-
-func unlockScanLeaf(l *leafNode, write bool) {
-	if write {
-		l.mu.Unlock()
-	} else {
-		l.mu.RUnlock()
-	}
 }
 
 // rightmostLeaf returns the last LeafList node: the root item's rightmost
@@ -600,52 +534,6 @@ func (w *Wormhole) rightmostLeaf(t *metaTable) *leafNode {
 		return root.leaf
 	}
 	return root.rightmost
-}
-
-func (w *Wormhole) scanUnsafe(start []byte, fn func(key, val []byte) bool) {
-	t := w.cur.Load()
-	l := w.searchMeta(t, start)
-	l.incSort()
-	i := l.firstAtLeast(start)
-	for l != nil {
-		for ; i < len(l.kvs); i++ {
-			if !fn(l.kvs[i].key, l.kvs[i].value()) {
-				return
-			}
-		}
-		l = l.next.Load()
-		if l != nil {
-			l.incSort()
-			i = 0
-		}
-	}
-}
-
-func (w *Wormhole) scanDescUnsafe(start []byte, fn func(key, val []byte) bool) {
-	t := w.cur.Load()
-	var l *leafNode
-	var i int
-	if start != nil {
-		l = w.searchMeta(t, start)
-		l.incSort()
-		i = l.firstGreater(start) - 1
-	} else {
-		l = w.rightmostLeaf(t)
-		l.incSort()
-		i = len(l.kvs) - 1
-	}
-	for l != nil {
-		for ; i >= 0; i-- {
-			if !fn(l.kvs[i].key, l.kvs[i].value()) {
-				return
-			}
-		}
-		l = l.prev.Load()
-		if l != nil {
-			l.incSort()
-			i = len(l.kvs) - 1
-		}
-	}
 }
 
 // Min returns the smallest key and its value.

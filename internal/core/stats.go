@@ -21,7 +21,7 @@ func (w *Wormhole) Stats() Stats {
 	var anchorBytes int
 	for l := w.head; l != nil; l = l.next.Load() {
 		s.Leaves++
-		if len(l.kvs) > w.opt.LeafCap {
+		if l.size() > w.opt.LeafCap {
 			s.FatLeaves++
 		}
 		anchorBytes += len(l.anchor.Load().stored)
@@ -52,10 +52,10 @@ func (w *Wormhole) Footprint() int64 {
 	kvHdr := int64(unsafe.Sizeof(kv{}))
 	ptr := int64(unsafe.Sizeof(uintptr(0)))
 	blockSz := int64(unsafe.Sizeof(tagBlock{}))
+	var items []*kv
 	for l := w.head; l != nil; l = l.next.Load() {
 		total += leafHdr // includes the inline tag tail arrays
 		total += int64(len(l.anchor.Load().stored)) + int64(unsafe.Sizeof(anchor{}))
-		total += int64(cap(l.kvs)) * ptr
 		// The published base block is a fixed-size allocation regardless
 		// of occupancy; big (overflow) blocks add their slices.
 		if b := l.base.Load(); b != emptyTagBlock {
@@ -65,8 +65,9 @@ func (w *Wormhole) Footprint() int64 {
 					int64(cap(b.big.items))*ptr + int64(cap(b.big.order))*4
 			}
 		}
-		for _, it := range l.kvs {
-			total += kvHdr + int64(len(it.key)) + int64(len(it.value()))
+		items = sortedItems(l, items[:0])
+		for _, it := range items {
+			total += kvHdr + int64(it.klen) + int64(len(it.value()))
 		}
 	}
 	total += tableFootprint(w.cur.Load())

@@ -105,7 +105,7 @@ func New(opt Options) *Wormhole {
 	opt.normalize()
 	w := &Wormhole{opt: opt}
 	w.batchDepth.Store(defaultBatchDepth)
-	w.head = newLeafNode(anchor{stored: []byte{}}, 8)
+	w.head = newLeafNode(anchor{stored: []byte{}})
 	t1 := newMetaTable(64)
 	t1.set(&metaNode{key: []byte{}, leaf: w.head})
 	t1.version = 1
@@ -310,7 +310,7 @@ func (r *Reader) GetBatch(keys, vals [][]byte, found []bool, idxs []int) {
 // from the smallest key; fn runs with no locks held.
 func (r *Reader) Scan(start []byte, fn func(key, val []byte) bool) {
 	if r.pin == nil {
-		r.w.scanUnsafe(start, fn)
+		r.w.scanLoop(nil, start, false, fn)
 		return
 	}
 	s := r.pin.Enter()
@@ -323,7 +323,7 @@ func (r *Reader) Scan(start []byte, fn func(key, val []byte) bool) {
 // largest key.
 func (r *Reader) ScanDesc(start []byte, fn func(key, val []byte) bool) {
 	if r.pin == nil {
-		r.w.scanDescUnsafe(start, fn)
+		r.w.scanLoop(nil, start, true, fn)
 		return
 	}
 	s := r.pin.Enter()
@@ -428,10 +428,12 @@ func (w *Wormhole) splitInsert(h uint32, key, val []byte) uint64 {
 		w.metaMu.Unlock()
 		return token
 	}
-	l.incSort()
-	p := planSplit(l, w.opt.ShortAnchors)
+	bufp := getSorted()
+	sorted := sortedItems(l, *bufp)
+	p := planSplit(l, sorted, w.opt.ShortAnchors)
 	if p == nil {
 		// No legal anchor at any cut point: grow a fat leaf (§3.3).
+		putSorted(bufp, sorted)
 		l.insert(l.newKV(h, key, val))
 		w.count.Add(1)
 		token := w.logSet(key, val)
@@ -443,7 +445,8 @@ func (w *Wormhole) splitInsert(h uint32, key, val []byte) uint64 {
 	nv := t.version + 1
 	l.version.Store(nv)
 	oldRight := l.next.Load()
-	newL := executeLeafSplit(l, p, true)
+	newL := executeLeafSplit(l, sorted, p, true)
+	putSorted(bufp, sorted)
 	// Insert the pending item into the correct half before publication.
 	target := l
 	if bytes.Compare(key, newL.anchor.Load().real()) >= 0 {
@@ -480,15 +483,18 @@ func (w *Wormhole) setUnsafe(h uint32, key, val []byte) uint64 {
 		w.count.Add(1)
 		return w.logSet(key, val)
 	}
-	l.incSort()
-	p := planSplit(l, w.opt.ShortAnchors)
+	bufp := getSorted()
+	sorted := sortedItems(l, *bufp)
+	p := planSplit(l, sorted, w.opt.ShortAnchors)
 	if p == nil {
+		putSorted(bufp, sorted)
 		l.insert(l.newKV(h, key, val))
 		w.count.Add(1)
 		return w.logSet(key, val)
 	}
 	oldRight := l.next.Load()
-	newL := executeLeafSplit(l, p, false)
+	newL := executeLeafSplit(l, sorted, p, false)
+	putSorted(bufp, sorted)
 	target := l
 	if bytes.Compare(key, newL.anchor.Load().real()) >= 0 {
 		target = newL

@@ -576,6 +576,17 @@ func TestStatsAndFootprint(t *testing.T) {
 	if fp < 500*(9+10) {
 		t.Fatalf("Footprint = %d, implausibly small", fp)
 	}
+	if raceEnabled {
+		return // the race detector changes the heap Footprint is checked against
+	}
+	// The analytic footprint must track the measured live heap of the heap
+	// budget's load to within 25%.
+	big, heap := loadAz1Heap(t, heapBudgetKeys)
+	fpKey, heapKey := float64(big.Footprint())/heapBudgetKeys, heap/heapBudgetKeys
+	t.Logf("Footprint %.1f B/key, live heap %.1f B/key", fpKey, heapKey)
+	if r := fpKey / heapKey; r < 0.75 || r > 1.25 {
+		t.Fatalf("Footprint %.1f B/key is not within 25%% of the live heap's %.1f B/key", fpKey, heapKey)
+	}
 }
 
 func TestSequentialAndReverseInsert(t *testing.T) {

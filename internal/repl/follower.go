@@ -415,6 +415,14 @@ func (f *Follower) discardSnapStates() {
 // epoch-stamped message must match the handshake epoch — a frame from
 // another term means the sender's identity changed mid-connection, and the
 // only safe response is to drop the stream and re-handshake.
+//
+// A failed ack write does not end the stream at once: frames the leader
+// flushed before it closed may still sit in r, and dropping them would
+// leave the snapshot resume cursors behind what was sent — the next
+// handshake would then re-request ranges this connection already carried.
+// The write error is latched instead: no more acks are written, reading
+// and applying continue until the read fails (bounded by DialTimeout),
+// and the ack error is returned.
 func (f *Follower) stream(conn net.Conn, r *bufio.Reader) error {
 	w := bufio.NewWriterSize(conn, 1<<16)
 	f.mu.Lock()
@@ -422,9 +430,13 @@ func (f *Follower) stream(conn net.Conn, r *bufio.Reader) error {
 	epoch := f.connEpoch
 	f.mu.Unlock()
 	var buf []byte
+	var ackErr error
 	for {
 		typ, body, next, err := readMsg(r, buf)
 		if err != nil {
+			if ackErr != nil {
+				return ackErr
+			}
 			return err
 		}
 		buf = next
@@ -459,8 +471,10 @@ func (f *Follower) stream(conn net.Conn, r *bufio.Reader) error {
 		}
 		// A finished snapshot catch-up acks immediately — it may have moved
 		// the position a whole generation — the rest rate-limit.
-		if err := f.maybeAck(w, typ == msgSnapEnd); err != nil {
-			return err
+		if ackErr == nil {
+			if ackErr = f.maybeAck(w, typ == msgSnapEnd); ackErr != nil {
+				conn.SetReadDeadline(time.Now().Add(f.o.DialTimeout))
+			}
 		}
 	}
 }
