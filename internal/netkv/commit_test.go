@@ -15,9 +15,9 @@ import (
 	"github.com/repro/wormhole/internal/wal"
 )
 
-// Tests of the batch commit on the sharded write path: a dispatched
-// batch's writes skip their per-write durability wait and the connection
-// commits once per touched shard before replying.
+// Tests of the batch commit on the sharded write path: a batch's writes
+// skip their per-write durability wait and the connection commits once
+// per touched shard before replying, whatever else the batch holds.
 
 // openAlways opens (or recovers) a 2-shard SyncAlways store on fsys.
 // Keys below "m" live on shard 0, the rest on shard 1.
@@ -58,7 +58,9 @@ func flushOK(c *Client) ([]Response, error) {
 }
 
 // TestCommitFsyncsPerShard counts fsyncs exactly: a batch of 64 Sets over
-// both shards costs at most one fsync per shard, and concurrent
+// both shards costs at most one fsync per shard, one more operation after
+// the Sets costs only what that operation itself syncs (a Flush syncs
+// each shard once more; a Stat or a Scan nothing), and concurrent
 // connections never cost more than batches × touched shards.
 func TestCommitFsyncsPerShard(t *testing.T) {
 	mx := wal.NewMetrics(metrics.NewRegistry())
@@ -66,7 +68,8 @@ func TestCommitFsyncsPerShard(t *testing.T) {
 	defer st.Close()
 	s := serveShard(t, st)
 
-	setBatch := func(c *Client, tag string) error {
+	noTail := func(*Client) {}
+	setBatch := func(c *Client, tag string, tail func(*Client)) error {
 		for i := 0; i < 64; i++ {
 			prefix := "a"
 			if i%2 == 1 {
@@ -75,21 +78,33 @@ func TestCommitFsyncsPerShard(t *testing.T) {
 			k := []byte(fmt.Sprintf("%s-%s-%02d", prefix, tag, i))
 			c.QueueSet(k, k)
 		}
+		tail(c)
 		_, err := flushOK(c)
 		return err
 	}
 
 	c := dial(t, s)
-	before := mx.Fsyncs.Value()
-	if err := setBatch(c, "one"); err != nil {
-		t.Fatal(err)
-	}
-	if d := mx.Fsyncs.Value() - before; d == 0 || d > 2 {
-		t.Fatalf("one 64-Set batch over 2 shards took %d fsyncs, want 1 or 2", d)
+	for _, tc := range []struct {
+		tail  string
+		queue func(*Client)
+		limit uint64
+	}{
+		{"", noTail, 2},
+		{"+flush", (*Client).QueueFlush, 4},
+		{"+stat", (*Client).QueueStat, 2},
+		{"+scan", func(c *Client) { c.QueueScan(nil, 10) }, 2},
+	} {
+		before := mx.Fsyncs.Value()
+		if err := setBatch(c, "one"+tc.tail, tc.queue); err != nil {
+			t.Fatalf("64 Sets%s: %v", tc.tail, err)
+		}
+		if d := mx.Fsyncs.Value() - before; d == 0 || d > tc.limit {
+			t.Fatalf("one 64-Set%s batch over 2 shards took %d fsyncs, want 1 to %d", tc.tail, d, tc.limit)
+		}
 	}
 
 	const conns, rounds = 2, 20
-	before = mx.Fsyncs.Value()
+	before := mx.Fsyncs.Value()
 	var wg sync.WaitGroup
 	for g := 0; g < conns; g++ {
 		c := dial(t, s)
@@ -97,7 +112,7 @@ func TestCommitFsyncsPerShard(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				if err := setBatch(c, fmt.Sprintf("c%d-r%d", g, r)); err != nil {
+				if err := setBatch(c, fmt.Sprintf("c%d-r%d", g, r), noTail); err != nil {
 					t.Error(err)
 					return
 				}
@@ -167,20 +182,29 @@ func TestCommitAckImpliesDurable(t *testing.T) {
 			t.Fatal(err)
 		}
 		// One batch over both shards: new keys, plus deletes of a quarter
-		// of the previous round's keys.
+		// of the previous round's keys. Odd rounds end the batch with a
+		// Flush and one more Set per shard: the Flush covers the writes
+		// before it, the batch commit the Sets after it.
+		n := sets
 		for i := 0; i < sets; i++ {
 			c.QueueSet([]byte(key(round, i)), []byte(fmt.Sprintf("v%d", round)))
 			if round > 0 && i%4 == 0 {
 				c.QueueDel([]byte(key(round-1, i)))
 			}
 		}
+		if round%2 == 1 {
+			c.QueueFlush()
+			for ; n < sets+2; n++ {
+				c.QueueSet([]byte(key(round, n)), []byte(fmt.Sprintf("v%d", round)))
+			}
+		}
 		if _, err := flushOK(c); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		mem.Crash()
-		for i := 0; i < sets; i++ {
+		for i := 0; i < n; i++ {
 			acked[key(round, i)] = fmt.Sprintf("v%d", round)
-			if round > 0 && i%4 == 0 {
+			if round > 0 && i%4 == 0 && i < sets {
 				acked[key(round-1, i)] = ""
 			}
 		}

@@ -92,7 +92,7 @@ func TestMetricsReconcile(t *testing.T) {
 	if _, err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Batch 4: sequential path — a scan, a stat, a flush (volatile store:
+	// Batch 4: non-point operations — a scan, a stat, a flush (volatile store:
 	// flush answers not_found), and one single-op get.
 	c.QueueScan(nil, 10)
 	c.QueueStat()

@@ -337,9 +337,10 @@ func TestShardedBatchedGetRuns(t *testing.T) {
 	}
 }
 
-// TestShardedScanFallback sends a batch containing a scan: the server must
-// fall back to sequential processing and the stitched cross-shard scan
-// must come back in global key order.
+// TestShardedScanFallback sends a scan between point operations on a
+// sharded store: the stitched cross-shard scan must come back in global
+// key order, see a Set made earlier in the same batch, and a Del after it
+// must be seen by a trailing Get.
 func TestShardedScanFallback(t *testing.T) {
 	_, c := startShardedServer(t)
 	const n = 500
@@ -350,22 +351,66 @@ func TestShardedScanFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.QueueGet([]byte("scan-0000"))
-	c.QueueScan([]byte("scan-"), n)
+	c.QueueSet([]byte(fmt.Sprintf("scan-%04d", n)), []byte("v"))
+	c.QueueScan([]byte("scan-"), n+1)
+	c.QueueGet([]byte("scan-0499"))
+	c.QueueDel([]byte("scan-0499"))
 	c.QueueGet([]byte("scan-0499"))
 	rs, err := c.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs[0].Status != StatusOK || rs[2].Status != StatusOK {
-		t.Fatalf("gets around scan failed: %+v %+v", rs[0], rs[2])
+	if rs[0].Status != StatusOK || rs[1].Status != StatusOK || rs[3].Status != StatusOK {
+		t.Fatalf("point ops around scan failed: %+v %+v %+v", rs[0], rs[1], rs[3])
 	}
-	if len(rs[1].Keys) != n {
-		t.Fatalf("scan returned %d keys, want %d", len(rs[1].Keys), n)
+	if len(rs[2].Keys) != n+1 {
+		t.Fatalf("scan returned %d keys, want %d", len(rs[2].Keys), n+1)
 	}
-	for i, k := range rs[1].Keys {
+	for i, k := range rs[2].Keys {
 		if want := fmt.Sprintf("scan-%04d", i); string(k) != want {
 			t.Fatalf("scan key %d = %q, want %q", i, k, want)
 		}
+	}
+	if rs[4].Status != StatusOK || rs[5].Status != StatusNotFound {
+		t.Fatalf("del after scan / get after del = %d / %d", rs[4].Status, rs[5].Status)
+	}
+}
+
+// TestScanResponseCap scans more pairs than one response can count: the
+// reply stops at 65,535 pairs and the frame stays decodable for the
+// operation after it, and a limit of 0 returns no pairs.
+func TestScanResponseCap(t *testing.T) {
+	_, c := startServer(t, "wormhole")
+	const n = 70000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("cap-%06d", i)) }
+	for i := 0; i < n; i++ {
+		c.QueueSet(key(i), key(i))
+		if c.Pending() == DefaultBatch || i == n-1 {
+			if _, err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c.QueueScan(nil, n)
+	c.QueueScanDesc(nil, n+1000)
+	c.QueueScan(key(10), 0)
+	c.QueueGet(key(n - 1))
+	rs, err := c.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const most = 1<<16 - 1
+	if len(rs[0].Keys) != most || string(rs[0].Keys[most-1]) != string(key(most-1)) {
+		t.Fatalf("capped scan: %d pairs", len(rs[0].Keys))
+	}
+	if len(rs[1].Keys) != most || string(rs[1].Keys[0]) != string(key(n-1)) {
+		t.Fatalf("capped desc scan: %d pairs", len(rs[1].Keys))
+	}
+	if rs[2].Status != StatusOK || len(rs[2].Keys) != 0 {
+		t.Fatalf("limit-0 scan: status %d, %d pairs", rs[2].Status, len(rs[2].Keys))
+	}
+	if rs[3].Status != StatusOK || string(rs[3].Val) != string(key(n-1)) {
+		t.Fatalf("get after capped scans = %d %q", rs[3].Status, rs[3].Val)
 	}
 }
 
