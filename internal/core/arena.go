@@ -1,0 +1,239 @@
+package core
+
+import (
+	"math"
+	"slices"
+	"sync/atomic"
+	"unsafe"
+)
+
+// A leaf keeps every key and value it holds in one append-only byte arena
+// (the paper's leaf keeps each item inline too). An item is one 8-byte
+// aligned record:
+//
+//	[0, 8)   value ref: the current value's offset in 8-byte units (high
+//	         32 bits) and its length (low 32 bits), loaded and stored
+//	         atomically
+//	[8, 12)  the key's hash (CRC32-C)
+//	[12, 16) the key's length
+//	[16, …)  the key, then the record's first value, each padded to 8
+//
+// and a record ref is the record's offset in 8-byte units. The arena holds
+// no pointers, so the collector never scans it, and a lookup or a scan
+// touches one contiguous record where a key, a value and an item header
+// would otherwise be three allocations.
+//
+// The arena only grows: a record or an overwrite's new value is written
+// above the high-water mark hw, and hw is published (atomically) before
+// any ref or value ref that points at the new bytes. No byte below hw is
+// ever written again, except value refs, which are only ever accessed
+// atomically. So Get and scans hand out slices into the arena (capacity
+// clipped to their length) exactly as long as they like.
+//
+// The reader rule, for a lock-free reader:
+//
+//   - load the leaf's arena pointer before the block or any tail slot
+//     (writers store a new arena last, after the block and tail that
+//     point into it), so a ref the reader loads is never older than its
+//     arena — at worst newer, into an arena already frozen by a
+//     compaction, whose bytes were all written before that ref was;
+//   - before touching a record's bytes, check ref plus the bytes needed
+//     against hw, loaded from the same arena after the ref (peekKey,
+//     peekVal).
+//
+// A ref from a mixed generation then reads only bytes written before it
+// was loaded: no fault and no race, and the seqlock bracket discards the
+// result. Values become slices only after the bracket validates.
+//
+// When an append does not fit, the leaf moves to a fresh arena (reserve):
+// a grown copy when it holds little garbage, otherwise a compacted one —
+// its live records copied in key order, the block republished. Splits,
+// merges and bulk loads build fresh arenas the same way. Every fresh arena
+// gets spare room in proportion to what it holds, so overwrite and delete
+// garbage stays bounded and the copying costs O(1) per byte written,
+// amortized.
+
+// recHdr is the size of a record header.
+const recHdr = 16
+
+// A fresh arena's spare room. An arena built by a split, a merge, a bulk
+// load or growth gets 1/arenaHeadroom of its bytes: little, because that
+// is the space a freshly loaded index carries. A compacted arena belongs
+// to a leaf that is being overwritten or churned, and gets
+// 1/compactHeadroom of its live bytes: that room sets how often the leaf
+// compacts again.
+const (
+	arenaHeadroom   = 6
+	compactHeadroom = 2
+)
+
+// maxArena bounds an arena so every offset fits 32 bits of 8-byte units.
+const maxArena = 1 << 35
+
+// noRef is no record (a miss).
+const noRef = math.MaxUint32
+
+// arena is one leaf's record store. buf's length is fixed at creation.
+type arena struct {
+	hw   atomic.Uint64 // bytes written and published
+	live int           // bytes of live records and current values; guarded by the leaf's mu
+	buf  []byte
+}
+
+// emptyArena is the arena of a fresh leaf: no room, so the first insert
+// sizes a real one.
+var emptyArena = &arena{}
+
+func align8(n int) int { return (n + 7) &^ 7 }
+
+// recSize is the arena bytes of a record with a k-byte key and a v-byte
+// value.
+func recSize(k, v int) int { return recHdr + align8(k) + align8(v) }
+
+// withHeadroom returns n plus 1/arenaHeadroom of it.
+func withHeadroom(n int) int { return n + n/arenaHeadroom }
+
+// newArena returns an empty arena with room for at least n bytes. The
+// capacity is rounded up to the allocator's size class, which would
+// otherwise be allocated and never used.
+func newArena(n int) *arena {
+	if n > maxArena {
+		panic("wormhole: leaf data over 32 GiB")
+	}
+	buf := slices.Grow([]byte(nil), n)
+	return &arena{buf: buf[:cap(buf)]}
+}
+
+// packVal packs a value ref.
+func packVal(off, n int) uint64 {
+	if uint64(n) > math.MaxUint32 {
+		panic("wormhole: value longer than 4 GiB")
+	}
+	return uint64(off>>3)<<32 | uint64(n)
+}
+
+func (a *arena) u32(off int) *uint32 { return (*uint32)(unsafe.Pointer(&a.buf[off])) }
+
+func (a *arena) valWord(ref uint32) *atomic.Uint64 {
+	return (*atomic.Uint64)(unsafe.Pointer(&a.buf[int(ref)<<3]))
+}
+
+// hash returns the record's key hash.
+func (a *arena) hash(ref uint32) uint32 { return *a.u32(int(ref)<<3 + 8) }
+
+// key returns the record's key. Lock-free readers use peekKey until their
+// bracket validates.
+func (a *arena) key(ref uint32) []byte {
+	off := int(ref)<<3 + recHdr
+	n := int(*a.u32(off - 4))
+	return a.buf[off : off+n : off+n]
+}
+
+// val loads the record's value ref.
+func (a *arena) val(ref uint32) uint64 { return a.valWord(ref).Load() }
+
+// value materializes a value ref; an empty value reads back nil.
+func (a *arena) value(v uint64) []byte {
+	n := int(uint32(v))
+	if n == 0 {
+		return nil
+	}
+	off := int(v>>32) << 3
+	return a.buf[off : off+n : off+n]
+}
+
+// size returns the arena bytes the record and its current value hold.
+func (a *arena) size(ref uint32) int {
+	return recSize(int(*a.u32(int(ref)<<3 + 12)), int(uint32(a.val(ref))))
+}
+
+// peekKey is key under the reader rule: ok is false unless the record's
+// header and key lie below hw.
+func (a *arena) peekKey(ref uint32) (key []byte, ok bool) {
+	off := uint64(ref)<<3 + recHdr
+	hw := a.hw.Load()
+	if off > hw {
+		return nil, false
+	}
+	end := off + uint64(*a.u32(int(off) - 4))
+	if end > hw {
+		return nil, false
+	}
+	return a.buf[off:end:end], true
+}
+
+// peekVal is val under the reader rule: ok is false unless the record's
+// header lies below hw.
+func (a *arena) peekVal(ref uint32) (v uint64, ok bool) {
+	if uint64(ref)<<3+recHdr > a.hw.Load() {
+		return 0, false
+	}
+	return a.val(ref), true
+}
+
+// room reports whether n more bytes fit (writers only).
+func (a *arena) room(n int) bool { return int(a.hw.Load())+n <= len(a.buf) }
+
+// put appends a record for (h, key, val), publishes it and returns its
+// ref. The caller holds the leaf's mu and has made room.
+func (a *arena) put(h uint32, key, val []byte) uint32 {
+	off := int(a.hw.Load())
+	end := a.write(off, h, key, val)
+	a.hw.Store(uint64(end))
+	return uint32(off >> 3)
+}
+
+// write writes a record for (h, key, val) at off, which is at or above hw,
+// and returns the record's end; put publishes it, while a fresh arena
+// being filled before anyone can see it publishes its hw once (copyIn).
+func (a *arena) write(off int, h uint32, key, val []byte) int {
+	if uint64(len(key)) > math.MaxUint32 {
+		panic("wormhole: key longer than 4 GiB")
+	}
+	*a.u32(off + 8) = h
+	*a.u32(off + 12) = uint32(len(key))
+	copy(a.buf[off+recHdr:off+recHdr+len(key)], key)
+	voff := off + recHdr + align8(len(key))
+	copy(a.buf[voff:voff+len(val)], val)
+	*(*uint64)(unsafe.Pointer(&a.buf[off])) = packVal(voff, len(val))
+	end := voff + align8(len(val))
+	a.live += end - off
+	return end
+}
+
+// setValue appends val as the record's new value: the bytes, then hw,
+// then the value ref. The caller holds the leaf's mu, has made room, and
+// brackets the call with the seqlock.
+func (a *arena) setValue(ref uint32, val []byte) {
+	off := int(a.hw.Load())
+	copy(a.buf[off:off+len(val)], val)
+	a.hw.Store(uint64(off + align8(len(val))))
+	w := a.valWord(ref)
+	a.live += align8(len(val)) - align8(int(uint32(w.Load())))
+	w.Store(packVal(off, len(val)))
+}
+
+// drop accounts for a removed record; its bytes stay for readers still
+// holding its ref.
+func (a *arena) drop(ref uint32) { a.live -= a.size(ref) }
+
+// sizeOf sums the arena bytes of refs.
+func (a *arena) sizeOf(refs []uint32) int {
+	n := 0
+	for _, r := range refs {
+		n += a.size(r)
+	}
+	return n
+}
+
+// copyIn appends copies of the records refs name in src, with their
+// current values, to a fresh arena nobody can see yet, and rewrites refs
+// to the copies.
+func (a *arena) copyIn(src *arena, refs []uint32) {
+	off := int(a.hw.Load())
+	for i, r := range refs {
+		refs[i] = uint32(off >> 3)
+		off = a.write(off, src.hash(r), src.key(r), src.value(src.val(r)))
+	}
+	a.hw.Store(uint64(off))
+}

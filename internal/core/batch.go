@@ -210,7 +210,7 @@ func (w *Wormhole) batchWave(s *qsbr.Slot, sc *batchScratch, keys, vals [][]byte
 		ln.s1 = ln.leaf.seq.Load()
 		if w.opt.DirectPos {
 			_, items := ln.leaf.base.Load().view(int(ln.leaf.baseN.Load()))
-			if len(items) > 0 && items[int(uint64(ln.h)*uint64(len(items))>>32)] != nil {
+			if len(items) > 0 && items[int(uint64(ln.h)*uint64(len(items))>>32)] != noRef {
 				leafWarm++
 			}
 		}
@@ -236,21 +236,19 @@ func (w *Wormhole) batchWave(s *qsbr.Slot, sc *batchScratch, keys, vals [][]byte
 			vals[ki], found[ki] = w.getOnline(s, ln.h, k)
 			continue
 		}
-		var vp *byte
-		var vn int64
-		ok := false
-		if it := l.findTags(ln.h, k, w.opt.DirectPos); it != nil {
-			vp, vn = it.valueParts()
-			ok = true
+		var v uint64
+		a, r := l.findTags(ln.h, k, w.opt.DirectPos)
+		if r != noRef {
+			v = a.val(r) // findTags checked the header against hw
 		}
 		if l.seq.Load() != ln.s1 {
 			vals[ki], found[ki] = w.getOnline(s, ln.h, k)
 			continue
 		}
-		if ok {
-			// The bracket held, so the (vp, vn) pair is consistent and
-			// may be materialized now — never before the validation.
-			vals[ki], found[ki] = valueSlice(vp, vn), true
+		if r != noRef {
+			// The bracket held, so the value ref is current and may be
+			// materialized now — never before the validation.
+			vals[ki], found[ki] = a.value(v), true
 		} else {
 			vals[ki], found[ki] = nil, false
 		}

@@ -11,6 +11,7 @@ import (
 // cheaper than N inserts (no per-split grace periods, no incremental
 // re-hashing) and it yields ~3/4-full leaves like a fresh B+ tree bulk
 // load. vals may be nil (keys stored with nil values) or parallel to keys.
+// Keys and values are copied into the index; the caller keeps its buffers.
 //
 // Anchors are chosen right-to-left: each leaf's anchor is the shortest
 // separator from its left neighbour's last key, ⊥-extended against the
@@ -112,17 +113,21 @@ func (w *Wormhole) BulkLoad(keys, vals [][]byte) error {
 		} else {
 			l = newLeafNode(anchor{stored: anchors[i], realLen: realLens[i]})
 		}
-		// Pre-size the slab exactly: the leaf's items are known up front.
-		l.slab = make([]kv, 0, stop-start)
-		items := (*bufp)[:0]
+		// The leaf's records are known up front: size its arena for them
+		// (plus the headroom) and copy them in.
+		n := 0
 		for j := start; j < stop; j++ {
-			var v []byte
-			if vals != nil {
-				v = vals[j]
-			}
-			items = append(items, l.newKV(hashKey(keys[j]), keys[j], v))
+			n += recSize(len(keys[j]), len(valAt(vals, j)))
 		}
-		l.setSorted(items)
+		a := newArena(withHeadroom(n))
+		items := (*bufp)[:0]
+		off := 0
+		for j := start; j < stop; j++ {
+			items = append(items, uint32(off>>3))
+			off = a.write(off, hashKey(keys[j]), keys[j], valAt(vals, j))
+		}
+		a.hw.Store(uint64(off))
+		l.setSorted(a, items)
 		*bufp = items
 		if len(leaves) > 0 {
 			prev := leaves[len(leaves)-1]
@@ -143,6 +148,14 @@ func (w *Wormhole) BulkLoad(keys, vals [][]byte) error {
 		w.metaMu.Unlock()
 	}
 	return nil
+}
+
+// valAt returns vals[j], or nil when vals is nil.
+func valAt(vals [][]byte, j int) []byte {
+	if vals == nil {
+		return nil
+	}
+	return vals[j]
 }
 
 // bulkCut is tryCut without the own-anchor conversion checks: in

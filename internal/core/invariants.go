@@ -14,11 +14,13 @@ import (
 //     prefix-freedom), real anchors non-decreasing leaf spans;
 //   - leaf spans: real(anchor) <= every key < real(next anchor);
 //   - leaf internals: the published tag array strictly (hash, key)-ordered,
-//     every base and tail entry a distinct item with a current hash, the
-//     tail within tagTailMax, the key-sorted order view a strictly
-//     key-ordered permutation of the base, every tail merge position
-//     exact, the merged item list strictly key-ordered (all keys unique),
-//     the seqlock word even (no writer abandoned mid-section);
+//     every base and tail entry a distinct record, whole (key and current
+//     value) below its arena's high-water mark, with a current hash, the
+//     arena's live-byte count matching its records, the tail within
+//     tagTailMax, the key-sorted order view a strictly key-ordered
+//     permutation of the base, every tail merge position exact, the
+//     merged item list strictly key-ordered (all keys unique), the seqlock
+//     word even (no writer abandoned mid-section);
 //   - MetaTrieHT completeness: leaf item per anchor, internal item per
 //     proper prefix, no extras, bitmap bits exactly matching existing
 //     children, leftmost/rightmost equal to the true subtree boundaries;
@@ -90,16 +92,30 @@ func (w *Wormhole) checkLeafList() error {
 			return fmt.Errorf("tag array tail overgrown in leaf %q: %d > %d",
 				a.stored, len(tags.tail), tagTailMax)
 		}
-		members := make(map[*kv]bool, tags.size())
+		ar := l.arena.Load()
+		hw := int(ar.hw.Load())
+		if hw > len(ar.buf) {
+			return fmt.Errorf("leaf %q arena high-water mark %d past its %d bytes", a.stored, hw, len(ar.buf))
+		}
+		members := make(map[uint32]bool, tags.size())
+		live := 0
 		check := func(e tagEnt, region string, i int) error {
-			// Every entry references its own item: no nil slot, no item
-			// twice across base and tail.
-			if e.it == nil || members[e.it] {
-				return fmt.Errorf("tag %s entry %d of leaf %q is nil or a duplicate item", region, i, a.stored)
+			// Every entry references its own record, whole below the
+			// high-water mark: no entry twice across base and tail.
+			if members[e.ref] {
+				return fmt.Errorf("tag %s entry %d of leaf %q is a duplicate item", region, i, a.stored)
 			}
-			members[e.it] = true
-			key := e.it.keyBytes()
-			if e.hash != e.it.hash || e.it.hash != hashKey(key) {
+			members[e.ref] = true
+			key, ok := ar.peekKey(e.ref)
+			if !ok {
+				return fmt.Errorf("tag %s entry %d of leaf %q: record %d not below the high-water mark",
+					region, i, a.stored, e.ref)
+			}
+			if v := ar.val(e.ref); int(v>>32)<<3+align8(int(uint32(v))) > hw {
+				return fmt.Errorf("value of key %q not below the high-water mark", key)
+			}
+			live += ar.size(e.ref)
+			if e.hash != ar.hash(e.ref) || e.hash != hashKey(key) {
 				return fmt.Errorf("stale hash for key %q", key)
 			}
 			if bytes.Compare(key, a.real()) < 0 {
@@ -116,7 +132,7 @@ func (w *Wormhole) checkLeafList() error {
 			}
 			if i > 0 {
 				p := tags.base[i-1]
-				if p.hash > e.hash || (p.hash == e.hash && bytes.Compare(p.it.keyBytes(), e.it.keyBytes()) >= 0) {
+				if p.hash > e.hash || (p.hash == e.hash && bytes.Compare(ar.key(p.ref), ar.key(e.ref)) >= 0) {
 					return fmt.Errorf("tag array base out of (hash, key) order in leaf %q", a.stored)
 				}
 			}
@@ -126,24 +142,28 @@ func (w *Wormhole) checkLeafList() error {
 				return err
 			}
 		}
+		if live != ar.live {
+			return fmt.Errorf("leaf %q arena accounts %d live bytes, its records hold %d", a.stored, ar.live, live)
+		}
 		// The published key-sorted view (the scan path's snapshot) must be
 		// a strictly key-increasing permutation of the base entries, and
 		// every tail slot's merge position must match a fresh search of
 		// that view, so a refactor cannot silently desynchronize what
 		// lock-free scans walk from what lookups see.
-		baseItems, order := l.sortedView()
-		if len(order) != len(tags.base) {
+		baseItems, ord := l.sortedView()
+		if ord.len() != len(tags.base) {
 			return fmt.Errorf("sorted view size mismatch in leaf %q: %d entries, base has %d",
-				a.stored, len(order), len(tags.base))
+				a.stored, ord.len(), len(tags.base))
 		}
-		seenIdx := make([]bool, len(order))
-		for i, ix := range order {
-			if ix < 0 || int(ix) >= len(order) || seenIdx[ix] {
+		seenIdx := make([]bool, ord.len())
+		for i := 0; i < ord.len(); i++ {
+			ix := ord.at(i)
+			if ix < 0 || ix >= ord.len() || seenIdx[ix] {
 				return fmt.Errorf("sorted view entry %d of leaf %q has bad or duplicate index %d",
 					i, a.stored, ix)
 			}
 			seenIdx[ix] = true // each base item exactly once
-			if i > 0 && bytes.Compare(baseItems[order[i-1]].keyBytes(), baseItems[ix].keyBytes()) >= 0 {
+			if i > 0 && bytes.Compare(ar.key(baseItems[ord.at(i-1)]), ar.key(baseItems[ix])) >= 0 {
 				return fmt.Errorf("sorted view out of key order in leaf %q at %d", a.stored, i)
 			}
 		}
@@ -151,22 +171,23 @@ func (w *Wormhole) checkLeafList() error {
 		var prevPos int32 = -1
 		var prevKey []byte
 		for i := 0; i < tl && i < tagTailMax; i++ {
-			itm := l.tailItem[i].Load()
+			key := ar.key(l.tailItem[i].Load())
 			pos := l.tailPos[i].Load()
-			if want := lowerBoundIdx(baseItems, order, itm.keyBytes(), true); int(pos) != want {
+			if want := lowerBoundIdx(ar, baseItems, ord, key, true); int(pos) != want {
 				return fmt.Errorf("tail slot %d of leaf %q has merge position %d, want %d",
 					i, a.stored, pos, want)
 			}
-			if pos < prevPos || (pos == prevPos && bytes.Compare(prevKey, itm.keyBytes()) >= 0) {
+			if pos < prevPos || (pos == prevPos && bytes.Compare(prevKey, key) >= 0) {
 				return fmt.Errorf("tail slots of leaf %q out of (pos, key) order at %d", a.stored, i)
 			}
-			prevPos, prevKey = pos, itm.keyBytes()
+			prevPos, prevKey = pos, key
 		}
-		// The merged key-sorted list — what scans, splits and merges walk —
-		// must be strictly increasing, which also makes every key unique.
+		// The merged key-sorted list — what scans, splits, merges and
+		// compactions walk — must be strictly increasing, which also makes
+		// every key unique.
 		sorted := sortedItems(l, nil)
 		for i := 1; i < len(sorted); i++ {
-			if bytes.Compare(sorted[i-1].keyBytes(), sorted[i].keyBytes()) >= 0 {
+			if bytes.Compare(ar.key(sorted[i-1]), ar.key(sorted[i])) >= 0 {
 				return fmt.Errorf("leaf %q items out of key order or duplicated at %d", a.stored, i)
 			}
 		}

@@ -10,17 +10,24 @@ import (
 )
 
 // TestLayout pins the per-key structures' sizes, so a field added later
-// fails here by name instead of showing up as a silent per-key cost: a kv
-// is half a cache line, and the inline tag block fits the 2,304-byte
-// allocation size class — which, because the allocator prefixes every
-// pointerful object over 512 bytes with an 8-byte header, means at most
-// 2,296 bytes of block.
+// fails here by name instead of showing up as a silent per-key cost: an
+// arena record is a 16-byte header plus its key and value, each padded to
+// 8 bytes (88 bytes for a 36-byte key and a 32-byte value), and the inline
+// tag block fits the 1,280-byte allocation size class — which, because the
+// allocator prefixes every pointerful object over 512 bytes with an
+// 8-byte header, means at most 1,272 bytes of block.
 func TestLayout(t *testing.T) {
-	if got := unsafe.Sizeof(kv{}); got != 32 {
-		t.Errorf("unsafe.Sizeof(kv{}) = %d, want 32", got)
+	a := newArena(recSize(36, 32))
+	r := a.put(hashKey(make([]byte, 36)), make([]byte, 36), make([]byte, 32))
+	if got := a.hw.Load(); recHdr != 16 || got != 88 {
+		t.Errorf("record header %d bytes and a 36+32-byte record %d bytes, want 16 and 88", recHdr, got)
 	}
-	if got := unsafe.Sizeof(tagBlock{}); got+8 > 2304 {
-		t.Errorf("unsafe.Sizeof(tagBlock{}) = %d, want <= 2296 (2,304-byte class less the malloc header)", got)
+	if len(a.key(r)) != 36 || len(a.value(a.val(r))) != 32 || a.size(r) != 88 {
+		t.Errorf("record reads back a %d-byte key and a %d-byte value in %d bytes",
+			len(a.key(r)), len(a.value(a.val(r))), a.size(r))
+	}
+	if got := unsafe.Sizeof(tagBlock{}); got+8 > 1280 {
+		t.Errorf("unsafe.Sizeof(tagBlock{}) = %d, want <= 1272 (1,280-byte class less the malloc header)", got)
 	}
 }
 
@@ -30,13 +37,12 @@ func TestLayout(t *testing.T) {
 // bytes per key.
 const (
 	heapBudgetKeys   = 200_000
-	heapBudgetPerKey = 172
+	heapBudgetPerKey = 130
 )
 
-// loadAz1Heap builds a default index from n Az1 keys the way an
-// application that hands over its buffers does (a cloned key and a fresh
-// 32-byte value per Set) and returns it with the live-heap growth the
-// load caused, measured after a full GC.
+// loadAz1Heap builds a default index from n Az1 keys (a cloned key and a
+// fresh 32-byte value per Set, both of which the index copies) and returns
+// it with the live-heap growth the load caused, measured after a full GC.
 func loadAz1Heap(t *testing.T, n int) (*Wormhole, float64) {
 	t.Helper()
 	keys := keyset.GenAz1(n, 42)

@@ -9,36 +9,36 @@ import (
 	"testing/quick"
 )
 
-func mkKV(key string) *kv {
-	k := []byte(key)
-	it := &kv{hash: hashKey(k)}
-	it.setKey(k)
-	it.setValue([]byte("v"))
-	return it
+// insertKey inserts key with value "v" into l.
+func insertKey(l *leafNode, key string) {
+	l.insert(hashKey([]byte(key)), []byte(key), []byte("v"))
 }
+
+// leafKey returns the key of l's record r.
+func leafKey(l *leafNode, r uint32) []byte { return l.arena.Load().key(r) }
 
 func TestLeafInsertFindRemove(t *testing.T) {
 	l := newLeafNode(anchor{stored: []byte{}})
 	keys := []string{"delta", "alpha", "echo", "bravo", "charlie"}
 	for _, k := range keys {
-		l.insert(mkKV(k))
+		insertKey(l, k)
 	}
 	for _, dp := range []bool{true, false} {
 		for _, sbt := range []bool{true, false} {
 			for _, k := range keys {
 				it := l.find(hashKey([]byte(k)), []byte(k), sbt, dp)
-				if it == nil || string(it.keyBytes()) != k {
+				if it == noRef || string(leafKey(l, it)) != k {
 					t.Fatalf("find(%q, sortByTag=%v, directPos=%v) failed", k, sbt, dp)
 				}
 			}
-			if l.find(hashKey([]byte("zulu")), []byte("zulu"), sbt, dp) != nil {
+			if l.find(hashKey([]byte("zulu")), []byte("zulu"), sbt, dp) != noRef {
 				t.Fatalf("find(zulu) should miss")
 			}
 		}
 	}
 	it := l.find(hashKey([]byte("bravo")), []byte("bravo"), true, true)
 	l.remove(it)
-	if l.find(hashKey([]byte("bravo")), []byte("bravo"), true, true) != nil {
+	if l.find(hashKey([]byte("bravo")), []byte("bravo"), true, true) != noRef {
 		t.Fatal("bravo still findable after remove")
 	}
 	if l.size() != 4 || l.tags().size() != 4 {
@@ -53,12 +53,12 @@ func TestLeafInsertFindRemove(t *testing.T) {
 func TestLeafSortedItems(t *testing.T) {
 	l := newLeafNode(anchor{stored: []byte{}})
 	for i := 0; i < 5; i++ {
-		l.insert(mkKV(fmt.Sprintf("a%d", i)))
+		insertKey(l, fmt.Sprintf("a%d", i))
 	}
-	l.insert(mkKV("a0x"))
-	l.insert(mkKV("a00"))
+	insertKey(l, "a0x")
+	insertKey(l, "a00")
 	for i := 0; i < tagTailMax+3; i++ {
-		l.insert(mkKV(fmt.Sprintf("z%02d", (i*7)%(tagTailMax+3))))
+		insertKey(l, fmt.Sprintf("z%02d", (i*7)%(tagTailMax+3)))
 	}
 	if l.baseN.Load() == 0 || l.tailLen.Load() == 0 {
 		t.Fatalf("want items in both base and tail, have %d/%d", l.baseN.Load(), l.tailLen.Load())
@@ -68,13 +68,14 @@ func TestLeafSortedItems(t *testing.T) {
 		t.Fatalf("sortedItems returned %d items, leaf holds %d", len(items), l.size())
 	}
 	for i := 1; i < len(items); i++ {
-		if bytes.Compare(items[i-1].keyBytes(), items[i].keyBytes()) >= 0 {
+		if bytes.Compare(leafKey(l, items[i-1]), leafKey(l, items[i])) >= 0 {
 			t.Fatalf("items out of key order at %d", i)
 		}
 	}
 	for _, it := range items {
-		if f := l.find(it.hash, it.keyBytes(), true, true); f != it {
-			t.Fatalf("hash index lost %q", it.keyBytes())
+		k := leafKey(l, it)
+		if f := l.find(hashKey(k), k, true, true); f != it {
+			t.Fatalf("hash index lost %q", k)
 		}
 	}
 }
@@ -94,9 +95,9 @@ func TestLeafHashPosQuick(t *testing.T) {
 				continue
 			}
 			present[k] = true
-			l.insert(mkKV(k))
+			insertKey(l, k)
 		}
-		l.setSorted(sortedItems(l, nil)) // fold the tail so tagPos sees every item
+		l.setSorted(l.arena.Load(), sortedItems(l, nil)) // fold the tail so tagPos sees every item
 		base := l.tags().base
 		hashes := make([]uint32, len(base))
 		for i, e := range base {
@@ -108,7 +109,7 @@ func TestLeafHashPosQuick(t *testing.T) {
 				i := tagPos(hashes, h, dp)
 				found := false
 				for ; i < len(base) && base[i].hash == h; i++ {
-					if string(base[i].it.keyBytes()) == k {
+					if string(leafKey(l, base[i].ref)) == k {
 						found = true
 						break
 					}
@@ -143,9 +144,9 @@ func TestLeafHashPosQuick(t *testing.T) {
 func TestLeafLowerBound(t *testing.T) {
 	l := newLeafNode(anchor{stored: []byte{}})
 	for _, k := range []string{"b", "d", "f"} {
-		l.insert(mkKV(k))
+		insertKey(l, k)
 	}
-	l.setSorted(sortedItems(l, nil))
+	l.setSorted(l.arena.Load(), sortedItems(l, nil))
 	items, order := l.sortedView()
 	cases := []struct {
 		k                string
@@ -154,10 +155,10 @@ func TestLeafLowerBound(t *testing.T) {
 		{"a", 0, 0}, {"b", 0, 1}, {"c", 1, 1}, {"f", 2, 3}, {"g", 3, 3},
 	}
 	for _, c := range cases {
-		if got := lowerBoundIdx(items, order, []byte(c.k), true); got != c.atLeast {
+		if got := lowerBoundIdx(l.arena.Load(), items, order, []byte(c.k), true); got != c.atLeast {
 			t.Errorf("lowerBoundIdx(%q, incl) = %d, want %d", c.k, got, c.atLeast)
 		}
-		if got := lowerBoundIdx(items, order, []byte(c.k), false); got != c.greater {
+		if got := lowerBoundIdx(l.arena.Load(), items, order, []byte(c.k), false); got != c.greater {
 			t.Errorf("lowerBoundIdx(%q, excl) = %d, want %d", c.k, got, c.greater)
 		}
 	}
@@ -167,10 +168,10 @@ func TestMergeLeavesKeepsOrder(t *testing.T) {
 	a := newLeafNode(anchor{stored: []byte{}})
 	b := newLeafNode(anchor{stored: []byte("m"), realLen: 1})
 	for _, k := range []string{"a1", "a2", "a3"} {
-		a.insert(mkKV(k))
+		insertKey(a, k)
 	}
 	for _, k := range []string{"m1", "m2"} {
-		b.insert(mkKV(k))
+		insertKey(b, k)
 	}
 	mergeLeaves(a, b)
 	if !b.dead.Load() {
@@ -181,7 +182,7 @@ func TestMergeLeavesKeepsOrder(t *testing.T) {
 	}
 	var keys []string
 	for _, it := range sortedItems(a, nil) {
-		keys = append(keys, string(it.keyBytes()))
+		keys = append(keys, string(leafKey(a, it)))
 	}
 	if !sort.StringsAreSorted(keys) {
 		t.Fatalf("merged items out of key order: %q", keys)

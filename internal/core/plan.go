@@ -43,7 +43,7 @@ type conversion struct {
 // middle; the full middle-out search remains the fallback so split balance
 // never degrades below the default. nil means no valid cut exists anywhere
 // and the leaf must grow fat (§3.3).
-func planSplit(l *leafNode, sorted []*kv, shortAnchors bool) *splitPlan {
+func planSplit(l *leafNode, sorted []uint32, shortAnchors bool) *splitPlan {
 	n := len(sorted)
 	if n < 2 {
 		return nil
@@ -53,6 +53,7 @@ func planSplit(l *leafNode, sorted []*kv, shortAnchors bool) *splitPlan {
 		nextStored = nx.anchor.Load().stored
 	}
 	own := l.anchor.Load().stored
+	a := l.arena.Load()
 	mid := n / 2
 	if shortAnchors {
 		lo, hi := n/4, n-n/4
@@ -65,7 +66,7 @@ func planSplit(l *leafNode, sorted []*kv, shortAnchors bool) *splitPlan {
 		var best *splitPlan
 		bestDist := 0
 		for i := lo; i <= hi; i++ {
-			p := tryCut(sorted[i-1].keyBytes(), sorted[i].keyBytes(), own, nextStored, i)
+			p := tryCut(a.key(sorted[i-1]), a.key(sorted[i]), own, nextStored, i)
 			if p == nil {
 				continue
 			}
@@ -88,13 +89,13 @@ func planSplit(l *leafNode, sorted []*kv, shortAnchors bool) *splitPlan {
 		ok := false
 		if hi >= 1 && hi <= n-1 {
 			ok = true
-			if p := tryCut(sorted[hi-1].keyBytes(), sorted[hi].keyBytes(), own, nextStored, hi); p != nil {
+			if p := tryCut(a.key(sorted[hi-1]), a.key(sorted[hi]), own, nextStored, hi); p != nil {
 				return p
 			}
 		}
 		if off > 0 && lo >= 1 && lo <= n-1 {
 			ok = true
-			if p := tryCut(sorted[lo-1].keyBytes(), sorted[lo].keyBytes(), own, nextStored, lo); p != nil {
+			if p := tryCut(a.key(sorted[lo-1]), a.key(sorted[lo]), own, nextStored, lo); p != nil {
 				return p
 			}
 		}
@@ -150,17 +151,18 @@ func tryCut(a, b, own, nextStored []byte, cut int) *splitPlan {
 		conv = &conversion{from: own, to: to}
 	}
 	if len(stored) == len(p) {
-		// No extension appended; clone so the anchor does not alias the
-		// user's key buffer b.
+		// No extension appended; clone so the anchor does not alias (and
+		// keep alive) the leaf arena holding b.
 		stored = cloneBytes(p)
 	}
 	return &splitPlan{cut: cut, stored: stored, realLen: len(p), conv: conv}
 }
 
-// executeLeafSplit mutates the LeafList for a planned split: moves the
-// upper half of l's items (sorted, the key-sorted list the plan was made
-// from) into a new leaf, re-keys l's anchor if the plan converted it, and
-// links the new leaf after l. It returns the new leaf.
+// executeLeafSplit mutates the LeafList for a planned split: copies the
+// upper half of l's records (sorted, the key-sorted refs the plan was made
+// from; rewritten to the copies) into a new leaf's arena and the lower
+// half into a fresh arena for l, re-keys l's anchor if the plan converted
+// it, and links the new leaf after l. It returns the new leaf.
 // The caller holds l's write lock and has already bumped l's version, so
 // optimistic readers that observe the truncated tag array retry.
 //
@@ -171,16 +173,22 @@ func tryCut(a, b, own, nextStored []byte, cut int) *splitPlan {
 // complete before it becomes reachable: it carries l's bumped version
 // and, with lockNew (the concurrent index), is returned write-locked so
 // the caller can finish the pending insert before locked readers enter.
-func executeLeafSplit(l *leafNode, sorted []*kv, p *splitPlan, lockNew bool) *leafNode {
+func executeLeafSplit(l *leafNode, sorted []uint32, p *splitPlan, lockNew bool) *leafNode {
+	src := l.arena.Load()
+	lo, hi := sorted[:p.cut], sorted[p.cut:]
+	ra := newArena(withHeadroom(src.sizeOf(hi)))
+	ra.copyIn(src, hi)
 	newL := newLeafNode(anchor{stored: p.stored, realLen: p.realLen})
-	newL.setSorted(sorted[p.cut:])
+	newL.setSorted(ra, hi)
 	newL.version.Store(l.version.Load())
 	if lockNew {
 		newL.mu.Lock()
 	}
+	la := newArena(withHeadroom(src.sizeOf(lo)))
+	la.copyIn(src, lo)
 
 	l.beginMutate()
-	l.setSorted(sorted[:p.cut])
+	l.setSorted(la, lo)
 	if p.conv != nil {
 		old := l.anchor.Load()
 		l.anchor.Store(&anchor{stored: p.conv.to, realLen: old.realLen})
@@ -312,17 +320,24 @@ func applyMerge(t *metaTable, p *mergePlan) {
 // mergeLeaves moves every item of victim into left and unlinks victim.
 // Caller holds both write locks and has bumped victim's version, so
 // optimistic readers routed to victim through a stale table retry (the
-// dead flag catches those routed through any table). left's merged item
-// list is published as a fresh block; victim's is left intact for readers
-// still holding it.
+// dead flag catches those routed through any table). Both leaves' records
+// are copied into a fresh arena published with left's merged item list;
+// victim's block and arena are left intact for readers still holding them.
 func mergeLeaves(left, victim *leafNode) {
-	left.beginMutate()
-	victim.beginMutate()
 	// Every victim key sorts after every left key, so the two key-sorted
 	// lists concatenate into left's new one.
 	bufp := getSorted()
-	merged := sortedItems(victim, sortedItems(left, *bufp))
-	left.setSorted(merged)
+	merged := sortedItems(left, *bufp)
+	nl := len(merged)
+	merged = sortedItems(victim, merged)
+	la, va := left.arena.Load(), victim.arena.Load()
+	na := newArena(withHeadroom(la.live + va.live))
+	na.copyIn(la, merged[:nl])
+	na.copyIn(va, merged[nl:])
+
+	left.beginMutate()
+	victim.beginMutate()
+	left.setSorted(na, merged)
 	putSorted(bufp, merged)
 
 	victim.dead.Store(true)

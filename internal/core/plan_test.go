@@ -138,7 +138,7 @@ func TestTryCutQuick(t *testing.T) {
 func TestPlanSplitMiddleOut(t *testing.T) {
 	l := newLeafNode(anchor{stored: []byte{}})
 	for _, k := range []string{"aa", "ab", "ba", "bb", "ca", "cb"} {
-		l.insert(mkKV(k))
+		insertKey(l, k)
 	}
 	p := planSplit(l, sortedItems(l, nil), false)
 	if p == nil {
@@ -156,7 +156,7 @@ func TestPlanSplitUnsplittable(t *testing.T) {
 	l := newLeafNode(anchor{stored: []byte{1}, realLen: 1})
 	one := []byte{1}
 	for zeros := 0; zeros < 6; zeros++ {
-		l.insert(mkKV(string(append(one[:1:1], make([]byte, zeros)...))))
+		insertKey(l, string(append(one[:1:1], make([]byte, zeros)...)))
 	}
 	if p := planSplit(l, sortedItems(l, nil), false); p != nil {
 		t.Fatalf("pathological leaf got a plan: %+v", p)

@@ -17,12 +17,12 @@ import (
 // inline tail of recent inserts by pre-published merge positions, the
 // whole copy bracketed between two loads of the leaf's seqlock word.
 // Nothing is locked and nothing is written to shared state. Only after the
-// bracket validates are the copied (vptr, vlen) pairs materialized and
-// handed to the callback, which therefore runs with no locks held and may
-// call back into the index. Leaves under persistent write pressure
-// (seqlockAttempts collisions) fall back to the same copy under the leaf's
-// read lock, which excludes writers but neither blocks nor is blocked by
-// other readers.
+// bracket validates are the copied (record, value ref) pairs materialized
+// into arena slices and handed to the callback, which therefore runs with
+// no locks held and may call back into the index. Leaves under persistent
+// write pressure (seqlockAttempts collisions) fall back to the same copy
+// under the leaf's read lock, which excludes writers but neither blocks
+// nor is blocked by other readers.
 //
 // Concurrent splits and merges are tolerated by three rules:
 //
@@ -47,21 +47,17 @@ import (
 // large enough that long scans amortize the copy-out bookkeeping.
 const scanChunk = 128
 
-// scanEntry is one copied-out pair in pre-materialized form: the item —
-// whose key pair is immutable and therefore safe to read even after the
-// bracket — plus the raw (vptr, vlen) value pair, which was loaded inside
-// the bracket and may only be turned into a slice once the bracket has
-// validated (or under the leaf lock, where the pair is always consistent).
-// Not retaining the key's slice header keeps the entry at 24 bytes, so a
-// chunk copy moves 40% less batch memory.
+// scanEntry is one copied-out pair in pre-materialized form: the record
+// ref — whose key is immutable and therefore safe to read even after the
+// bracket — plus the value ref, which was loaded inside the bracket and
+// may only be turned into a slice once the bracket has validated (or under
+// the leaf lock, where it is always current). Both resolve in the chunk's
+// arena (cursor.arena). The entry holds no pointer, so the pooled chunk
+// buffers are never scanned by the collector.
 type scanEntry struct {
-	it *kv
-	vp *byte
-	vn int64
+	ref uint32
+	val uint64
 }
-
-func (e *scanEntry) key() []byte   { return e.it.keyBytes() }
-func (e *scanEntry) value() []byte { return valueSlice(e.vp, e.vn) }
 
 // scanBufPool recycles chunk copy-out buffers; range-heavy workloads
 // (Figure 18) would otherwise allocate one batch per scan and spend their
@@ -87,11 +83,13 @@ type cursor struct {
 	// (ascending) or the largest (descending).
 	start []byte
 	// bound is the last emitted key once started; resume is strictly
-	// beyond it. It aliases an index-owned key buffer, which is immutable,
-	// so retaining it across chunks is race-free and allocation-free.
+	// beyond it. It aliases a key in a leaf arena, which is immutable, so
+	// retaining it across chunks is race-free and allocation-free.
 	bound   []byte
 	started bool
 	done    bool
+	// arena is the arena the last chunk's entries resolve in.
+	arena *arena
 
 	// Retained resume position: leaf is the node the next chunk starts in
 	// (nil: re-seek through the meta table). For descending hops, from is
@@ -111,12 +109,14 @@ func (c *cursor) reseek() {
 }
 
 // advance folds one successful chunk into the cursor state. l is the leaf
-// the chunk came from, adj its next/prev pointer when the leaf was
-// exhausted (captured inside the chunk's validation), ver the leaf version
-// observed by the chunk, more whether qualifying items remain in l.
-func (c *cursor) advance(l, adj *leafNode, ver uint64, more bool, out []scanEntry) {
+// the chunk came from, a the arena its entries resolve in, adj its
+// next/prev pointer when the leaf was exhausted (captured inside the
+// chunk's validation), ver the leaf version observed by the chunk, more
+// whether qualifying items remain in l.
+func (c *cursor) advance(l *leafNode, a *arena, adj *leafNode, ver uint64, more bool, out []scanEntry) {
+	c.arena = a
 	if len(out) > 0 {
-		c.bound = out[len(out)-1].key()
+		c.bound = a.key(out[len(out)-1].ref)
 		c.started = true
 	}
 	if more {
@@ -186,33 +186,34 @@ func (c *cursor) leafUsable(l *leafNode, tver uint64, checkVer bool, ver uint64)
 }
 
 // copyChunk copies one chunk out of l's key-sorted item list into buf and
-// returns it, whether qualifying items remain in l, and — when none do —
-// the adjacent leaf in scan direction. The caller holds l's read lock or
-// brackets the call with l's seqlock.
-func (c *cursor) copyChunk(l *leafNode, buf []scanEntry) (out []scanEntry, more bool, adj *leafNode) {
-	items, order := l.sortedView()
+// returns it with the arena it resolves in, whether qualifying items
+// remain in l, and — when none do — the adjacent leaf in scan direction.
+// The caller holds l's read lock or brackets the call with l's seqlock.
+func (c *cursor) copyChunk(l *leafNode, buf []scanEntry) (a *arena, out []scanEntry, more bool, adj *leafNode) {
+	a = l.arena.Load() // before any ref: the reader rule
+	items, ord := l.sortedView()
 	bound, incl, unbounded := c.boundKey()
 	// After a validated hop every key in l lies strictly beyond the bound
 	// (leaf spans are ordered and a real anchor never moves down), so the
 	// merge starts at the leaf edge without any boundary search.
 	edge := c.leaf != nil && !c.sameLeaf
 	if c.desc {
-		out, more = mergeDesc(l, items, order, bound, incl, unbounded || edge, buf)
+		out, more = mergeDesc(l, a, items, ord, bound, incl, unbounded || edge, buf)
 		if !more {
 			adj = l.prev.Load()
 		}
 	} else {
-		out, more = mergeAsc(l, items, order, bound, incl, edge, buf)
+		out, more = mergeAsc(l, a, items, ord, bound, incl, edge, buf)
 		if !more {
 			adj = l.next.Load()
 		}
 	}
-	return out, more, adj
+	return a, out, more, adj
 }
 
 // tryFastChunk performs one optimistic chunk copy-out from l: the validity
 // checks, the boundary search over the published key-sorted view, the
-// inline-tail merge, the value-pair loads, and the adjacency pointer all
+// inline-tail merge, the value-ref loads, and the adjacency pointer all
 // sit between two loads of l's seqlock word, so a validated chunk is
 // consistent with one stable leaf state. No store to shared memory, no
 // lock.
@@ -225,11 +226,11 @@ func (c *cursor) tryFastChunk(l *leafNode, tver uint64, checkVer bool, buf []sca
 	if !c.leafUsable(l, tver, checkVer, ver) {
 		return nil, fastReseek
 	}
-	out, more, adj := c.copyChunk(l, buf)
+	a, out, more, adj := c.copyChunk(l, buf)
 	if l.seq.Load() != s1 {
 		return nil, fastRetry
 	}
-	c.advance(l, adj, ver, more, out)
+	c.advance(l, a, adj, ver, more, out)
 	return out, fastOK
 }
 
@@ -245,27 +246,28 @@ func (c *cursor) tryFastChunk(l *leafNode, tver uint64, checkVer bool, buf []sca
 // first. Key bytes are compared only at the boundary (tail entries whose
 // base gap straddles the bound) — and not at all when edge says the walk
 // starts at the leaf's edge (a validated hop) — never per emitted pair. A
-// nil tail slot
-// (mid-insert) is skipped: the writer that created it bumped the seqlock,
-// so the enclosing bracket discards the chunk anyway.
-func mergeAsc(l *leafNode, items []*kv, order []int32, bound []byte, incl, edge bool, buf []scanEntry) ([]scanEntry, bool) {
+// ref the reader rule rejects (a mixed generation) is skipped: the writer
+// that created it bumped the seqlock, so the enclosing bracket discards
+// the chunk anyway.
+func mergeAsc(l *leafNode, a *arena, items []uint32, ord keyOrder, bound []byte, incl, edge bool, buf []scanEntry) ([]scanEntry, bool) {
 	tl := int(l.tailLen.Load())
 	if tl > tagTailMax {
 		tl = tagTailMax
 	}
+	n := ord.len()
 	oi, ti := 0, 0
 	if !edge {
-		oi = lowerBoundIdx(items, order, bound, incl)
+		oi = lowerBoundIdx(a, items, ord, bound, incl)
 		for ti < tl && int(l.tailPos[ti].Load()) < oi {
 			ti++
 		}
 		for ti < tl && int(l.tailPos[ti].Load()) == oi {
-			it := l.tailItem[ti].Load()
-			if it == nil {
+			k, ok := a.peekKey(l.tailItem[ti].Load())
+			if !ok {
 				ti++
 				continue
 			}
-			cmp := bytes.Compare(it.keyBytes(), bound)
+			cmp := bytes.Compare(k, bound)
 			if cmp > 0 || (incl && cmp == 0) {
 				break
 			}
@@ -277,51 +279,49 @@ func mergeAsc(l *leafNode, items []*kv, order []int32, bound []byte, incl, edge 
 		// Emit the tail entries due at this position (pos <= oi), then a
 		// tight compare-free run of base items below the next tail
 		// position — the common case is one long run per chunk. A tail
-		// position is clamped to len(order): racing a fold, the leaf's
-		// tail slots can carry positions relative to a NEWER (larger)
-		// base than the order view this chunk loaded, and an unclamped
-		// pos > len(order) with the base exhausted would consume nothing,
-		// advance nothing and never exit — a livelock on a state the
-		// seqlock bracket is about to reject anyway. Clamped, the entry
-		// is consumed, the walk terminates, and the bracket discards the
-		// chunk.
+		// position is clamped to n: racing a fold, the leaf's tail slots
+		// can carry positions relative to a NEWER (larger) base than the
+		// order view this chunk loaded, and an unclamped pos > n with the
+		// base exhausted would consume nothing, advance nothing and never
+		// exit — a livelock on a state the seqlock bracket is about to
+		// reject anyway. Clamped, the entry is consumed, the walk
+		// terminates, and the bracket discards the chunk.
 		for ti < tl && len(out) < cap(out) {
 			p := int(l.tailPos[ti].Load())
-			if p > len(order) {
-				p = len(order)
+			if p > n {
+				p = n
 			}
 			if p > oi {
 				break
 			}
-			it := l.tailItem[ti].Load()
+			r := l.tailItem[ti].Load()
 			ti++
-			if it == nil {
-				continue // torn slot mid-insert: the bracket will reject
+			if v, ok := a.peekVal(r); ok {
+				out = append(out, scanEntry{ref: r, val: v})
 			}
-			vp, vn := it.valueParts()
-			out = append(out, scanEntry{it: it, vp: vp, vn: vn})
 		}
 		if len(out) == cap(out) {
-			return out, oi < len(order) || ti < tl
+			return out, oi < n || ti < tl
 		}
-		end := len(order)
+		end := n
 		if ti < tl {
 			if p := int(l.tailPos[ti].Load()); p < end {
 				end = p
 			}
 		}
-		if n := oi + cap(out) - len(out); end > n {
-			end = n
+		if m := oi + cap(out) - len(out); end > m {
+			end = m
 		}
 		for ; oi < end; oi++ {
-			it := items[order[oi]]
-			vp, vn := it.valueParts()
-			out = append(out, scanEntry{it: it, vp: vp, vn: vn})
+			r := items[ord.at(oi)]
+			if v, ok := a.peekVal(r); ok {
+				out = append(out, scanEntry{ref: r, val: v})
+			}
 		}
 		if len(out) == cap(out) {
-			return out, oi < len(order) || ti < tl
+			return out, oi < n || ti < tl
 		}
-		if oi >= len(order) && ti >= tl {
+		if oi >= n && ti >= tl {
 			return out, false
 		}
 	}
@@ -331,25 +331,25 @@ func mergeAsc(l *leafNode, items []*kv, order []int32, bound []byte, incl, edge 
 // bound (<= when incl, < otherwise; no bound at all when unbounded). A
 // tail entry with pos == oi+1 sits between order[oi] and order[oi+1], so
 // going down it is emitted before order[oi].
-func mergeDesc(l *leafNode, items []*kv, order []int32, bound []byte, incl, unbounded bool, buf []scanEntry) ([]scanEntry, bool) {
+func mergeDesc(l *leafNode, a *arena, items []uint32, ord keyOrder, bound []byte, incl, unbounded bool, buf []scanEntry) ([]scanEntry, bool) {
 	tl := int(l.tailLen.Load())
 	if tl > tagTailMax {
 		tl = tagTailMax
 	}
-	oi := len(order) - 1
+	oi := ord.len() - 1
 	ti := tl - 1
 	if !unbounded {
-		oi = lowerBoundIdx(items, order, bound, !incl) - 1
+		oi = lowerBoundIdx(a, items, ord, bound, !incl) - 1
 		for ti >= 0 && int(l.tailPos[ti].Load()) > oi+1 {
 			ti--
 		}
 		for ti >= 0 && int(l.tailPos[ti].Load()) == oi+1 {
-			it := l.tailItem[ti].Load()
-			if it == nil {
+			k, ok := a.peekKey(l.tailItem[ti].Load())
+			if !ok {
 				ti--
 				continue
 			}
-			cmp := bytes.Compare(it.keyBytes(), bound)
+			cmp := bytes.Compare(k, bound)
 			if cmp < 0 || (incl && cmp == 0) {
 				break
 			}
@@ -363,10 +363,10 @@ func mergeDesc(l *leafNode, items []*kv, order []int32, bound []byte, incl, unbo
 		// position. Each tail position is loaded once and that one value
 		// decides both whether the entry is emitted now and where the base
 		// run stops (low), so a writer racing the slot cannot make the two
-		// disagree: either a tail entry is emitted (ti drops) or low <= oi
-		// and the run emits at least order[oi] (oi drops). Every iteration
+		// disagree: either a tail entry is consumed (ti drops) or low <= oi
+		// and the run walks at least order[oi] (oi drops). Every iteration
 		// of this loop therefore decrements ti or oi, and the walk ends —
-		// the descending twin of mergeAsc's len(order) clamp.
+		// the descending twin of mergeAsc's clamp.
 		low := 0
 		for ti >= 0 && len(out) < cap(out) {
 			p := int(l.tailPos[ti].Load())
@@ -375,24 +375,23 @@ func mergeDesc(l *leafNode, items []*kv, order []int32, bound []byte, incl, unbo
 				low = p
 				break
 			}
-			it := l.tailItem[ti].Load()
+			r := l.tailItem[ti].Load()
 			ti--
-			if it == nil {
-				continue // torn slot mid-insert: the bracket will reject
+			if v, ok := a.peekVal(r); ok {
+				out = append(out, scanEntry{ref: r, val: v})
 			}
-			vp, vn := it.valueParts()
-			out = append(out, scanEntry{it: it, vp: vp, vn: vn})
 		}
 		if len(out) == cap(out) {
 			return out, oi >= 0 || ti >= 0
 		}
-		if n := oi - (cap(out) - len(out)) + 1; low < n {
-			low = n
+		if m := oi - (cap(out) - len(out)) + 1; low < m {
+			low = m
 		}
 		for ; oi >= low; oi-- {
-			it := items[order[oi]]
-			vp, vn := it.valueParts()
-			out = append(out, scanEntry{it: it, vp: vp, vn: vn})
+			r := items[ord.at(oi)]
+			if v, ok := a.peekVal(r); ok {
+				out = append(out, scanEntry{ref: r, val: v})
+			}
 		}
 		if len(out) == cap(out) {
 			return out, oi >= 0 || ti >= 0
@@ -414,9 +413,9 @@ func (c *cursor) lockedChunk(l *leafNode, tver uint64, checkVer bool, buf []scan
 		l.mu.RUnlock()
 		return nil, false
 	}
-	out, more, adj := c.copyChunk(l, buf)
+	a, out, more, adj := c.copyChunk(l, buf)
 	l.mu.RUnlock()
-	c.advance(l, adj, ver, more, out)
+	c.advance(l, a, adj, ver, more, out)
 	return out, true
 }
 
@@ -494,8 +493,9 @@ func (w *Wormhole) scanLoop(s *qsbr.Slot, start []byte, desc bool, fn func(key, 
 		if len(batch) == 0 {
 			return
 		}
-		for i := range batch {
-			if !fn(batch[i].key(), batch[i].value()) {
+		a := c.arena
+		for _, e := range batch {
+			if !fn(a.key(e.ref), a.value(e.val)) {
 				return
 			}
 		}
@@ -655,10 +655,10 @@ func (i *Iter) Next() bool {
 }
 
 // Key returns the current key; valid after Next reports true.
-func (i *Iter) Key() []byte { return i.batch[i.i].key() }
+func (i *Iter) Key() []byte { return i.c.arena.key(i.batch[i.i].ref) }
 
 // Value returns the current value; valid after Next reports true.
-func (i *Iter) Value() []byte { return i.batch[i.i].value() }
+func (i *Iter) Value() []byte { return i.c.arena.value(i.batch[i.i].val) }
 
 // Close releases the iterator's pinned reader registration and recycles
 // its chunk buffer; the iterator must not be used afterwards. It is

@@ -11,9 +11,9 @@ import (
 
 // overwriteValue builds the value written for generation n of a hammered
 // key: a self-describing string whose length varies with n. A torn
-// (vptr, vlen) observation — old pointer with new length or vice versa —
-// cannot reproduce any generation's exact bytes, so readers can certify
-// every Get result by reparsing it.
+// observation — one generation's offset with another's length — cannot
+// reproduce any generation's exact bytes, so readers can certify every
+// Get result by reparsing it.
 func overwriteValue(n int) []byte {
 	return []byte(strings.Repeat(fmt.Sprintf("v%07d|", n), 1+n%4))
 }
@@ -35,8 +35,8 @@ func checkOverwriteValue(t *testing.T, k, v []byte) {
 }
 
 // TestSeqlockGetUnderChurn hammers the optimistic read path with every
-// writer-side mutation it must survive: in-place value overwrites of
-// varying length (torn (vptr, vlen) pairs), Set-driven splits, and
+// writer-side mutation it must survive: value overwrites of varying
+// length (which also move the leaf to fresh arenas), Set-driven splits, and
 // delete-driven merges, all while plain Get and pinned Reader.Get race
 // lock-free through the published tag blocks. Run with -race.
 func TestSeqlockGetUnderChurn(t *testing.T) {

@@ -13,6 +13,11 @@ type Stats struct {
 	MaxAnchorLen int // L_anc: longest stored anchor
 	AvgAnchorLen float64
 	MetaBuckets  int
+	// ArenaBytes is the leaf arenas' capacity; ArenaLiveBytes the part
+	// live records and their current values hold. The difference is
+	// headroom plus overwrite and delete garbage, which compaction bounds.
+	ArenaBytes     int64
+	ArenaLiveBytes int64
 }
 
 // Stats walks the structure without locks; call it on a quiescent index.
@@ -25,6 +30,9 @@ func (w *Wormhole) Stats() Stats {
 			s.FatLeaves++
 		}
 		anchorBytes += len(l.anchor.Load().stored)
+		a := l.arena.Load()
+		s.ArenaBytes += int64(len(a.buf))
+		s.ArenaLiveBytes += int64(a.live)
 	}
 	t := w.cur.Load()
 	t.forEach(func(n *metaNode) {
@@ -42,17 +50,16 @@ func (w *Wormhole) Stats() Stats {
 }
 
 // Footprint returns the index's approximate heap consumption in bytes:
-// leaf structures, kv headers, key and value bytes, the tag arrays, and
-// every MetaTrieHT copy (both, in concurrent mode — the paper reports the
-// second table costs 0.34–3.7% of the whole index). It is the analytic
-// counterpart to the paper's getrusage measurement in Figure 16.
+// leaf structures, the leaf arenas (records, headroom and garbage), the
+// tag arrays, and every MetaTrieHT copy (both, in concurrent mode — the
+// paper reports the second table costs 0.34–3.7% of the whole index). It
+// is the analytic counterpart to the paper's getrusage measurement in
+// Figure 16.
 func (w *Wormhole) Footprint() int64 {
 	var total int64
 	leafHdr := int64(unsafe.Sizeof(leafNode{}))
-	kvHdr := int64(unsafe.Sizeof(kv{}))
-	ptr := int64(unsafe.Sizeof(uintptr(0)))
+	arenaHdr := int64(unsafe.Sizeof(arena{}))
 	blockSz := int64(unsafe.Sizeof(tagBlock{}))
-	var items []*kv
 	for l := w.head; l != nil; l = l.next.Load() {
 		total += leafHdr // includes the inline tag tail arrays
 		total += int64(len(l.anchor.Load().stored)) + int64(unsafe.Sizeof(anchor{}))
@@ -61,13 +68,11 @@ func (w *Wormhole) Footprint() int64 {
 		if b := l.base.Load(); b != emptyTagBlock {
 			total += blockSz
 			if b.big != nil {
-				total += int64(cap(b.big.hashes))*4 +
-					int64(cap(b.big.items))*ptr + int64(cap(b.big.order))*4
+				total += int64(cap(b.big.hashes)+cap(b.big.items)+cap(b.big.order)) * 4
 			}
 		}
-		items = sortedItems(l, items[:0])
-		for _, it := range items {
-			total += kvHdr + int64(it.klen) + int64(len(it.value()))
+		if a := l.arena.Load(); a != emptyArena {
+			total += arenaHdr + int64(len(a.buf))
 		}
 	}
 	total += tableFootprint(w.cur.Load())

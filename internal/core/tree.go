@@ -138,8 +138,9 @@ func (w *Wormhole) QSBRReaderLag() uint64 {
 // validation).
 func (w *Wormhole) getUnsafe(h uint32, key []byte) ([]byte, bool) {
 	l := w.searchMeta(w.cur.Load(), key)
-	if it := l.find(h, key, w.opt.SortByTag, w.opt.DirectPos); it != nil {
-		return it.value(), true
+	if r := l.find(h, key, w.opt.SortByTag, w.opt.DirectPos); r != noRef {
+		a := l.arena.Load()
+		return a.value(a.val(r)), true
 	}
 	return nil, false
 }
@@ -165,13 +166,15 @@ const seqlockAttempts = 4
 //
 // The fast path is coordination-free: it loads the published table, walks
 // it to the target leaf, and performs the whole leaf read — §2.5's
-// version/dead validation, the tag-block search, the (vptr, vlen) value
-// load — bracketed between two loads of the leaf's seqlock word, with no
-// stores to any shared cache line. Every individual load is atomic and
-// every published tag block is immutable and self-describing, so no read
-// can tear or fault; what CAN be observed is a mixed generation (a value
-// pair mid-overwrite, a new base with an old tail, a truncated post-split
-// base under a version check that passed just before the split began).
+// version/dead validation, the tag-block search, the value-ref load —
+// bracketed between two loads of the leaf's seqlock word, with no stores
+// to any shared cache line. Every individual load is atomic or covered by
+// the arena's reader rule, and every published tag block is immutable and
+// self-describing, so no read can tear, fault or race; what CAN be
+// observed is a mixed generation (a value ref from just before an
+// overwrite, a new base with an old tail, a compaction's refs against the
+// old arena, a truncated post-split base under a version check that
+// passed just before the split began).
 // Every writer that creates such a window bumps the seqlock first, so the
 // bracket detects all of them: if seq was even before and unchanged
 // after, no mutation overlapped and the result is consistent with a
@@ -194,20 +197,18 @@ func (w *Wormhole) getOnline(s *qsbr.Slot, h uint32, key []byte) ([]byte, bool) 
 				w.q.Refresh(s)
 				continue // stale table: re-resolve, doesn't count as a collision
 			}
-			var vp *byte
-			var vn int64
-			ok := false
-			if it := l.findTags(h, key, w.opt.DirectPos); it != nil {
-				vp, vn = it.valueParts()
-				ok = true
+			var v uint64
+			a, r := l.findTags(h, key, w.opt.DirectPos)
+			if r != noRef {
+				v = a.val(r) // findTags checked the header against hw
 			}
 			if l.seq.Load() == s1 {
-				// The bracket held, so the (vp, vn) pair is consistent and
-				// may be materialized now — never before the validation.
-				if !ok {
+				// The bracket held, so the value ref is current and may be
+				// materialized now — never before the validation.
+				if r == noRef {
 					return nil, false
 				}
-				return valueSlice(vp, vn), true
+				return a.value(v), true
 			}
 			tries++
 		}
@@ -221,14 +222,14 @@ func (w *Wormhole) getOnline(s *qsbr.Slot, h uint32, key []byte) ([]byte, bool) 
 			w.q.Refresh(s)
 			continue
 		}
-		it := l.find(h, key, w.opt.SortByTag, w.opt.DirectPos)
+		r := l.find(h, key, w.opt.SortByTag, w.opt.DirectPos)
 		var val []byte
-		ok := false
-		if it != nil {
-			val, ok = it.value(), true
+		if r != noRef {
+			a := l.arena.Load()
+			val = a.value(a.val(r))
 		}
 		l.mu.RUnlock()
-		return val, ok
+		return val, r != noRef
 	}
 }
 
@@ -340,8 +341,8 @@ func (r *Reader) Close() {
 	}
 }
 
-// Set inserts or replaces key's value. Key and value buffers are retained;
-// the caller must not mutate them afterwards.
+// Set inserts or replaces key's value. Key and value are copied into the
+// index; the caller keeps its buffers.
 func (w *Wormhole) Set(key, val []byte) {
 	// The hook observed the mutation in commit order (under the leaf
 	// lock); any blocking durability wait happens here, with every index
@@ -349,10 +350,11 @@ func (w *Wormhole) Set(key, val []byte) {
 	w.Barrier(w.SetNoWait(key, val))
 }
 
-// SetNoWait is Set without the durability wait: the write is applied,
-// visible and handed to the mutation hook, and the hook's token is
-// returned for a later Barrier. A caller applying several writes may
-// Barrier only the largest token (see MutationHook).
+// SetNoWait is Set without the durability wait: the write is applied
+// (key and value copied, as by Set), visible and handed to the mutation
+// hook, and the hook's token is returned for a later Barrier. A caller
+// applying several writes may Barrier only the largest token (see
+// MutationHook).
 func (w *Wormhole) SetNoWait(key, val []byte) (token uint64) {
 	h := hashKey(key)
 	if !w.opt.Concurrent {
@@ -372,19 +374,15 @@ func (w *Wormhole) setOnline(h uint32, key, val []byte) uint64 {
 			w.q.Refresh(s)
 			continue
 		}
-		if it := l.find(h, key, true, w.opt.DirectPos); it != nil {
-			// The (vptr, vlen) pair is only atomic as a unit under the
-			// seqlock; optimistic readers revalidate seq after reading it.
-			l.beginMutate()
-			it.setValue(val)
-			l.endMutate()
+		if r := l.find(h, key, true, w.opt.DirectPos); r != noRef {
+			l.overwrite(r, val)
 			token := w.logSet(key, val)
 			l.mu.Unlock()
 			w.q.Leave(s)
 			return token
 		}
 		if l.size() < w.opt.LeafCap {
-			l.insert(l.newKV(h, key, val))
+			l.insert(h, key, val)
 			w.count.Add(1)
 			token := w.logSet(key, val)
 			l.mu.Unlock()
@@ -411,17 +409,15 @@ func (w *Wormhole) splitInsert(h uint32, key, val []byte) uint64 {
 	t := w.cur.Load()
 	l := w.searchMeta(t, key)
 	l.mu.Lock()
-	if ex := l.find(h, key, true, w.opt.DirectPos); ex != nil {
-		l.beginMutate()
-		ex.setValue(val)
-		l.endMutate()
+	if r := l.find(h, key, true, w.opt.DirectPos); r != noRef {
+		l.overwrite(r, val)
 		token := w.logSet(key, val)
 		l.mu.Unlock()
 		w.metaMu.Unlock()
 		return token
 	}
 	if l.size() < w.opt.LeafCap {
-		l.insert(l.newKV(h, key, val))
+		l.insert(h, key, val)
 		w.count.Add(1)
 		token := w.logSet(key, val)
 		l.mu.Unlock()
@@ -434,7 +430,7 @@ func (w *Wormhole) splitInsert(h uint32, key, val []byte) uint64 {
 	if p == nil {
 		// No legal anchor at any cut point: grow a fat leaf (§3.3).
 		putSorted(bufp, sorted)
-		l.insert(l.newKV(h, key, val))
+		l.insert(h, key, val)
 		w.count.Add(1)
 		token := w.logSet(key, val)
 		l.mu.Unlock()
@@ -452,7 +448,7 @@ func (w *Wormhole) splitInsert(h uint32, key, val []byte) uint64 {
 	if bytes.Compare(key, newL.anchor.Load().real()) >= 0 {
 		target = newL
 	}
-	target.insert(target.newKV(h, key, val))
+	target.insert(h, key, val)
 	w.count.Add(1)
 	token := w.logSet(key, val)
 
@@ -474,12 +470,12 @@ func (w *Wormhole) splitInsert(h uint32, key, val []byte) uint64 {
 func (w *Wormhole) setUnsafe(h uint32, key, val []byte) uint64 {
 	t := w.cur.Load()
 	l := w.searchMeta(t, key)
-	if it := l.find(h, key, true, w.opt.DirectPos); it != nil {
-		it.setValue(val)
+	if r := l.find(h, key, true, w.opt.DirectPos); r != noRef {
+		l.overwrite(r, val)
 		return w.logSet(key, val)
 	}
 	if l.size() < w.opt.LeafCap {
-		l.insert(l.newKV(h, key, val))
+		l.insert(h, key, val)
 		w.count.Add(1)
 		return w.logSet(key, val)
 	}
@@ -488,7 +484,7 @@ func (w *Wormhole) setUnsafe(h uint32, key, val []byte) uint64 {
 	p := planSplit(l, sorted, w.opt.ShortAnchors)
 	if p == nil {
 		putSorted(bufp, sorted)
-		l.insert(l.newKV(h, key, val))
+		l.insert(h, key, val)
 		w.count.Add(1)
 		return w.logSet(key, val)
 	}
@@ -499,7 +495,7 @@ func (w *Wormhole) setUnsafe(h uint32, key, val []byte) uint64 {
 	if bytes.Compare(key, newL.anchor.Load().real()) >= 0 {
 		target = newL
 	}
-	target.insert(target.newKV(h, key, val))
+	target.insert(h, key, val)
 	w.count.Add(1)
 	applySplit(t, l, newL, oldRight, p)
 	return w.logSet(key, val)
@@ -540,7 +536,7 @@ func (w *Wormhole) delOnline(h uint32, key []byte) (bool, uint64) {
 			continue
 		}
 		it := l.find(h, key, true, w.opt.DirectPos)
-		if it == nil {
+		if it == noRef {
 			l.mu.Unlock()
 			w.q.Leave(s)
 			return false, 0
@@ -616,7 +612,7 @@ func (w *Wormhole) delUnsafe(h uint32, key []byte) (bool, uint64) {
 	t := w.cur.Load()
 	l := w.searchMeta(t, key)
 	it := l.find(h, key, true, w.opt.DirectPos)
-	if it == nil {
+	if it == noRef {
 		return false, 0
 	}
 	l.remove(it)

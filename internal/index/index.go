@@ -8,7 +8,9 @@ package index
 type Index interface {
 	// Get returns the value stored under key.
 	Get(key []byte) ([]byte, bool)
-	// Set inserts or replaces key. Key and value buffers are retained.
+	// Set inserts or replaces key. Key and value buffers may be retained
+	// (the baselines keep them; Wormhole copies), so the caller must not
+	// mutate them afterwards.
 	Set(key, val []byte)
 	// Del removes key, reporting whether it was present.
 	Del(key []byte) bool

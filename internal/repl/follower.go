@@ -556,8 +556,8 @@ func (f *Follower) applyBatch(body []byte, epoch uint64) error {
 }
 
 // applyRecord applies one streamed WAL payload through the mutation path.
-// Buffers are copied: the index retains what it is given, and the message
-// buffer is reused.
+// The index copies what it is given, so the reused message buffer can be
+// passed straight in.
 func (f *Follower) applyRecord(payload []byte) error {
 	op, key, val, err := wal.DecodeRecord(payload)
 	if err != nil {
@@ -565,12 +565,9 @@ func (f *Follower) applyRecord(payload []byte) error {
 	}
 	switch op {
 	case wal.RecordSet:
-		kv := make([]byte, len(key)+len(val))
-		copy(kv, key)
-		copy(kv[len(key):], val)
-		f.st.Set(kv[:len(key):len(key)], kv[len(key):])
+		f.st.Set(key, val)
 	case wal.RecordDel:
-		f.st.Del(append([]byte(nil), key...))
+		f.st.Del(key)
 	case wal.RecordPos:
 		// A position marker from the leader's own follower past (a
 		// promoted leader): a record ordinal, not a mutation.
@@ -669,10 +666,7 @@ func (f *Follower) snapChunk(body []byte) error {
 	hi := append(append([]byte(nil), keys[len(keys)-1]...), 0)
 	f.reconcileLocal(shard, st, hi, keys)
 	for i, key := range keys {
-		kv := make([]byte, len(key)+len(vals[i]))
-		copy(kv, key)
-		copy(kv[len(key):], vals[i])
-		f.st.Set(kv[:len(key):len(key)], kv[len(key):])
+		f.st.Set(key, vals[i])
 	}
 	st.cursor = hi
 	return nil

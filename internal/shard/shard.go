@@ -73,8 +73,8 @@ type Options struct {
 
 // Store is a range-partitioned composition of Wormhole indexes. All
 // operations are safe for concurrent use (each shard is a thread-safe
-// Wormhole); the aliasing rules match package wormhole: key and value
-// buffers are retained by reference.
+// Wormhole); the ownership rules match package wormhole: keys and values
+// are copied in.
 type Store struct {
 	part   *Partitioner
 	shards []*core.Wormhole
@@ -148,7 +148,7 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 	return s.shards[s.part.Locate(key)].Get(key)
 }
 
-// Set inserts or replaces key. Key and value buffers are retained.
+// Set inserts or replaces key. Key and value are copied.
 func (s *Store) Set(key, val []byte) {
 	s.shards[s.part.Locate(key)].Set(key, val)
 }

@@ -21,7 +21,8 @@ import (
 // through, and the ordered scan snapshots are written from. core.Wormhole
 // satisfies it directly.
 type Backend interface {
-	// Set inserts or replaces key. Buffers are retained by the index.
+	// Set inserts or replaces key. Key and value are copied; the caller
+	// may reuse its buffers.
 	Set(key, val []byte)
 	// Del removes key, reporting whether it was present.
 	Del(key []byte) bool
@@ -258,14 +259,9 @@ func Open(dir string, b Backend, opt Options) (*Store, error) {
 			}
 			switch op {
 			case opSet:
-				// The replay buffer is reused per record; the index retains
-				// its buffers, so materialize one private copy per pair.
-				kv := make([]byte, len(key)+len(val))
-				copy(kv, key)
-				copy(kv[len(key):], val)
-				b.Set(kv[:len(key):len(key)], kv[len(key):])
+				b.Set(key, val) // the index copies; the replay buffer is reused
 			case opDel:
-				b.Del(append([]byte(nil), key...))
+				b.Del(key)
 			case opPos:
 				// A follower's applied-position marker: metadata, not a
 				// mutation. decodeRecord validated it, so this cannot fail.

@@ -22,7 +22,7 @@ type ShardedConfig struct {
 // same ordered point/scan surface as Index plus batched operations that
 // group keys by shard to amortize routing and synchronization and to
 // execute disjoint shards concurrently. All operations are safe for
-// concurrent use; buffer aliasing rules match Index.
+// concurrent use; buffer ownership rules match Index.
 type Sharded struct {
 	s *shard.Store
 }
@@ -41,7 +41,7 @@ func (sx *Sharded) ShardOf(key []byte) int { return sx.s.ShardOf(key) }
 // Get returns the value stored under key.
 func (sx *Sharded) Get(key []byte) ([]byte, bool) { return sx.s.Get(key) }
 
-// Set inserts key or replaces its value.
+// Set inserts key or replaces its value. Key and value are copied.
 func (sx *Sharded) Set(key, val []byte) { sx.s.Set(key, val) }
 
 // Del removes key, reporting whether it was present.

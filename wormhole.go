@@ -22,9 +22,11 @@
 // workloads, Config{Unsafe: true} removes the locking and RCU machinery
 // (the paper's "Wormhole-unsafe", about 8% faster).
 //
-// Key and value slices are retained by reference and must not be mutated
-// after Set. Values returned by Get and the slices passed to Scan
-// callbacks are owned by the index and must not be mutated either.
+// Set and BulkLoad copy keys and values into the index, so the caller may
+// reuse its buffers at once. Values returned by Get and the
+// slices passed to Scan callbacks are owned by the index and must not be
+// mutated; their capacity is clipped to their length, so an append to one
+// copies instead of overwriting a neighbouring item.
 package wormhole
 
 import (
@@ -103,7 +105,7 @@ func (ix *Index) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
 	return vals, found
 }
 
-// Set inserts key or replaces its value.
+// Set inserts key or replaces its value. Key and value are copied.
 func (ix *Index) Set(key, val []byte) { ix.t.Set(key, val) }
 
 // Del removes key, reporting whether it was present.
