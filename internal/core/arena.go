@@ -171,6 +171,20 @@ func (a *arena) peekVal(ref uint32) (v uint64, ok bool) {
 	return a.val(ref), true
 }
 
+// touch loads the record ref names, if its header and a k-byte key lie
+// below hw: the header's hash field (not the value ref, which writers
+// store atomically) and the key's last byte, so a record spanning two
+// lines is fetched whole. It returns what it read; the batched read
+// pipeline touches a record this way a round before it reads it, without
+// waiting on the record's own bytes.
+func (a *arena) touch(ref uint32, k int) uint {
+	off := uint64(ref)<<3 + recHdr
+	if end := off + uint64(k); k > 0 && end <= a.hw.Load() {
+		return uint(a.buf[off-8]) + uint(a.buf[end-1])
+	}
+	return 0
+}
+
 // room reports whether n more bytes fit (writers only).
 func (a *arena) room(n int) bool { return int(a.hw.Load())+n <= len(a.buf) }
 

@@ -283,25 +283,41 @@ func (l *leafNode) tags() tagsView {
 // tail. It returns the arena the ref resolves in and the ref (noRef on a
 // miss). Safe without any lock; optimistic callers bracket it with the
 // seqlock (see the tagBlock comment and the reader rule for why no read
-// here can fault or race).
+// here can fault or race). It runs the search's steps in sequence —
+// tagsOf, tagSpec, tagPos, matchTags — which the batched read pipeline
+// runs one round at a time across its lanes.
 func (l *leafNode) findTags(h uint32, key []byte, directPos bool) (*arena, uint32) {
-	a := l.arena.Load() // before any ref: the reader rule
-	hashes, items := l.base.Load().view(int(l.baseN.Load()))
+	a, b, n := l.tagsOf()
+	hashes, items := b.view(n)
+	i := 0
 	if directPos && len(items) > 0 {
+		i = tagSpec(h, len(items))
 		// Touch the ref slot at the speculative position while the hash
 		// walk's own loads are in flight; the final position is almost
 		// always on the same or an adjacent line, so the ref-array miss
 		// overlaps the hash-array miss instead of following it. The
 		// comparison feeds a benign branch so the load stays live.
-		if items[int(uint64(h)*uint64(len(items))>>32)] == noRef && h == 0 {
+		if items[i] == noRef && h == 0 {
 			return a, noRef
 		}
 	}
-	if i := tagPos(hashes, h, directPos); i < len(hashes) {
-		for ; i < len(hashes) && hashes[i] == h; i++ {
-			if k, ok := a.peekKey(items[i]); ok && bytes.Equal(k, key) {
-				return a, items[i]
-			}
+	return a, l.matchTags(a, hashes, items, tagPos(hashes, h, i, directPos), h, key)
+}
+
+// tagsOf loads l's arena, then its base block and entry count: the reader
+// rule's order, so no ref the block holds is older than the arena.
+func (l *leafNode) tagsOf() (*arena, *tagBlock, int) {
+	a := l.arena.Load()
+	return a, l.base.Load(), int(l.baseN.Load())
+}
+
+// matchTags finishes a search that tagPos placed at i: h's run in the base
+// block, then — on a miss only — the inline tail. It returns the ref of
+// key's record, noRef on a miss.
+func (l *leafNode) matchTags(a *arena, hashes, items []uint32, i int, h uint32, key []byte) uint32 {
+	for ; i < len(hashes) && hashes[i] == h; i++ {
+		if k, ok := a.peekKey(items[i]); ok && bytes.Equal(k, key) {
+			return items[i]
 		}
 	}
 	tl := int(l.tailLen.Load())
@@ -309,11 +325,11 @@ func (l *leafNode) findTags(h uint32, key []byte, directPos bool) (*arena, uint3
 		if l.tailHash[i].Load() == h {
 			r := l.tailItem[i].Load()
 			if k, ok := a.peekKey(r); ok && bytes.Equal(k, key) {
-				return a, r
+				return r
 			}
 		}
 	}
-	return a, noRef
+	return noRef
 }
 
 // beginMutate/endMutate bracket every item-set mutation, every value
@@ -324,27 +340,25 @@ func (l *leafNode) endMutate()   { l.seq.Add(1) }
 // size returns the leaf's item count (exact under mu).
 func (l *leafNode) size() int { return int(l.baseN.Load() + l.tailLen.Load()) }
 
+// tagSpec returns h's speculative position among n sorted hashes,
+// hash*n/2^32: with a uniform hash it lands within a step or two of h's
+// run (§3.2's direct speculative positioning), and on the dense 4-byte
+// array the speculation and the true position almost always share a
+// cache line.
+func tagSpec(h uint32, n int) int { return int(uint64(h) * uint64(n) >> 32) }
+
 // tagPos returns the first index in the sorted hash array a whose value
-// is >= h (== len(a) when every hash is smaller).
-//
-// With directPos the start index is speculated as hash*size/2^32 — with a
-// uniform hash this lands within a step or two of the right run (§3.2's
-// direct speculative positioning), and on the dense 4-byte array the
-// speculation and the true position almost always share a cache line.
-// Otherwise a binary search is used.
-func tagPos(a []uint32, h uint32, directPos bool) int {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
+// is >= h (== len(a) when every hash is smaller). With directPos it walks
+// there from i, h's speculative position (tagSpec); otherwise it binary
+// searches and ignores i.
+func tagPos(a []uint32, h uint32, i int, directPos bool) int {
 	if !directPos {
-		return sort.Search(n, func(j int) bool { return a[j] >= h })
+		return sort.Search(len(a), func(j int) bool { return a[j] >= h })
 	}
-	i := int(uint64(h) * uint64(n) >> 32)
 	for i > 0 && h <= a[i-1] {
 		i--
 	}
-	for i < n && h > a[i] {
+	for i < len(a) && h > a[i] {
 		i++
 	}
 	return i

@@ -106,7 +106,7 @@ func TestLeafHashPosQuick(t *testing.T) {
 		for k := range present {
 			h := hashKey([]byte(k))
 			for _, dp := range []bool{true, false} {
-				i := tagPos(hashes, h, dp)
+				i := tagPos(hashes, h, tagSpec(h, len(hashes)), dp)
 				found := false
 				for ; i < len(base) && base[i].hash == h; i++ {
 					if string(leafKey(l, base[i].ref)) == k {
@@ -126,7 +126,7 @@ func TestLeafHashPosQuick(t *testing.T) {
 				continue
 			}
 			h := hashKey(k)
-			pos := tagPos(hashes, h, i%2 == 0)
+			pos := tagPos(hashes, h, tagSpec(h, len(hashes)), i%2 == 0)
 			if pos > 0 && hashes[pos-1] >= h {
 				return false
 			}

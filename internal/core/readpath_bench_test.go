@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
+
+	"github.com/repro/wormhole/internal/keyset"
 )
 
 // benchKeys returns n distinct keys shaped like the paper's composite
@@ -79,4 +82,64 @@ func BenchmarkSet(b *testing.B) {
 		k := keys[i%len(keys)]
 		w.Set(k, k)
 	}
+}
+
+// BenchmarkGetBatchVsGet compares a scalar Get with a GetBatch(64) per key
+// on 500k Az1 keys, in one process, so the two sub-benchmarks' ratio holds
+// however the host drifts between runs. The index is loaded from cloned
+// buffers and probed with the generator's own, separately allocated key
+// slices in a pre-drawn uniform order: a lookup then starts with a cache
+// miss on the caller's key bytes, as it does for a server or a benchmark
+// client, where keys allocated in order would sit warm beside each other.
+func BenchmarkGetBatchVsGet(b *testing.B) {
+	const batch = 64
+	keys := keyset.GenAz1(500000, 42)
+	w := New(DefaultOptions())
+	for _, k := range keys {
+		w.Set(bytes.Clone(k), k)
+	}
+	order := make([]int, 1<<20)
+	x := uint64(88172645463325252)
+	for i := range order {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		order[i] = int(x % uint64(len(keys)))
+	}
+	rd := w.NewReader()
+	defer rd.Close()
+	probe := make([][]byte, batch)
+	vals := make([][]byte, batch)
+	found := make([]bool, batch)
+	perKey := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
+	}
+	b.Run("get", func(b *testing.B) {
+		p := 0
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < batch; j++ {
+				if _, ok := rd.Get(keys[order[p]]); !ok {
+					b.Fatal("loaded key missing")
+				}
+				p = (p + 1) & (len(order) - 1)
+			}
+		}
+		perKey(b)
+	})
+	b.Run("batch64", func(b *testing.B) {
+		p := 0
+		for i := 0; i < b.N; i++ {
+			for j := range probe {
+				probe[j] = keys[order[p]]
+				p = (p + 1) & (len(order) - 1)
+			}
+			rd.GetBatch(probe, vals, found, nil)
+			for j := range found {
+				if !found[j] {
+					b.Fatal("loaded key missing")
+				}
+			}
+		}
+		perKey(b)
+	})
 }

@@ -77,14 +77,8 @@ func (w *Wormhole) lpmPass(t *metaTable, key []byte, optimistic bool) (*metaNode
 // overlap. This is the memory-level-parallelism argument of the Cuckoo
 // Trie applied to Wormhole's Algorithm 1.
 func (w *Wormhole) lpmPassEager(t *metaTable, key []byte, maxl int, optimistic bool) (*metaNode, uint32, bool) {
-	// hs[i] = CRC32-C of key[:i], one table step per byte (§3.1's
-	// incremental hashing, run ahead of the search instead of inside it).
 	var hs [maxEagerPrefix + 1]uint32
-	c := ^uint32(0)
-	for i := 0; i < maxl; i++ {
-		c = crcTable[byte(c)^key[i]] ^ (c >> 8)
-		hs[i+1] = ^c
-	}
+	prefixHashes(&hs, key[:maxl])
 	m, n := 0, maxl+1
 	nodeM := t.root // the root item always exists in a published table
 	if n > 2 {
@@ -112,15 +106,30 @@ func (w *Wormhole) lpmPassEager(t *metaTable, key []byte, maxl int, optimistic b
 	return nodeM, hs[m], true
 }
 
+// prefixHashes sets hs[i] to the CRC32-C of p[:i] for every i up to
+// len(p) (at most maxEagerPrefix): §3.1's incremental hashing, one table
+// step per byte, run ahead of the search instead of inside it.
+func prefixHashes(hs *[maxEagerPrefix + 1]uint32, p []byte) {
+	out := hs[1 : len(p)+1]
+	p = p[:len(out)]
+	c := ^uint32(0)
+	for i, b := range p {
+		c = crcTable[byte(c)^b] ^ (c >> 8)
+		out[i] = ^c
+	}
+	hs[0] = 0
+}
+
 // warmSearchLevels touches the buckets of the first three binary-search
 // levels of a prefix search whose upper bound is n (the level-1 probe,
 // both level-2 candidates, all four level-3 candidates): seven
 // independent loads the memory system runs concurrently, where the
 // search loop alone would serialize them behind branch resolution.
 // Duplicate depths just reload a hot line. The returned tag sum must
-// feed a benign branch in the caller so the loads stay live; the batched
-// read pipeline reuses this helper to warm every lane's buckets before
-// any lane starts its dependent probe chain.
+// feed a benign branch in the caller so the loads stay live. The batched
+// read pipeline does not warm: its lanes' probes already overlap one
+// another, and there the four untaken candidates' lines cost more than
+// the latency they hide.
 func (t *metaTable) warmSearchLevels(hs *[maxEagerPrefix + 1]uint32, n int) uint16 {
 	p1 := n / 2
 	p2a, p2b := p1/2, (p1+n)/2
@@ -142,15 +151,32 @@ func (w *Wormhole) searchMeta(t *metaTable, key []byte) *leafNode {
 }
 
 // leafFromLPM finishes Algorithm 3 given an already-resolved longest
-// prefix match: node is the LPM item and h the hash of its stored key.
-// Split out of searchMeta so the batched read pipeline can run the LPM
-// phase round-robin across many keys and resolve each lane's leaf from
-// its own (node, hash) pair.
+// prefix match: node is the LPM item and h the hash of its stored key. It
+// runs the resolution's steps in sequence: lpmTarget, then (unless the LPM
+// item alone decides the leaf) the child probe, childLeaf and, for a right
+// sibling, prevLeaf. The batched read pipeline runs the same steps one
+// round at a time across its lanes, so each lane's dependent misses
+// overlap the other lanes'.
 func (w *Wormhole) leafFromLPM(t *metaTable, key []byte, node *metaNode, h uint32) *leafNode {
+	l, tok, right := lpmTarget(key, node)
+	if l != nil {
+		return l
+	}
+	l = childLeaf(t.getChild(h, node.key, tok), right)
+	if right {
+		return prevLeaf(l)
+	}
+	return l
+}
+
+// lpmTarget is the first step after the LPM: the target leaf when the LPM
+// item decides it alone, or else the sibling token whose child item leads
+// to it and whether that sibling lies to the right of the key.
+func lpmTarget(key []byte, node *metaNode) (l *leafNode, tok byte, right bool) {
 	if node.isLeafItem() {
 		// The stored anchor is a prefix of the key, so by the prefix
 		// condition it is the unique such anchor and its leaf is the target.
-		return node.leaf
+		return node.leaf, 0, false
 	}
 	if len(node.key) == len(key) {
 		// The key was consumed at an internal node: every anchor in this
@@ -159,30 +185,37 @@ func (w *Wormhole) leafFromLPM(t *metaTable, key []byte, node *metaNode, h uint3
 		// even that leaf's real anchor, the target is one to the left.
 		lm := node.leftmost
 		if bytes.Compare(key, lm.anchor.Load().real()) < 0 {
-			if p := lm.prev.Load(); p != nil {
-				return p
-			}
+			return prevLeaf(lm), 0, false
 		}
-		return lm
+		return lm, 0, false
 	}
 	// First unmatched token. The LPM is maximal, so this child bit is clear
 	// and the bitmap yields an immediate sibling on at least one side.
 	missing := key[len(node.key)]
 	if sib, ok := node.leftSibling(missing); ok {
-		child := t.getChild(h, node.key, sib)
-		if child.isLeafItem() {
-			return child.leaf
-		}
-		return child.rightmost
+		return nil, sib, false
 	}
 	sib, _ := node.rightSibling(missing)
-	child := t.getChild(h, node.key, sib)
-	var lm *leafNode
+	return nil, sib, true
+}
+
+// childLeaf is the step after the child probe: the leaf the sibling child
+// item leads to. A left sibling's subtree ends just below the key, so its
+// last leaf is the target; a right sibling's subtree starts just above
+// it, so the target is its first leaf's left neighbour (prevLeaf).
+func childLeaf(child *metaNode, right bool) *leafNode {
 	if child.isLeafItem() {
-		lm = child.leaf
-	} else {
-		lm = child.leftmost
+		return child.leaf
 	}
+	if right {
+		return child.leftmost
+	}
+	return child.rightmost
+}
+
+// prevLeaf returns lm's left neighbour, or lm itself at the head of the
+// LeafList.
+func prevLeaf(lm *leafNode) *leafNode {
 	if p := lm.prev.Load(); p != nil {
 		return p
 	}
