@@ -19,7 +19,8 @@ import (
 // time, in rounds that each advance every lane by one dependent hop, so
 // the lanes' misses of one round are in flight together. Where a hop's
 // miss would otherwise stall the round's work — the caller's keys, the
-// LPM item, the tag block and arena header, the record — a round ahead
+// LPM item, the tag block and arena header, the record and the arena's
+// fence prefix the probe checks it against — a round ahead
 // touches it: a load whose value only feeds the wave's liveness sink, so
 // nothing waits on it. batchWave names each round.
 //
@@ -272,8 +273,9 @@ func (w *Wormhole) batchWave(s *qsbr.Slot, sc *batchScratch, keys, vals [][]byte
 
 	// Record: open each lane's seqlock bracket, apply §2.5's version and
 	// dead checks, load the leaf's arena and block (tagsOf) and place the
-	// tag search (tagSpec, tagPos); touch the first candidate record
-	// under the reader rule, or the inline tail when the base holds none.
+	// tag search (tagSpec, tagPos); touch the first candidate record and
+	// the arena's fence prefix under the reader rule, or the inline tail
+	// when the base holds none.
 	for li := range lanes {
 		ln := &lanes[li]
 		if ln.slow {

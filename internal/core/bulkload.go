@@ -113,18 +113,23 @@ func (w *Wormhole) BulkLoad(keys, vals [][]byte) error {
 		} else {
 			l = newLeafNode(anchor{stored: anchors[i], realLen: realLens[i]})
 		}
-		// The leaf's records are known up front: size its arena for them
-		// (plus the headroom) and copy them in.
+		// The leaf's records and fences are known up front: size its arena
+		// for the suffixes (plus the headroom) and copy them in.
+		var hi []byte
+		if i > 0 {
+			hi = anchors[i-1][:realLens[i-1]]
+		}
+		pre := fencePrefix(anchors[i][:realLens[i]], hi)
 		n := 0
 		for j := start; j < stop; j++ {
-			n += recSize(len(keys[j]), len(valAt(vals, j)))
+			n += recSize(len(keys[j])-len(pre), len(valAt(vals, j)))
 		}
-		a := newArena(withHeadroom(n))
+		a := newArena(pre, withHeadroom(n))
 		items := (*bufp)[:0]
-		off := 0
+		off := int(a.hw.Load())
 		for j := start; j < stop; j++ {
 			items = append(items, uint32(off>>3))
-			off = a.write(off, hashKey(keys[j]), keys[j], valAt(vals, j))
+			off = a.write(off, hashKey(keys[j]), nil, keys[j][len(pre):], valAt(vals, j))
 		}
 		a.hw.Store(uint64(off))
 		l.setSorted(a, items)

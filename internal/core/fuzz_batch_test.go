@@ -5,12 +5,27 @@ import (
 	"testing"
 )
 
+// fuzzLongKey is the shared head a fuzz key gets when its length byte has
+// bit 0x40 set: 70 bytes, so leaves' fence prefixes grow past the batched
+// read path's 64-byte eager hash array, and short fuzz bytes still steer
+// the suffixes behind them.
+var fuzzLongKey = bytes.Repeat([]byte("wormhole/"), 8)[:70]
+
+// fuzzKey builds a fuzz key from its length byte and its bytes.
+func fuzzKey(lenByte byte, b []byte) []byte {
+	if lenByte&0x40 != 0 {
+		return append(bytes.Clone(fuzzLongKey), b...)
+	}
+	return append([]byte(nil), b...)
+}
+
 // FuzzBatchGet interprets the fuzz input as a mutation stream replayed
 // into a small-leaf index and a map oracle, then as a batch of lookup
 // keys — drawn from the same bytes, so the fuzzer can steer shared
 // prefixes, duplicates within the batch, and near-miss keys — and
 // cross-checks GetBatch against both the oracle and sequential scalar
-// Gets at several interleave depths, down to a single lane.
+// Gets at several interleave depths, down to a single lane. A length
+// byte with bit 0x40 set puts fuzzLongKey in front of its key.
 func FuzzBatchGet(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x02ab\x02ab\xff\x02ab\x02ac"))
@@ -23,6 +38,16 @@ func FuzzBatchGet(f *testing.F) {
 	for i := byte(0); i < 40; i += 2 {
 		seed = append(seed, 2, 'p', i) // batch: every other key, plus misses below
 		seed = append(seed, 3, 'p', i, 'x')
+	}
+	f.Add(seed)
+	seed = nil
+	for i := byte(0); i < 40; i++ {
+		seed = append(seed, 0x40|3, 'q', i, i) // keys behind a 70-byte shared prefix
+		seed = append(seed, 2, 'q', i)         // and short ones beside them
+	}
+	seed = append(seed, 0xff)
+	for i := byte(0); i < 40; i += 3 {
+		seed = append(seed, 0x40|3, 'q', i, i, 0x40|2, 'q', i, 0x40|4, 'q', i, i, 0)
 	}
 	f.Add(seed)
 
@@ -45,7 +70,8 @@ func FuzzBatchGet(f *testing.F) {
 		}
 		var last []byte
 		for len(in) > 0 && in[0] != 0xff {
-			klen := int(in[0] % 8)
+			lb := in[0]
+			klen := int(lb % 8)
 			in = in[1:]
 			if klen == 0 {
 				if last != nil {
@@ -54,7 +80,7 @@ func FuzzBatchGet(f *testing.F) {
 				}
 				continue
 			}
-			key := append([]byte(nil), take(klen)...)
+			key := fuzzKey(lb, take(klen))
 			val := append([]byte(nil), key...)
 			val = append(val, '=')
 			w.Set(key, val)
@@ -69,13 +95,14 @@ func FuzzBatchGet(f *testing.F) {
 		// length duplicates the previous batch entry.
 		var batch [][]byte
 		for len(in) > 0 && len(batch) < 256 {
-			klen := int(in[0] % 8)
+			lb := in[0]
+			klen := int(lb % 8)
 			in = in[1:]
 			if klen == 0 && len(batch) > 0 {
 				batch = append(batch, batch[len(batch)-1])
 				continue
 			}
-			batch = append(batch, append([]byte(nil), take(klen)...))
+			batch = append(batch, fuzzKey(lb, take(klen)))
 		}
 		if len(batch) == 0 {
 			batch = append(batch, []byte{}, []byte("absent"))

@@ -10,7 +10,8 @@ import (
 // small-leaf index (splits and merges trigger within a few dozen ops) and
 // cross-checks every result against a map model, ending with a full-scan
 // equivalence pass. Keys are drawn from the input bytes themselves so the
-// fuzzer can steer collisions, shared prefixes and boundary keys.
+// fuzzer can steer collisions, shared prefixes and boundary keys; a length
+// byte with bit 0x40 set puts fuzzLongKey in front of its key.
 func FuzzSetGetScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x00\x01ab\x02ab\x01ab"))
@@ -20,6 +21,15 @@ func FuzzSetGetScan(f *testing.F) {
 	for i := byte(0); i < 60; i++ {
 		seed = append(seed, 0x00, 2, 'k', i) // sets of distinct keys
 	}
+	f.Add(seed)
+	seed = nil
+	for i := byte(0); i < 60; i++ {
+		seed = append(seed, 0x00, 0x40|2, 'k', i) // sets behind a 70-byte shared prefix
+		if i%5 == 0 {
+			seed = append(seed, 0x01, 0x40|2, 'k', i-i/2) // deletes, so leaves merge
+		}
+	}
+	seed = append(seed, 0x03, 0x40|1, 'k', 0x02, 0x40|0, 'k')
 	f.Add(seed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -40,10 +50,10 @@ func FuzzSetGetScan(f *testing.F) {
 				return b
 			}
 			for len(in) >= 2 {
-				op := in[0] % 4
-				klen := int(in[1]%8) + 1
+				op, lb := in[0]%4, in[1]
+				klen := int(lb%8) + 1
 				in = in[2:]
-				key := append([]byte(nil), next(klen)...)
+				key := fuzzKey(lb, next(klen))
 				switch op {
 				case 0: // set
 					val := append([]byte(nil), next(3)...)

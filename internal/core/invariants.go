@@ -12,10 +12,12 @@ import (
 //   - LeafList ordering: stored anchors strictly increasing, adjacent-pair
 //     prefix-freedom (which, for sorted keys, implies global
 //     prefix-freedom), real anchors non-decreasing leaf spans;
-//   - leaf spans: real(anchor) <= every key < real(next anchor);
+//   - leaf spans: real(anchor) <= every key < real(next anchor), and the
+//     arena's prefix exactly the fences' longest common prefix;
 //   - leaf internals: the published tag array strictly (hash, key)-ordered,
-//     every base and tail entry a distinct record, whole (key and current
-//     value) below its arena's high-water mark, with a current hash, the
+//     every base and tail entry a distinct record, whole (suffix and
+//     current value) below its arena's high-water mark, with the hash of
+//     its whole key (prefix and suffix), the
 //     arena's live-byte count matching its records, the tail within
 //     tagTailMax, the key-sorted order view a strictly key-ordered
 //     permutation of the base, every tail merge position exact, the
@@ -94,8 +96,13 @@ func (w *Wormhole) checkLeafList() error {
 		}
 		ar := l.arena.Load()
 		hw := int(ar.hw.Load())
-		if hw > len(ar.buf) {
-			return fmt.Errorf("leaf %q arena high-water mark %d past its %d bytes", a.stored, hw, len(ar.buf))
+		if hw > len(ar.buf) || hw < align8(ar.plen) {
+			return fmt.Errorf("leaf %q arena high-water mark %d outside [%d, %d]", a.stored, hw, align8(ar.plen), len(ar.buf))
+		}
+		// The arena's prefix is exactly what the leaf's fences share, so
+		// it holds for every key the leaf can own and saves all it can.
+		if want := fencePrefix(a.real(), nextReal); !bytes.Equal(ar.prefix(), want) {
+			return fmt.Errorf("leaf %q arena prefix %q, its fences share %q", a.stored, ar.prefix(), want)
 		}
 		members := make(map[uint32]bool, tags.size())
 		live := 0
@@ -106,15 +113,16 @@ func (w *Wormhole) checkLeafList() error {
 				return fmt.Errorf("tag %s entry %d of leaf %q is a duplicate item", region, i, a.stored)
 			}
 			members[e.ref] = true
-			key, ok := ar.peekKey(e.ref)
-			if !ok {
+			if _, ok := ar.peekSfx(e.ref); !ok {
 				return fmt.Errorf("tag %s entry %d of leaf %q: record %d not below the high-water mark",
 					region, i, a.stored, e.ref)
 			}
+			key := ar.appendKey(nil, e.ref)
 			if v := ar.val(e.ref); int(v>>32)<<3+align8(int(uint32(v))) > hw {
 				return fmt.Errorf("value of key %q not below the high-water mark", key)
 			}
 			live += ar.size(e.ref)
+			// The stored hash covers the whole key, prefix and suffix.
 			if e.hash != ar.hash(e.ref) || e.hash != hashKey(key) {
 				return fmt.Errorf("stale hash for key %q", key)
 			}
@@ -132,7 +140,7 @@ func (w *Wormhole) checkLeafList() error {
 			}
 			if i > 0 {
 				p := tags.base[i-1]
-				if p.hash > e.hash || (p.hash == e.hash && bytes.Compare(ar.key(p.ref), ar.key(e.ref)) >= 0) {
+				if p.hash > e.hash || (p.hash == e.hash && bytes.Compare(ar.sfx(p.ref), ar.sfx(e.ref)) >= 0) {
 					return fmt.Errorf("tag array base out of (hash, key) order in leaf %q", a.stored)
 				}
 			}
@@ -163,7 +171,7 @@ func (w *Wormhole) checkLeafList() error {
 					i, a.stored, ix)
 			}
 			seenIdx[ix] = true // each base item exactly once
-			if i > 0 && bytes.Compare(ar.key(baseItems[ord.at(i-1)]), ar.key(baseItems[ix])) >= 0 {
+			if i > 0 && bytes.Compare(ar.sfx(baseItems[ord.at(i-1)]), ar.sfx(baseItems[ix])) >= 0 {
 				return fmt.Errorf("sorted view out of key order in leaf %q at %d", a.stored, i)
 			}
 		}
@@ -171,7 +179,7 @@ func (w *Wormhole) checkLeafList() error {
 		var prevPos int32 = -1
 		var prevKey []byte
 		for i := 0; i < tl && i < tagTailMax; i++ {
-			key := ar.key(l.tailItem[i].Load())
+			key := ar.sfx(l.tailItem[i].Load())
 			pos := l.tailPos[i].Load()
 			if want := lowerBoundIdx(ar, baseItems, ord, key, true); int(pos) != want {
 				return fmt.Errorf("tail slot %d of leaf %q has merge position %d, want %d",
@@ -187,7 +195,7 @@ func (w *Wormhole) checkLeafList() error {
 		// every key unique.
 		sorted := sortedItems(l, nil)
 		for i := 1; i < len(sorted); i++ {
-			if bytes.Compare(ar.key(sorted[i-1]), ar.key(sorted[i])) >= 0 {
+			if bytes.Compare(ar.sfx(sorted[i-1]), ar.sfx(sorted[i])) >= 0 {
 				return fmt.Errorf("leaf %q items out of key order or duplicated at %d", a.stored, i)
 			}
 		}

@@ -111,18 +111,19 @@ func (o keyOrder) set(k, i int) {
 }
 
 // lowerBoundIdx returns the first position in the key-sorted view whose
-// key is >= bound (incl) or > bound (!incl); ord.len() when none
-// qualifies. A ref the reader rule rejects (a mixed generation, which the
+// key is >= the bound (incl) or > it (!incl); ord.len() when none
+// qualifies. The bound is given as its suffix (arena.cut places a whole
+// key). A ref the reader rule rejects (a mixed generation, which the
 // caller's bracket discards) compares low. A plain loop instead of
 // sort.Search keeps callers closure-free.
-func lowerBoundIdx(a *arena, items []uint32, ord keyOrder, bound []byte, incl bool) int {
+func lowerBoundIdx(a *arena, items []uint32, ord keyOrder, sfx []byte, incl bool) int {
 	lo, hi := 0, ord.len()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		k, ok := a.peekKey(items[ord.at(mid)])
+		k, ok := a.peekSfx(items[ord.at(mid)])
 		cmp := -1
 		if ok {
-			cmp = bytes.Compare(k, bound)
+			cmp = bytes.Compare(k, sfx)
 		}
 		if cmp < 0 || (!incl && cmp == 0) {
 			lo = mid + 1
@@ -133,15 +134,15 @@ func lowerBoundIdx(a *arena, items []uint32, ord keyOrder, bound []byte, incl bo
 	return lo
 }
 
-// keyPosIn returns key's merge position in the key-sorted view, with a
-// one-compare fast path for the common append-at-end (ascending insert)
-// case. Caller holds mu.
-func keyPosIn(a *arena, items []uint32, ord keyOrder, key []byte) int {
+// keyPosIn returns the merge position in the key-sorted view of the key
+// whose suffix is sfx, with a one-compare fast path for the common
+// append-at-end (ascending insert) case. Caller holds mu.
+func keyPosIn(a *arena, items []uint32, ord keyOrder, sfx []byte) int {
 	n := ord.len()
-	if n == 0 || bytes.Compare(a.key(items[ord.at(n-1)]), key) < 0 {
+	if n == 0 || bytes.Compare(a.sfx(items[ord.at(n-1)]), sfx) < 0 {
 		return n
 	}
-	return lowerBoundIdx(a, items, ord, key, true)
+	return lowerBoundIdx(a, items, ord, sfx, true)
 }
 
 // view returns the block's entry arrays; n is the leaf's published entry
@@ -313,18 +314,18 @@ func (l *leafNode) tagsOf() (*arena, *tagBlock, int) {
 
 // matchTags finishes a search that tagPos placed at i: h's run in the base
 // block, then — on a miss only — the inline tail. It returns the ref of
-// key's record, noRef on a miss.
+// key's record, noRef on a miss. A hash match is confirmed against the
+// whole key, prefix included (arena.holds).
 func (l *leafNode) matchTags(a *arena, hashes, items []uint32, i int, h uint32, key []byte) uint32 {
 	for ; i < len(hashes) && hashes[i] == h; i++ {
-		if k, ok := a.peekKey(items[i]); ok && bytes.Equal(k, key) {
+		if a.holds(items[i], key) {
 			return items[i]
 		}
 	}
 	tl := int(l.tailLen.Load())
 	for i := 0; i < tl && i < tagTailMax; i++ {
 		if l.tailHash[i].Load() == h {
-			r := l.tailItem[i].Load()
-			if k, ok := a.peekKey(r); ok && bytes.Equal(k, key) {
+			if r := l.tailItem[i].Load(); a.holds(r, key) {
 				return r
 			}
 		}
@@ -376,15 +377,19 @@ func (l *leafNode) find(h uint32, key []byte, sortByTag, directPos bool) uint32 
 		return r
 	}
 	a := l.arena.Load()
+	sfx, rel := a.cut(key)
+	if rel != 0 {
+		return noRef // outside the fences
+	}
 	items, ord := l.sortedView()
-	if i := lowerBoundIdx(a, items, ord, key, true); i < ord.len() {
-		if r := items[ord.at(i)]; bytes.Equal(a.key(r), key) {
+	if i := lowerBoundIdx(a, items, ord, sfx, true); i < ord.len() {
+		if r := items[ord.at(i)]; bytes.Equal(a.sfx(r), sfx) {
 			return r
 		}
 	}
 	tl := int(l.tailLen.Load())
 	for i := 0; i < tl; i++ {
-		if r := l.tailItem[i].Load(); bytes.Equal(a.key(r), key) {
+		if r := l.tailItem[i].Load(); bytes.Equal(a.sfx(r), sfx) {
 			return r
 		}
 	}
@@ -411,18 +416,14 @@ func (l *leafNode) reserve(n int, ref uint32) uint32 {
 	if a.room(n) {
 		return ref
 	}
-	if hw := int(a.hw.Load()); (hw-a.live)*2*arenaHeadroom <= a.live {
-		na := newArena(withHeadroom(hw + n))
-		copy(na.buf, a.buf[:hw])
-		na.live = a.live
-		na.hw.Store(uint64(hw))
-		l.arena.Store(na)
+	if a.garbage()*2*arenaHeadroom <= a.live {
+		l.arena.Store(a.grow(n))
 		return ref
 	}
 	bufp := getSorted()
 	refs := sortedItems(l, *bufp)
 	at := slices.Index(refs, ref)
-	na := newArena(a.live + n + a.live/compactHeadroom)
+	na := newArena(a.prefix(), a.live+n+a.live/compactHeadroom)
 	na.copyIn(a, refs)
 	l.setSorted(na, refs)
 	if at >= 0 {
@@ -441,19 +442,24 @@ func (l *leafNode) overwrite(ref uint32, val []byte) {
 }
 
 // insert adds a new item; the caller holds mu and has verified the key is
-// absent. The record is appended to the arena (compacting first when it
-// does not fit). The common case then appends to the inline tail — a few
-// atomic stores, no allocation — and the tail is folded into a fresh base
-// block on the insert that would exceed tagTailMax.
+// absent and within l's fences. The record is appended to the arena
+// (compacting first when it does not fit). The common case then appends
+// to the inline tail — a few atomic stores, no allocation — and the tail
+// is folded into a fresh base block on the insert that would exceed
+// tagTailMax. Keys are compared by suffix: every one shares the prefix.
 func (l *leafNode) insert(h uint32, key, val []byte) {
+	sfx, rel := l.arena.Load().cut(key)
+	if rel != 0 {
+		panic("wormhole: insert outside the leaf's fences")
+	}
 	l.beginMutate()
-	l.reserve(recSize(len(key), len(val)), noRef)
+	l.reserve(recSize(len(sfx), len(val)), noRef)
 	a := l.arena.Load()
-	it := a.put(h, key, val)
+	it := a.put(h, sfx, val)
 	tl := int(l.tailLen.Load())
 	if tl < tagTailMax {
 		items, ord := l.sortedView()
-		pos := int32(keyPosIn(a, items, ord, key))
+		pos := int32(keyPosIn(a, items, ord, sfx))
 		// Keep the inline tail (pos, key)-sorted: find the insertion
 		// slot, shift the greater suffix up one, store the new item. The
 		// shift's transient duplicates are inside this bracket, so
@@ -462,7 +468,7 @@ func (l *leafNode) insert(h uint32, key, val []byte) {
 		s := tl
 		for s > 0 {
 			p := l.tailPos[s-1].Load()
-			if p < pos || (p == pos && bytes.Compare(a.key(l.tailItem[s-1].Load()), key) < 0) {
+			if p < pos || (p == pos && bytes.Compare(a.sfx(l.tailItem[s-1].Load()), sfx) < 0) {
 				break
 			}
 			s--
@@ -493,11 +499,11 @@ func (l *leafNode) insert(h uint32, key, val []byte) {
 		_, oo := ob.sortedView(bn)
 
 		// The new item joins the (pos, key)-sorted tail in a local copy.
-		newPos := int32(keyPosIn(a, oldItems, oo, key))
+		newPos := int32(keyPosIn(a, oldItems, oo, sfx))
 		sl := tl
 		for sl > 0 {
 			p := l.tailPos[sl-1].Load()
-			if p < newPos || (p == newPos && bytes.Compare(a.key(l.tailItem[sl-1].Load()), key) < 0) {
+			if p < newPos || (p == newPos && bytes.Compare(a.sfx(l.tailItem[sl-1].Load()), sfx) < 0) {
 				break
 			}
 			sl--
@@ -524,7 +530,7 @@ func (l *leafNode) insert(h uint32, key, val []byte) {
 			for j := i; j > 0; j-- {
 				x, y := hs[j], hs[j-1]
 				if thash[x] > thash[y] || (thash[x] == thash[y] &&
-					bytes.Compare(a.key(titems[x]), a.key(titems[y])) >= 0) {
+					bytes.Compare(a.sfx(titems[x]), a.sfx(titems[y])) >= 0) {
 					break
 				}
 				hs[j], hs[j-1] = hs[j-1], hs[j]
@@ -546,7 +552,7 @@ func (l *leafNode) insert(h uint32, key, val []byte) {
 		for bi < len(oh) && ti < m {
 			j := hs[ti]
 			if oh[bi] < thash[j] || (oh[bi] == thash[j] &&
-				bytes.Compare(a.key(oldItems[bi]), a.key(titems[j])) < 0) {
+				bytes.Compare(a.sfx(oldItems[bi]), a.sfx(titems[j])) < 0) {
 				nh[o], ni[o] = oh[bi], oldItems[bi]
 				oldToNew[bi] = int32(o)
 				bi++

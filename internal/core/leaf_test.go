@@ -14,8 +14,8 @@ func insertKey(l *leafNode, key string) {
 	l.insert(hashKey([]byte(key)), []byte(key), []byte("v"))
 }
 
-// leafKey returns the key of l's record r.
-func leafKey(l *leafNode, r uint32) []byte { return l.arena.Load().key(r) }
+// leafKey returns the whole key of l's record r.
+func leafKey(l *leafNode, r uint32) []byte { return l.arena.Load().appendKey(nil, r) }
 
 func TestLeafInsertFindRemove(t *testing.T) {
 	l := newLeafNode(anchor{stored: []byte{}})

@@ -54,6 +54,7 @@ func planSplit(l *leafNode, sorted []uint32, shortAnchors bool) *splitPlan {
 	}
 	own := l.anchor.Load().stored
 	a := l.arena.Load()
+	pre := a.prefix()
 	mid := n / 2
 	if shortAnchors {
 		lo, hi := n/4, n-n/4
@@ -66,7 +67,7 @@ func planSplit(l *leafNode, sorted []uint32, shortAnchors bool) *splitPlan {
 		var best *splitPlan
 		bestDist := 0
 		for i := lo; i <= hi; i++ {
-			p := tryCut(a.key(sorted[i-1]), a.key(sorted[i]), own, nextStored, i)
+			p := tryCut(pre, a.sfx(sorted[i-1]), a.sfx(sorted[i]), own, nextStored, i)
 			if p == nil {
 				continue
 			}
@@ -89,13 +90,13 @@ func planSplit(l *leafNode, sorted []uint32, shortAnchors bool) *splitPlan {
 		ok := false
 		if hi >= 1 && hi <= n-1 {
 			ok = true
-			if p := tryCut(a.key(sorted[hi-1]), a.key(sorted[hi]), own, nextStored, hi); p != nil {
+			if p := tryCut(pre, a.sfx(sorted[hi-1]), a.sfx(sorted[hi]), own, nextStored, hi); p != nil {
 				return p
 			}
 		}
 		if off > 0 && lo >= 1 && lo <= n-1 {
 			ok = true
-			if p := tryCut(a.key(sorted[lo-1]), a.key(sorted[lo]), own, nextStored, lo); p != nil {
+			if p := tryCut(pre, a.sfx(sorted[lo-1]), a.sfx(sorted[lo]), own, nextStored, lo); p != nil {
 				return p
 			}
 		}
@@ -105,13 +106,14 @@ func planSplit(l *leafNode, sorted []uint32, shortAnchors bool) *splitPlan {
 	}
 }
 
-// tryCut validates a cut between adjacent sorted keys a < b and returns the
-// plan, or nil if no legal anchor exists at this position.
+// tryCut validates a cut between adjacent sorted keys pre+a < pre+b — the
+// leaf's fence prefix and two suffixes — and returns the plan, or nil if
+// no legal anchor exists at this position.
 //
 // The candidate separator is P = b[:lcp(a,b)+1], the shortest prefix of b
-// that is strictly greater than a (§2.2's anchor formation rule). The
-// ordering condition a < P <= b holds by construction. The prefix condition
-// is then enforced on the stored form:
+// that is strictly greater than a (§2.2's anchor formation rule), written
+// out whole behind pre. The ordering condition a < P <= b holds by
+// construction. The prefix condition is then enforced on the stored form:
 //
 //   - against the successor anchor: append ⊥ (0x00) until S is no longer a
 //     prefix of it; if that makes the successor a prefix of S instead, the
@@ -120,16 +122,16 @@ func planSplit(l *leafNode, sorted []uint32, shortAnchors bool) *splitPlan {
 //     conversion Q -> Q + ⊥^t with minimal t; if S is itself Q plus only
 //     zeros, no t works and the cut is illegal. These illegal positions are
 //     exactly the binary-key pathologies of §3.3.
-func tryCut(a, b, own, nextStored []byte, cut int) *splitPlan {
-	c := lcp(a, b)
+func tryCut(pre, a, b, own, nextStored []byte, cut int) *splitPlan {
 	// Keys are unique, so either a is a proper prefix of b (c == len(a)) or
-	// they diverge at c with a[c] < b[c]. Both admit P = b[:c+1].
-	p := b[:c+1]
+	// they diverge at c with a[c] < b[c]. Both admit P = b[:c+1]. P is
+	// built in stack scratch, and only an accepted anchor is copied out.
+	c := lcp(a, b)
+	var room [96]byte
+	p := append(append(room[:0], pre...), b[:c+1]...)
 	stored := p
 	for nextStored != nil && isPrefix(stored, nextStored) {
-		ext := make([]byte, len(stored)+1)
-		copy(ext, stored)
-		stored = ext
+		stored = append(stored, 0)
 	}
 	if nextStored != nil && isPrefix(nextStored, stored) {
 		return nil
@@ -150,19 +152,15 @@ func tryCut(a, b, own, nextStored []byte, cut int) *splitPlan {
 		}
 		conv = &conversion{from: own, to: to}
 	}
-	if len(stored) == len(p) {
-		// No extension appended; clone so the anchor does not alias (and
-		// keep alive) the leaf arena holding b.
-		stored = cloneBytes(p)
-	}
-	return &splitPlan{cut: cut, stored: stored, realLen: len(p), conv: conv}
+	return &splitPlan{cut: cut, stored: cloneBytes(stored), realLen: len(p), conv: conv}
 }
 
 // executeLeafSplit mutates the LeafList for a planned split: copies the
 // upper half of l's records (sorted, the key-sorted refs the plan was made
 // from; rewritten to the copies) into a new leaf's arena and the lower
-// half into a fresh arena for l, re-keys l's anchor if the plan converted
-// it, and links the new leaf after l. It returns the new leaf.
+// half into a fresh arena for l, each re-cut against its own, narrower
+// fences' prefix, re-keys l's anchor if the plan converted it, and links
+// the new leaf after l. It returns the new leaf.
 // The caller holds l's write lock and has already bumped l's version, so
 // optimistic readers that observe the truncated tag array retry.
 //
@@ -176,7 +174,9 @@ func tryCut(a, b, own, nextStored []byte, cut int) *splitPlan {
 func executeLeafSplit(l *leafNode, sorted []uint32, p *splitPlan, lockNew bool) *leafNode {
 	src := l.arena.Load()
 	lo, hi := sorted[:p.cut], sorted[p.cut:]
-	ra := newArena(withHeadroom(src.sizeOf(hi)))
+	sep := p.stored[:p.realLen]
+	rpre := fencePrefix(sep, nextReal(l))
+	ra := newArena(rpre, withHeadroom(src.sizeAs(hi, len(rpre))))
 	ra.copyIn(src, hi)
 	newL := newLeafNode(anchor{stored: p.stored, realLen: p.realLen})
 	newL.setSorted(ra, hi)
@@ -184,7 +184,8 @@ func executeLeafSplit(l *leafNode, sorted []uint32, p *splitPlan, lockNew bool) 
 	if lockNew {
 		newL.mu.Lock()
 	}
-	la := newArena(withHeadroom(src.sizeOf(lo)))
+	lpre := fencePrefix(l.anchor.Load().real(), sep)
+	la := newArena(lpre, withHeadroom(src.sizeAs(lo, len(lpre))))
 	la.copyIn(src, lo)
 
 	l.beginMutate()
@@ -196,6 +197,15 @@ func executeLeafSplit(l *leafNode, sorted []uint32, p *splitPlan, lockNew bool) 
 	linkAfter(l, newL)
 	l.endMutate()
 	return newL
+}
+
+// nextReal returns the real anchor of l's right neighbour, l's upper
+// fence; nil for the rightmost leaf.
+func nextReal(l *leafNode) []byte {
+	if nx := l.next.Load(); nx != nil {
+		return nx.anchor.Load().real()
+	}
+	return nil
 }
 
 // linkAfter splices newL into the list immediately after l. Only l's
@@ -321,8 +331,9 @@ func applyMerge(t *metaTable, p *mergePlan) {
 // Caller holds both write locks and has bumped victim's version, so
 // optimistic readers routed to victim through a stale table retry (the
 // dead flag catches those routed through any table). Both leaves' records
-// are copied into a fresh arena published with left's merged item list;
-// victim's block and arena are left intact for readers still holding them.
+// are copied into a fresh arena published with left's merged item list,
+// re-cut against the prefix of left's wider fences; victim's block and
+// arena are left intact for readers still holding them.
 func mergeLeaves(left, victim *leafNode) {
 	// Every victim key sorts after every left key, so the two key-sorted
 	// lists concatenate into left's new one.
@@ -331,7 +342,8 @@ func mergeLeaves(left, victim *leafNode) {
 	nl := len(merged)
 	merged = sortedItems(victim, merged)
 	la, va := left.arena.Load(), victim.arena.Load()
-	na := newArena(withHeadroom(la.live + va.live))
+	pre := fencePrefix(left.anchor.Load().real(), nextReal(victim))
+	na := newArena(pre, withHeadroom(la.sizeAs(merged[:nl], len(pre))+va.sizeAs(merged[nl:], len(pre))))
 	na.copyIn(la, merged[:nl])
 	na.copyIn(va, merged[nl:])
 

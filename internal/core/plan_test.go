@@ -11,7 +11,7 @@ func TestTryCutSimple(t *testing.T) {
 	// "James"/"Jason" inside a leaf anchored at "J", next anchor "Jos":
 	// the separator is "Jas", no extension, no conversion ("J" is a proper
 	// prefix, so a conversion re-keys it to "J\x00").
-	p := tryCut([]byte("James"), []byte("Jason"), []byte("J"), []byte("Jos"), 1)
+	p := tryCut(nil, []byte("James"), []byte("Jason"), []byte("J"), []byte("Jos"), 1)
 	if p == nil {
 		t.Fatal("cut rejected")
 	}
@@ -26,7 +26,7 @@ func TestTryCutSimple(t *testing.T) {
 func TestTryCutNoConversion(t *testing.T) {
 	// Leaf anchored at "A", cut between "Ba" and "Ca": separator "C" does
 	// not extend "A".
-	p := tryCut([]byte("Ba"), []byte("Ca"), []byte("A"), []byte("D"), 1)
+	p := tryCut(nil, []byte("Ba"), []byte("Ca"), []byte("A"), []byte("D"), 1)
 	if p == nil || string(p.stored) != "C" || p.conv != nil {
 		t.Fatalf("plan = %+v", p)
 	}
@@ -35,7 +35,7 @@ func TestTryCutNoConversion(t *testing.T) {
 func TestTryCutExtensionAgainstNext(t *testing.T) {
 	// Separator "Jo" would be a prefix of the next anchor "Jos", so it is
 	// ⊥-extended to "Jo\x00" (§2.2's appending rule).
-	p := tryCut([]byte("Ja"), []byte("Jo"), []byte("J\x00"), []byte("Jos"), 1)
+	p := tryCut(nil, []byte("Ja"), []byte("Jo"), []byte("J\x00"), []byte("Jos"), 1)
 	if p == nil {
 		t.Fatal("cut rejected")
 	}
@@ -50,18 +50,18 @@ func TestTryCutRejectsZeroTailPathologies(t *testing.T) {
 	// next anchor 10000; extension cannot escape an all-zero tail.
 	one := []byte{1}
 	k := func(zeros int) []byte { return append(one[:1:1], make([]byte, zeros)...) }
-	if p := tryCut(k(2), k(3), []byte{}, k(4), 1); p != nil {
+	if p := tryCut(nil, k(2), k(3), []byte{}, k(4), 1); p != nil {
 		t.Fatalf("pathological cut accepted: %+v", p)
 	}
 	// Conversion dead end: own anchor {1}, separator {1,0,0} = own + zeros.
-	if p := tryCut(append(k(1), 5), k(2), k(0), nil, 1); p != nil {
+	if p := tryCut(nil, append(k(1), 5), k(2), k(0), nil, 1); p != nil {
 		t.Fatalf("conversion dead end accepted: %+v", p)
 	}
 }
 
 func TestTryCutProperPrefixKeys(t *testing.T) {
 	// a is a proper prefix of b: separator is a + b[len(a)].
-	p := tryCut([]byte("ab"), []byte("abc"), []byte("a\x00"), nil, 1)
+	p := tryCut(nil, []byte("ab"), []byte("abc"), []byte("a\x00"), nil, 1)
 	if p == nil || string(p.stored) != "abc" {
 		t.Fatalf("plan = %+v", p)
 	}
@@ -95,7 +95,7 @@ func TestTryCutQuick(t *testing.T) {
 		if r.Intn(3) > 0 {
 			next = append(append([]byte{}, b...), byte(r.Intn(3)), byte(r.Intn(3)))
 		}
-		p := tryCut(a, b, own, next, 1)
+		p := tryCut(nil, a, b, own, next, 1)
 		if p == nil {
 			return true // rejection is always safe; fat leaves cover it
 		}

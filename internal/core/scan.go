@@ -18,8 +18,10 @@ import (
 // whole copy bracketed between two loads of the leaf's seqlock word.
 // Nothing is locked and nothing is written to shared state. Only after the
 // bracket validates are the copied (record, value ref) pairs materialized
-// into arena slices and handed to the callback, which therefore runs with
-// no locks held and may call back into the index. Leaves under persistent
+// — each value an arena slice, each key the arena's suffix or, behind a
+// fence prefix, assembled a block at a time into pooled buffers — and
+// handed to the callback, which therefore runs with no locks held and may
+// call back into the index. Leaves under persistent
 // write pressure (seqlockAttempts collisions) fall back to the same copy
 // under the leaf's read lock, which excludes writers but neither blocks
 // nor is blocked by other readers.
@@ -48,8 +50,8 @@ import (
 const scanChunk = 128
 
 // scanEntry is one copied-out pair in pre-materialized form: the record
-// ref — whose key is immutable and therefore safe to read even after the
-// bracket — plus the value ref, which was loaded inside the bracket and
+// ref — whose key suffix is immutable and therefore safe to read even
+// after the bracket — plus the value ref, which was loaded inside the bracket and
 // may only be turned into a slice once the bracket has validated (or under
 // the leaf lock, where it is always current). Both resolve in the chunk's
 // arena (cursor.arena). The entry holds no pointer, so the pooled chunk
@@ -59,14 +61,89 @@ type scanEntry struct {
 	val uint64
 }
 
-// scanBufPool recycles chunk copy-out buffers; range-heavy workloads
-// (Figure 18) would otherwise allocate one batch per scan and spend their
-// time in the garbage collector.
-var scanBufPool = sync.Pool{
+// scanScratch is one scan's pooled state: the chunk copy-out buffer, the
+// keys handed out, assembled a block at a time into scanKeyBufs buffers in
+// turn, and the backing of the cursor's resume bound. Range-heavy workloads
+// (Figure 18) would otherwise allocate per scan and spend their time in
+// the garbage collector.
+type scanScratch struct {
+	ents  []scanEntry
+	kbuf  [scanKeyBufs][]byte
+	keys  [scanKeyBufs][scanKeyBlock][]byte
+	bound []byte
+	// The initial backing of ents, kbuf and bound, so a fresh scratch is
+	// one allocation; a block of keys longer than 32 bytes on average
+	// grows its buffer once.
+	entRoom   [scanChunk]scanEntry
+	kbufRoom  [scanKeyBufs][scanKeyBlock * 32]byte
+	boundRoom [64]byte
+}
+
+// scanKeyBlock is how many keys a scan assembles at a time, a block ahead
+// of handing them out. A key read straight after its own bytes were
+// stored cannot be forwarded from the store buffer, so the load waits for
+// every older instruction to retire — the caller's cache misses on the
+// previous pairs included — and a per-pair assembly serializes them: it
+// cost core-e-az1 about 45% more CPU per scan than whole keys in the arena
+// did. Assembling the next block while the callbacks take the current one
+// lets its stores retire first. A block also bounds the keys assembled
+// and not handed out when the callback stops.
+const scanKeyBlock = 8
+
+// scanKeyBufs is how many blocks of keys a scan keeps intact: the one
+// being handed out, the next one, assembled ahead, and the previous one,
+// whose last key the contract keeps valid until the following callback
+// returns.
+const scanKeyBufs = 3
+
+var scanPool = sync.Pool{
 	New: func() any {
-		b := make([]scanEntry, 0, scanChunk)
-		return &b
+		sc := new(scanScratch)
+		sc.ents = sc.entRoom[:0]
+		for i := range sc.kbuf {
+			sc.kbuf[i] = sc.kbufRoom[i][:0]
+		}
+		sc.bound = sc.boundRoom[:0]
+		return sc
 	},
+}
+
+// assemble returns the whole keys of the records ents name in a (at most
+// scanKeyBlock of them), as the b-th block of a scan hands them out: the
+// arena's suffixes themselves when the prefix is empty, and otherwise
+// prefix and suffix assembled into kbuf[b%scanKeyBufs], where they stay
+// intact while the next block is handed out. Each key's capacity is
+// clipped to its length.
+func (sc *scanScratch) assemble(a *arena, ents []scanEntry, b int) [][]byte {
+	i := b % scanKeyBufs
+	keys := sc.keys[i][:len(ents)]
+	if a.plen == 0 {
+		for i, e := range ents {
+			keys[i] = a.sfx(e.ref)
+		}
+		return keys
+	}
+	var ends [scanKeyBlock]int
+	kb := sc.kbuf[i][:0]
+	for j, e := range ents {
+		kb = a.appendKey(kb, e.ref)
+		ends[j] = len(kb)
+	}
+	sc.kbuf[i] = kb
+	start := 0
+	for j, end := range ends[:len(ents)] {
+		keys[j] = kb[start:end:end]
+		start = end
+	}
+	return keys
+}
+
+// release returns sc to the pool, keeping the grown buffers (bound, the
+// cursor's) but no arena slice alive.
+func (sc *scanScratch) release(bound []byte) {
+	sc.bound = bound[:0]
+	sc.keys = [scanKeyBufs][scanKeyBlock][]byte{}
+	scanPool.Put(sc)
 }
 
 // cursor is a resumable scan position, shared by Scan/ScanDesc (which
@@ -83,8 +160,7 @@ type cursor struct {
 	// (ascending) or the largest (descending).
 	start []byte
 	// bound is the last emitted key once started; resume is strictly
-	// beyond it. It aliases a key in a leaf arena, which is immutable, so
-	// retaining it across chunks is race-free and allocation-free.
+	// beyond it. It is the cursor's own copy, in pooled bytes (scanScratch).
 	bound   []byte
 	started bool
 	done    bool
@@ -116,7 +192,7 @@ func (c *cursor) reseek() {
 func (c *cursor) advance(l *leafNode, a *arena, adj *leafNode, ver uint64, more bool, out []scanEntry) {
 	c.arena = a
 	if len(out) > 0 {
-		c.bound = a.key(out[len(out)-1].ref)
+		c.bound = a.appendKey(c.bound[:0], out[len(out)-1].ref)
 		c.started = true
 	}
 	if more {
@@ -237,7 +313,9 @@ func (c *cursor) tryFastChunk(l *leafNode, tver uint64, checkVer bool, buf []sca
 // mergeAsc merge-walks the key-sorted base view and the leaf's inline
 // tail in ascending order, appending every pair beyond the bound (>= when
 // incl, > otherwise) until the chunk (cap(buf)) fills. more reports
-// whether qualifying items remain in this leaf beyond the chunk.
+// whether qualifying items remain in this leaf beyond the chunk. The bound
+// is a whole key, placed once against the arena's prefix; from there keys
+// compare by suffix.
 //
 // The writer keeps the tail slots (pos, key)-sorted and publishes each
 // item's merge position at insert time, so the walk reads the slots
@@ -256,18 +334,27 @@ func mergeAsc(l *leafNode, a *arena, items []uint32, ord keyOrder, bound []byte,
 	}
 	n := ord.len()
 	oi, ti := 0, 0
+	var sfx []byte
 	if !edge {
-		oi = lowerBoundIdx(a, items, ord, bound, incl)
+		var rel int
+		sfx, rel = a.cut(bound)
+		if rel > 0 {
+			return buf, false // every key in the leaf is below the bound
+		}
+		edge = rel < 0 // every key is above it: start at the leaf's edge
+	}
+	if !edge {
+		oi = lowerBoundIdx(a, items, ord, sfx, incl)
 		for ti < tl && int(l.tailPos[ti].Load()) < oi {
 			ti++
 		}
 		for ti < tl && int(l.tailPos[ti].Load()) == oi {
-			k, ok := a.peekKey(l.tailItem[ti].Load())
+			k, ok := a.peekSfx(l.tailItem[ti].Load())
 			if !ok {
 				ti++
 				continue
 			}
-			cmp := bytes.Compare(k, bound)
+			cmp := bytes.Compare(k, sfx)
 			if cmp > 0 || (incl && cmp == 0) {
 				break
 			}
@@ -338,18 +425,27 @@ func mergeDesc(l *leafNode, a *arena, items []uint32, ord keyOrder, bound []byte
 	}
 	oi := ord.len() - 1
 	ti := tl - 1
+	var sfx []byte
 	if !unbounded {
-		oi = lowerBoundIdx(a, items, ord, bound, !incl) - 1
+		var rel int
+		sfx, rel = a.cut(bound)
+		if rel < 0 {
+			return buf, false // every key in the leaf is above the bound
+		}
+		unbounded = rel > 0 // every key is below it: start at the top
+	}
+	if !unbounded {
+		oi = lowerBoundIdx(a, items, ord, sfx, !incl) - 1
 		for ti >= 0 && int(l.tailPos[ti].Load()) > oi+1 {
 			ti--
 		}
 		for ti >= 0 && int(l.tailPos[ti].Load()) == oi+1 {
-			k, ok := a.peekKey(l.tailItem[ti].Load())
+			k, ok := a.peekSfx(l.tailItem[ti].Load())
 			if !ok {
 				ti--
 				continue
 			}
-			cmp := bytes.Compare(k, bound)
+			cmp := bytes.Compare(k, sfx)
 			if cmp < 0 || (incl && cmp == 0) {
 				break
 			}
@@ -483,27 +579,41 @@ outer:
 
 // scanLoop drives a cursor chunk by chunk inside an already-announced
 // reader section, materializing each validated chunk and emitting it to fn
-// with no locks held (fn may call back into the index).
+// with no locks held (fn may call back into the index). A key fn receives
+// stays intact until fn's next call returns; values stay intact for good.
 func (w *Wormhole) scanLoop(s *qsbr.Slot, start []byte, desc bool, fn func(key, val []byte) bool) {
-	bufp := scanBufPool.Get().(*[]scanEntry)
-	defer scanBufPool.Put(bufp)
-	c := cursor{w: w, desc: desc, start: start}
+	sc := scanPool.Get().(*scanScratch)
+	c := cursor{w: w, desc: desc, start: start, bound: sc.bound[:0]}
+	defer func() { sc.release(c.bound) }()
+	b := 0
 	for {
-		batch := c.nextChunk(s, (*bufp)[:0])
+		batch := c.nextChunk(s, sc.ents[:0])
 		if len(batch) == 0 {
 			return
 		}
 		a := c.arena
-		for _, e := range batch {
-			if !fn(a.key(e.ref), a.value(e.val)) {
-				return
+		keys := sc.assemble(a, batch[:min(scanKeyBlock, len(batch))], b)
+		b++
+		for lo := 0; lo < len(batch); lo += scanKeyBlock {
+			hi := min(lo+scanKeyBlock, len(batch))
+			var next [][]byte
+			if hi < len(batch) {
+				next = sc.assemble(a, batch[hi:min(hi+scanKeyBlock, len(batch))], b)
+				b++
 			}
+			for i, e := range batch[lo:hi] {
+				if !fn(keys[i], a.value(e.val)) {
+					return
+				}
+			}
+			keys = next
 		}
 	}
 }
 
 // Scan visits keys >= start in ascending order until fn returns false.
-// A nil start scans from the smallest key.
+// A nil start scans from the smallest key. A key passed to fn is valid
+// until fn returns (callers keeping one copy it); a value stays valid.
 func (w *Wormhole) Scan(start []byte, fn func(key, val []byte) bool) {
 	if !w.opt.Concurrent {
 		w.scanLoop(nil, start, false, fn)
@@ -536,26 +646,27 @@ func (w *Wormhole) rightmostLeaf(t *metaTable) *leafNode {
 	return root.rightmost
 }
 
-// Min returns the smallest key and its value.
+// Min returns (a copy of) the smallest key and its value.
 func (w *Wormhole) Min() (key, val []byte, ok bool) {
 	w.Scan(nil, func(k, v []byte) bool {
-		key, val, ok = k, v, true
+		key, val, ok = cloneBytes(k), v, true
 		return false
 	})
 	return
 }
 
-// Max returns the largest key and its value.
+// Max returns (a copy of) the largest key and its value.
 func (w *Wormhole) Max() (key, val []byte, ok bool) {
 	w.ScanDesc(nil, func(k, v []byte) bool {
-		key, val, ok = k, v, true
+		key, val, ok = cloneBytes(k), v, true
 		return false
 	})
 	return
 }
 
 // RangeAsc collects up to limit pairs with key >= start, ascending — the
-// paper's RangeSearchAscending shape, convenient for benchmarks.
+// paper's RangeSearchAscending shape, convenient for benchmarks. The keys
+// are copies.
 func (w *Wormhole) RangeAsc(start []byte, limit int) (keys, vals [][]byte) {
 	if limit <= 0 {
 		return nil, nil
@@ -563,7 +674,7 @@ func (w *Wormhole) RangeAsc(start []byte, limit int) (keys, vals [][]byte) {
 	keys = make([][]byte, 0, limit)
 	vals = make([][]byte, 0, limit)
 	w.Scan(start, func(k, v []byte) bool {
-		keys = append(keys, k)
+		keys = append(keys, cloneBytes(k))
 		vals = append(vals, v)
 		return len(keys) < limit
 	})
@@ -571,7 +682,7 @@ func (w *Wormhole) RangeAsc(start []byte, limit int) (keys, vals [][]byte) {
 }
 
 // RangeDesc collects up to limit pairs with key <= start, descending (a
-// nil start collects from the largest key).
+// nil start collects from the largest key). The keys are copies.
 func (w *Wormhole) RangeDesc(start []byte, limit int) (keys, vals [][]byte) {
 	if limit <= 0 {
 		return nil, nil
@@ -579,7 +690,7 @@ func (w *Wormhole) RangeDesc(start []byte, limit int) (keys, vals [][]byte) {
 	keys = make([][]byte, 0, limit)
 	vals = make([][]byte, 0, limit)
 	w.ScanDesc(start, func(k, v []byte) bool {
-		keys = append(keys, k)
+		keys = append(keys, cloneBytes(k))
 		vals = append(vals, v)
 		return len(keys) < limit
 	})
@@ -600,9 +711,11 @@ func (w *Wormhole) RangeDesc(start []byte, limit int) (keys, vals [][]byte) {
 type Iter struct {
 	c     cursor
 	pin   *qsbr.Pin
-	bufp  *[]scanEntry // pooled chunk buffer; returned on Close
+	sc    *scanScratch // pooled buffers; returned on Close
 	batch []scanEntry
 	i     int
+	keys  [][]byte // the keys of the block holding batch[i]
+	b     int      // blocks assembled
 }
 
 // NewIter returns an iterator positioned before the first key >= start
@@ -614,10 +727,11 @@ func (w *Wormhole) NewIter(start []byte) *Iter { return w.newIter(start, false) 
 func (w *Wormhole) NewIterDesc(start []byte) *Iter { return w.newIter(start, true) }
 
 func (w *Wormhole) newIter(start []byte, desc bool) *Iter {
+	sc := scanPool.Get().(*scanScratch)
 	it := &Iter{
-		c:    cursor{w: w, desc: desc, start: start},
-		bufp: scanBufPool.Get().(*[]scanEntry),
-		i:    -1,
+		c:  cursor{w: w, desc: desc, start: start, bound: sc.bound[:0]},
+		sc: sc,
+		i:  -1,
 	}
 	if w.opt.Concurrent {
 		it.pin = w.q.Pin()
@@ -629,6 +743,9 @@ func (w *Wormhole) newIter(start []byte, desc bool) *Iter {
 func (i *Iter) Next() bool {
 	i.i++
 	if i.i < len(i.batch) {
+		if i.i%scanKeyBlock == 0 {
+			i.assemble()
+		}
 		return true
 	}
 	if i.c.done {
@@ -642,7 +759,7 @@ func (i *Iter) Next() bool {
 	if i.pin != nil {
 		s = i.pin.Enter()
 	}
-	i.batch = i.c.nextChunk(s, (*i.bufp)[:0])
+	i.batch = i.c.nextChunk(s, i.sc.ents[:0])
 	if i.pin != nil {
 		i.pin.Leave()
 	}
@@ -651,11 +768,19 @@ func (i *Iter) Next() bool {
 		i.Close() // exhausted: release the pinned slot eagerly
 		return false
 	}
+	i.assemble()
 	return true
 }
 
-// Key returns the current key; valid after Next reports true.
-func (i *Iter) Key() []byte { return i.c.arena.key(i.batch[i.i].ref) }
+// assemble assembles the keys of the block starting at batch[i].
+func (i *Iter) assemble() {
+	i.keys = i.sc.assemble(i.c.arena, i.batch[i.i:min(i.i+scanKeyBlock, len(i.batch))], i.b)
+	i.b++
+}
+
+// Key returns the current key; valid after Next reports true, until the
+// next call to Next.
+func (i *Iter) Key() []byte { return i.keys[i.i%scanKeyBlock] }
 
 // Value returns the current value; valid after Next reports true.
 func (i *Iter) Value() []byte { return i.c.arena.value(i.batch[i.i].val) }
@@ -668,9 +793,10 @@ func (i *Iter) Close() {
 		i.pin.Unpin()
 		i.pin = nil
 	}
-	if i.bufp != nil {
-		scanBufPool.Put(i.bufp)
-		i.bufp = nil
-		i.batch = nil
+	if i.sc != nil {
+		i.sc.release(i.c.bound)
+		i.c.bound = nil
+		i.sc = nil
+		i.batch, i.keys = nil, nil
 	}
 }

@@ -177,7 +177,7 @@ func TestIterWalksWithoutReseek(t *testing.T) {
 	drained := w.NewIter([]byte("it-04990"))
 	for drained.Next() {
 	}
-	if drained.pin != nil || drained.bufp != nil {
+	if drained.pin != nil || drained.sc != nil {
 		t.Fatal("drained iterator did not auto-release its registration")
 	}
 }

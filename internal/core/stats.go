@@ -14,16 +14,25 @@ type Stats struct {
 	AvgAnchorLen float64
 	MetaBuckets  int
 	// ArenaBytes is the leaf arenas' capacity; ArenaLiveBytes the part
-	// live records and their current values hold. The difference is
-	// headroom plus overwrite and delete garbage, which compaction bounds.
+	// the fence prefixes, live records and their current values hold. The
+	// difference is headroom plus overwrite and delete garbage, which
+	// compaction bounds.
 	ArenaBytes     int64
 	ArenaLiveBytes int64
+	// AvgPrefixLen is the mean length of the leaves' fence prefixes (the
+	// longest common prefix of a leaf's anchor and the next one's), and
+	// PrefixSavedPerKey the arena bytes per key they save: what the
+	// records' padded keys would take whole, less what their padded
+	// suffixes take, less each arena's own padded copy of its prefix.
+	AvgPrefixLen      float64
+	PrefixSavedPerKey float64
 }
 
 // Stats walks the structure without locks; call it on a quiescent index.
 func (w *Wormhole) Stats() Stats {
 	s := Stats{Keys: w.count.Load()}
-	var anchorBytes int
+	var anchorBytes, prefixBytes, saved int
+	var refs []uint32
 	for l := w.head; l != nil; l = l.next.Load() {
 		s.Leaves++
 		if l.size() > w.opt.LeafCap {
@@ -32,7 +41,14 @@ func (w *Wormhole) Stats() Stats {
 		anchorBytes += len(l.anchor.Load().stored)
 		a := l.arena.Load()
 		s.ArenaBytes += int64(len(a.buf))
-		s.ArenaLiveBytes += int64(a.live)
+		s.ArenaLiveBytes += int64(align8(a.plen) + a.live)
+		prefixBytes += a.plen
+		saved -= align8(a.plen)
+		refs = sortedItems(l, refs[:0])
+		for _, r := range refs {
+			n := len(a.sfx(r))
+			saved += align8(a.plen+n) - align8(n)
+		}
 	}
 	t := w.cur.Load()
 	t.forEach(func(n *metaNode) {
@@ -44,6 +60,10 @@ func (w *Wormhole) Stats() Stats {
 	s.MaxAnchorLen = t.maxLen
 	if s.Leaves > 0 {
 		s.AvgAnchorLen = float64(anchorBytes) / float64(s.Leaves)
+		s.AvgPrefixLen = float64(prefixBytes) / float64(s.Leaves)
+	}
+	if s.Keys > 0 {
+		s.PrefixSavedPerKey = float64(saved) / float64(s.Keys)
 	}
 	s.MetaBuckets = len(t.buckets)
 	return s

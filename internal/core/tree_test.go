@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"github.com/repro/wormhole/internal/keyset"
 )
 
 func opts(concurrent bool) Options {
@@ -581,7 +583,7 @@ func TestStatsAndFootprint(t *testing.T) {
 	}
 	// The analytic footprint must track the measured live heap of the heap
 	// budget's load to within 25%.
-	big, heap := loadAz1Heap(t, heapBudgetKeys)
+	big, heap := loadHeap(t, keyset.GenAz1(heapBudgetKeys, 42))
 	fpKey, heapKey := float64(big.Footprint())/heapBudgetKeys, heap/heapBudgetKeys
 	t.Logf("Footprint %.1f B/key, live heap %.1f B/key", fpKey, heapKey)
 	if r := fpKey / heapKey; r < 0.75 || r > 1.25 {

@@ -25,7 +25,9 @@ type Index interface {
 type Ordered interface {
 	Index
 	// Scan visits keys >= start ascending until fn returns false. A nil
-	// start scans from the smallest key.
+	// start scans from the smallest key. The key fn receives is valid
+	// only until fn returns (Wormhole assembles it in a reused buffer);
+	// a caller that keeps it copies it. The value stays valid.
 	Scan(start []byte, fn func(key, val []byte) bool)
 }
 
@@ -75,9 +77,11 @@ type ReadHandle interface {
 // connection's handle when it supports this.
 type ScanHandle interface {
 	ReadHandle
-	// Scan visits keys >= start ascending until fn returns false.
+	// Scan visits keys >= start ascending until fn returns false. As
+	// with Ordered.Scan, a key is valid only until fn returns.
 	Scan(start []byte, fn func(key, val []byte) bool)
-	// ScanDesc visits keys <= start descending until fn returns false.
+	// ScanDesc visits keys <= start descending until fn returns false,
+	// under the same key lifetime.
 	ScanDesc(start []byte, fn func(key, val []byte) bool)
 }
 

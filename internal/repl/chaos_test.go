@@ -488,6 +488,13 @@ func TestChaosPartitionAutoPromote(t *testing.T) {
 	if _, ok := f2.Store().Get(splitKey); ok {
 		t.Fatal("partition-window write survived the rejoin")
 	}
+	// The epoch moves when the resync adopts the leader's lineage, just
+	// after the last shard's correction that convergence already shows.
+	select {
+	case <-f2.adopted:
+	case <-time.After(15 * time.Second):
+		t.Fatal("rejoined node never adopted the leader's lineage")
+	}
 	if e := f2.Store().Epoch(); e != 2 {
 		t.Fatalf("rejoined node epoch %d, want 2", e)
 	}

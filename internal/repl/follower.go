@@ -93,6 +93,13 @@ type Follower struct {
 	connEpoch uint64        // leader epoch of the live connection
 	resync    *resyncTarget // full-resync in progress (history mismatch)
 
+	// adopted is closed once the store first runs the leader's lineage:
+	// at a handshake whose history already matches (or that created the
+	// store), or when a lineage resync's AdoptHistory has returned. Scan
+	// convergence alone can be seen a moment before that adoption.
+	adopted   chan struct{}
+	adoptOnce sync.Once
+
 	recordsApplied   atomic.Int64
 	snapshotsApplied atomic.Int64
 	connected        atomic.Bool
@@ -149,7 +156,7 @@ type snapState struct {
 // incompatible at start.
 func Start(o Options) (*Follower, error) {
 	o.normalize()
-	f := &Follower{o: o, stop: make(chan struct{})}
+	f := &Follower{o: o, stop: make(chan struct{}), adopted: make(chan struct{})}
 
 	// A durable follower that has run before recovers its store (the
 	// MANIFEST pins the partitioning) and its applied positions first, so
@@ -325,6 +332,8 @@ func (f *Follower) handshake() (net.Conn, *bufio.Reader, error) {
 		f.resync = &resyncTarget{epoch: leaderEpoch, hist: leaderHist, pending: pending}
 		f.logf("repl: leader %s lineage differs (epoch %d vs %d): full snapshot resync",
 			f.o.Leader, leaderEpoch, ownEpoch)
+	} else {
+		f.markAdopted()
 	}
 	f.mu.Unlock()
 	f.lastContact.Store(time.Now().UnixNano())
@@ -710,6 +719,7 @@ func (f *Follower) snapEnd(body []byte) error {
 				f.logf("repl: persisting adopted epoch %d: %v", rt.epoch, err)
 			} else {
 				f.logf("repl: adopted leader lineage at epoch %d", rt.epoch)
+				f.markAdopted()
 			}
 			return nil
 		}
@@ -717,6 +727,10 @@ func (f *Follower) snapEnd(body []byte) error {
 	f.mu.Unlock()
 	return nil
 }
+
+// markAdopted records that the store runs the leader's lineage (see
+// Follower.adopted).
+func (f *Follower) markAdopted() { f.adoptOnce.Do(func() { close(f.adopted) }) }
 
 // maybeAck reports applied positions upstream, rate-limited to
 // AckInterval (or immediately when force).

@@ -15,6 +15,7 @@
 package shard
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -231,13 +232,14 @@ func (s *Store) ScanDesc(start []byte, fn func(key, val []byte) bool) {
 	}
 }
 
-// RangeAsc collects up to limit pairs with key >= start, ascending.
+// RangeAsc collects up to limit pairs with key >= start, ascending. The
+// keys are copies.
 func (s *Store) RangeAsc(start []byte, limit int) (keys, vals [][]byte) {
 	return collectRange(limit, start, s.Scan)
 }
 
 // RangeDesc collects up to limit pairs with key <= start, descending (nil
-// start: from the largest key).
+// start: from the largest key). The keys are copies.
 func (s *Store) RangeDesc(start []byte, limit int) (keys, vals [][]byte) {
 	return collectRange(limit, start, s.ScanDesc)
 }
@@ -249,7 +251,7 @@ func collectRange(limit int, start []byte, scan func([]byte, func(k, v []byte) b
 	keys = make([][]byte, 0, limit)
 	vals = make([][]byte, 0, limit)
 	scan(start, func(k, v []byte) bool {
-		keys = append(keys, k)
+		keys = append(keys, bytes.Clone(k)) // a scan key lives only until fn returns
 		vals = append(vals, v)
 		return len(keys) < limit
 	})

@@ -26,7 +26,12 @@
 // reuse its buffers at once. Values returned by Get and the
 // slices passed to Scan callbacks are owned by the index and must not be
 // mutated; their capacity is clipped to their length, so an append to one
-// copies instead of overwriting a neighbouring item.
+// copies instead of overwriting a neighbouring item. A value stays valid
+// for good. A key passed to a Scan callback is valid only until the
+// callback returns, and an Iterator's Key until the next Next: leaves
+// store each key after a shared prefix, and scans assemble keys into
+// reused buffers. Copy a key to keep it; RangeAsc, RangeDesc, Min and Max
+// return copies.
 package wormhole
 
 import (
@@ -116,13 +121,15 @@ func (ix *Index) Count() int64 { return ix.t.Count() }
 
 // Scan visits keys >= start in ascending order until fn returns false.
 // A nil start scans from the smallest key. fn runs without internal locks
-// held, so it may call back into the index.
+// held, so it may call back into the index. The key fn receives is valid
+// until fn returns; copy it to keep it. The value stays valid.
 func (ix *Index) Scan(start []byte, fn func(key, val []byte) bool) {
 	ix.t.Scan(start, fn)
 }
 
 // ScanDesc visits keys <= start in descending order until fn returns
-// false. A nil start scans from the largest key.
+// false. A nil start scans from the largest key. Keys and values follow
+// Scan's lifetime rules.
 func (ix *Index) ScanDesc(start []byte, fn func(key, val []byte) bool) {
 	ix.t.ScanDesc(start, fn)
 }
@@ -139,10 +146,10 @@ func (ix *Index) RangeDesc(start []byte, limit int) (keys, vals [][]byte) {
 	return ix.t.RangeDesc(start, limit)
 }
 
-// Min returns the smallest key and its value.
+// Min returns (a copy of) the smallest key and its value.
 func (ix *Index) Min() (key, val []byte, ok bool) { return ix.t.Min() }
 
-// Max returns the largest key and its value.
+// Max returns (a copy of) the largest key and its value.
 func (ix *Index) Max() (key, val []byte, ok bool) { return ix.t.Max() }
 
 // Iter returns a pull-style iterator positioned before the first key >=
@@ -210,7 +217,8 @@ type Iterator struct {
 // Next advances the iterator, reporting whether a pair is available.
 func (i *Iterator) Next() bool { return i.it.Next() }
 
-// Key returns the current key; valid after Next reports true.
+// Key returns the current key; valid after Next reports true, until the
+// next call to Next. Copy it to keep it.
 func (i *Iterator) Key() []byte { return i.it.Key() }
 
 // Value returns the current value; valid after Next reports true.
