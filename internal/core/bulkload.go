@@ -199,7 +199,8 @@ func buildMetaTable(leaves []*leafNode) *metaTable {
 			prf := stored[:pl]
 			node := t.get(hashKey(prf), prf, true)
 			if node == nil {
-				node = &metaNode{key: cloneBytes(prf), leftmost: l}
+				// Shares the anchor's bytes, as in applySplit.
+				node = &metaNode{key: stored[:pl:pl], leftmost: l}
 				t.set(node)
 			}
 			node.setBit(stored[pl])

@@ -38,7 +38,7 @@ func TestLayout(t *testing.T) {
 const (
 	heapBudgetKeys = 200_000
 	heapBudgetAz1  = 118
-	heapBudgetURL  = 160
+	heapBudgetURL  = 148
 )
 
 // loadHeap builds a default index from keys (a cloned key and a fresh

@@ -250,7 +250,10 @@ func applySplit(t *metaTable, l, newL, oldRight *leafNode, p *splitPlan) {
 		prf := s[:pl]
 		node := t.get(hashKey(prf), prf, true)
 		if node == nil {
-			node = &metaNode{key: cloneBytes(prf)}
+			// The item shares the anchor's bytes: stored anchors are never
+			// written after the plan clones them, and the clipped capacity
+			// keeps an append from writing through.
+			node = &metaNode{key: s[:pl:pl]}
 			// A brand-new internal node's subtree holds newL, plus l when
 			// the prefix lies on the conversion chain (the re-keyed anchor
 			// runs through it; past len(conv.to) it has diverged).

@@ -199,29 +199,29 @@ func TestScanZeroAllocs(t *testing.T) {
 		cnt++
 		return cnt < 200
 	}
-	if n := testing.AllocsPerRun(200, func() {
+	if n := mallocs(200, func() {
 		cnt = 0
 		w.Scan(keys[5000], fn)
-	}); n != 0 {
-		t.Errorf("Scan: %v allocs per 200-key scan, want 0", n)
+	}); n > poolAllocs(200) {
+		t.Errorf("Scan: %d allocs over 200 scans of 200 keys, want <= %d", n, poolAllocs(200))
 	}
-	if n := testing.AllocsPerRun(200, func() {
+	if n := mallocs(200, func() {
 		cnt = 0
 		w.ScanDesc(keys[5000], fn)
-	}); n != 0 {
-		t.Errorf("ScanDesc: %v allocs per 200-key scan, want 0", n)
+	}); n > poolAllocs(200) {
+		t.Errorf("ScanDesc: %d allocs over 200 scans of 200 keys, want <= %d", n, poolAllocs(200))
 	}
 	rd := w.NewReader()
 	defer rd.Close()
-	if n := testing.AllocsPerRun(200, func() {
+	if n := mallocs(200, func() {
 		cnt = 0
 		rd.Scan(keys[5000], fn)
-	}); n != 0 {
-		t.Errorf("Reader.Scan: %v allocs per 200-key scan, want 0", n)
+	}); n > poolAllocs(200) {
+		t.Errorf("Reader.Scan: %d allocs over 200 scans of 200 keys, want <= %d", n, poolAllocs(200))
 	}
 	it := w.NewIter(nil)
 	defer it.Close()
-	if n := testing.AllocsPerRun(100, func() {
+	if n := mallocs(100, func() {
 		for j := 0; j < 100; j++ {
 			if !it.Next() {
 				t.Fatal("iterator ran dry mid-measurement")
@@ -230,7 +230,7 @@ func TestScanZeroAllocs(t *testing.T) {
 			_ = it.Value()
 		}
 	}); n != 0 {
-		t.Errorf("Iter.Next: %v allocs per 100 pulls, want 0", n)
+		t.Errorf("Iter.Next: %d allocs over 100 runs of 100 pulls, want 0", n)
 	}
 }
 

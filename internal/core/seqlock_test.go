@@ -124,20 +124,20 @@ func TestGetZeroAllocs(t *testing.T) {
 	}
 	miss := []byte("az-miss-000000000")
 	i := 0
-	if n := testing.AllocsPerRun(2000, func() {
+	if n := mallocs(2000, func() {
 		w.Get(keys[(i*2654435761)%len(keys)])
 		w.Get(miss)
 		i++
 	}); n != 0 {
-		t.Errorf("Get: %v allocs/op, want 0", n)
+		t.Errorf("Get: %d allocs over 2000 runs, want 0", n)
 	}
 	r := w.NewReader()
 	defer r.Close()
 	i = 0
-	if n := testing.AllocsPerRun(2000, func() {
+	if n := mallocs(2000, func() {
 		r.Get(keys[(i*2654435761)%len(keys)])
 		i++
 	}); n != 0 {
-		t.Errorf("Reader.Get: %v allocs/op, want 0", n)
+		t.Errorf("Reader.Get: %d allocs over 2000 runs, want 0", n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -158,6 +159,7 @@ func TestSuffixScanKeysLiveOneCall(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	var done atomic.Bool
+	var writes atomic.Int64
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -170,11 +172,17 @@ func TestSuffixScanKeysLiveOneCall(t *testing.T) {
 				} else {
 					w.Del(k)
 				}
+				writes.Add(1)
 			}
 		}(g)
 	}
 	stop := func() { done.Store(true); wg.Wait() }
 	defer stop()
+	// The scans below finish in a few milliseconds: on a loaded host they
+	// can all run before either writer is scheduled, so wait for churn.
+	for writes.Load() < 200 {
+		runtime.Gosched()
+	}
 	rd := w.NewReader()
 	defer rd.Close()
 	churned := 0 // churn keys seen, over all scans

@@ -90,6 +90,8 @@ type ScanHandle interface {
 // reader announcement for the whole batch and the memory-parallel
 // pipelined lookup. Slices are positional: vals[i], found[i] answer
 // keys[i], and the call must be equivalent to len(keys) sequential Gets.
+// The returned slices may be the handle's own scratch, valid until its
+// next GetBatch.
 // The netkv server routes runs of consecutive point reads through the
 // connection's or worker's handle when it supports this.
 type BatchHandle interface {

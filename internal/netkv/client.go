@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net"
 	"time"
@@ -26,10 +25,12 @@ type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
-	out  []byte
+	out  []byte // the batch's frame, built on newFrame
 	ops  []byte // op kind per queued request, needed to decode responses
 	n    int
 	err  error // sticky transport error; cleared by Redial
+	// resps is Flush's result, reused across batches.
+	resps []Response
 
 	// Timeout, when non-zero, bounds each Flush's network phases: the
 	// batch write and the response read each get a deadline this far
@@ -47,8 +48,8 @@ func Dial(addr string) (*Client, error) {
 	return &Client{
 		addr: addr,
 		conn: conn,
-		r:    bufio.NewReaderSize(conn, 1<<20),
-		w:    bufio.NewWriterSize(conn, 1<<20),
+		r:    bufio.NewReaderSize(conn, bufSize),
+		w:    bufio.NewWriterSize(conn, bufSize),
 	}, nil
 }
 
@@ -187,6 +188,9 @@ func (c *Client) QueueScanDesc(key []byte, limit int) {
 func (c *Client) Pending() int { return c.n }
 
 func (c *Client) queue(op byte, key, val []byte, limit uint32) {
+	if c.n == 0 {
+		c.out = newFrame(c.out)
+	}
 	c.out = append(c.out, op)
 	c.out = binary.LittleEndian.AppendUint32(c.out, uint32(len(key)))
 	c.out = append(c.out, key...)
@@ -201,10 +205,12 @@ func (c *Client) queue(op byte, key, val []byte, limit uint32) {
 }
 
 // Flush sends the batch and reads all responses, in request order. The
-// returned slices alias an internal buffer valid until the next Flush.
-// After a transport error the client is broken until Redial: the error
-// (with its underlying cause) repeats on every call rather than decaying
-// into short-read noise on a half-consumed stream.
+// responses are decoded in place: the returned slice and every Val, Keys
+// and Vals in it alias the client's buffers, valid until the next Flush
+// (or Redial). Copy what must outlive that. After a transport error the
+// client is broken until Redial: the error (with its underlying cause)
+// repeats on every call rather than decaying into short-read noise on a
+// half-consumed stream.
 func (c *Client) Flush() ([]Response, error) {
 	if c.err != nil {
 		return nil, c.err
@@ -218,11 +224,11 @@ func (c *Client) Flush() ([]Response, error) {
 	if err := writeFrame(c.w, c.n, c.out); err != nil {
 		return nil, c.fail(err)
 	}
-	ops := append([]byte{}, c.ops...)
-	c.out = c.out[:0]
+	rs, err := c.readResponses()
+	c.out = keep(c.out)
 	c.ops = c.ops[:0]
 	c.n = 0
-	return c.readResponses(ops)
+	return rs, err
 }
 
 // FlushRetry sends the batch like Flush but, when every queued operation
@@ -266,28 +272,21 @@ func (c *Client) FlushRetry(maxWait time.Duration) ([]Response, error) {
 	}
 }
 
-func (c *Client) readResponses(ops []byte) ([]Response, error) {
+// readResponses reads and decodes the response frame for the queued ops
+// into c.resps, in place (see readFrame).
+func (c *Client) readResponses() ([]Response, error) {
 	if c.Timeout > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(c.Timeout))
 	}
-	var hdr [6]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
+	got, body, err := readFrame(c.r)
+	if err != nil {
 		return nil, c.fail(err)
 	}
-	frameLen := binary.LittleEndian.Uint32(hdr[:4])
-	got := int(binary.LittleEndian.Uint16(hdr[4:]))
-	if got != len(ops) {
-		return nil, c.fail(fmt.Errorf("netkv: response count %d != %d", got, len(ops)))
+	if got != len(c.ops) {
+		return nil, c.fail(fmt.Errorf("netkv: response count %d != %d", got, len(c.ops)))
 	}
-	if frameLen < 2 || frameLen > maxFrame {
-		return nil, c.fail(errors.New("netkv: bad response frame"))
-	}
-	body := make([]byte, frameLen-2)
-	if _, err := io.ReadFull(c.r, body); err != nil {
-		return nil, c.fail(err)
-	}
-	resps := make([]Response, 0, len(ops))
-	for _, op := range ops {
+	resps := keep(c.resps)
+	for _, op := range c.ops {
 		if len(body) < 1 {
 			return nil, c.fail(errors.New("netkv: truncated response"))
 		}
@@ -333,5 +332,6 @@ func (c *Client) readResponses(ops []byte) ([]Response, error) {
 		}
 		resps = append(resps, rp)
 	}
+	c.resps = resps
 	return resps, nil
 }

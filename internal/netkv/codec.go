@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"unsafe"
 )
 
 // Op codes.
@@ -87,36 +88,75 @@ type Response struct {
 	Keys, Vals [][]byte
 }
 
-// writeFrame frames body as a batch of n requests or responses and sends
-// it.
-func writeFrame(w *bufio.Writer, n int, body []byte) error {
-	var hdr [6]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)+2))
-	binary.LittleEndian.PutUint16(hdr[4:], uint16(n))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(body); err != nil {
+// bufSize sizes both ends' connection readers and writers. A DefaultBatch
+// of 77-byte Sets (61.6 KB) still arrives in one read; bufio passes larger
+// frames through as direct reads and writes.
+const bufSize = 64 << 10
+
+// hdrLen is a frame header's length: the u32 frame length (which counts
+// the u16 after it) and the u16 request or response count.
+const hdrLen = 6
+
+var errBadFrame = errors.New("netkv: bad frame length")
+
+// newFrame returns buf emptied down to a reserved header, ready for a
+// body to be appended and the frame sent with writeFrame.
+func newFrame(buf []byte) []byte { return append(buf[:0], make([]byte, hdrLen)...) }
+
+// writeFrame sends frame (built on newFrame) as a batch of n requests or
+// responses: it fills in the header and sends header and body in one
+// write.
+func writeFrame(w *bufio.Writer, n int, frame []byte) error {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	binary.LittleEndian.PutUint16(frame[4:], uint16(n))
+	if _, err := w.Write(frame); err != nil {
 		return err
 	}
 	return w.Flush()
 }
 
-func readRequests(r *bufio.Reader, reqs []Request) ([]Request, error) {
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// readFrame reads one frame and returns its count and body. A frame that
+// fits r's buffer is decoded in place: the body is a view into that
+// buffer, valid until r's next read. A larger frame is read into a one-off
+// slice.
+func readFrame(r *bufio.Reader) (count int, body []byte, err error) {
+	hdr, err := r.Peek(hdrLen)
+	if err != nil {
+		return 0, nil, err
 	}
-	frameLen := binary.LittleEndian.Uint32(hdr[:4])
-	count := binary.LittleEndian.Uint16(hdr[4:])
+	frameLen := binary.LittleEndian.Uint32(hdr)
+	count = int(binary.LittleEndian.Uint16(hdr[4:]))
 	if frameLen < 2 || frameLen > maxFrame {
-		return nil, errors.New("netkv: bad frame length")
+		return 0, nil, errBadFrame
 	}
-	body := make([]byte, frameLen-2)
+	n := int(frameLen) + 4
+	if n <= r.Size() {
+		frame, err := r.Peek(n)
+		if err != nil {
+			return 0, nil, err
+		}
+		r.Discard(n)
+		return count, frame[hdrLen:], nil
+	}
+	r.Discard(hdrLen)
+	body = make([]byte, n-hdrLen)
 	if _, err := io.ReadFull(r, body); err != nil {
+		return 0, nil, err
+	}
+	return count, body, nil
+}
+
+// readRequests decodes one request frame, appending to reqs. Keys and
+// values are views into the frame (see readFrame), so they are valid until
+// the next read on r: the server reads a connection's next batch only
+// after the current one's reply is written, and anything that keeps a
+// request's bytes longer copies them.
+func readRequests(r *bufio.Reader, reqs []Request) ([]Request, error) {
+	count, body, err := readFrame(r)
+	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < int(count); i++ {
+	for i := 0; i < count; i++ {
 		var rq Request
 		if len(body) < 5 {
 			return nil, errors.New("netkv: truncated op")
@@ -145,4 +185,21 @@ func readRequests(r *bufio.Reader, reqs []Request) ([]Request, error) {
 		reqs = append(reqs, rq)
 	}
 	return reqs, nil
+}
+
+// maxKept caps the bytes any one scratch buffer a connection reuses
+// across batches may keep: a larger batch's buffer is dropped after use,
+// so one big batch cannot pin memory for the life of its connection.
+const maxKept = 64 << 10
+
+// keep readies s for reuse by the next batch: emptied, with its used
+// elements cleared so they pin nothing, or nil when it has grown past
+// maxKept.
+func keep[T any](s []T) []T {
+	var zero T
+	if uintptr(cap(s))*unsafe.Sizeof(zero) > maxKept {
+		return nil
+	}
+	clear(s)
+	return s[:0]
 }

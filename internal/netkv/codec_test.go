@@ -62,17 +62,19 @@ func scriptOps(c *Client, data []byte) []Request {
 	return want
 }
 
-// FuzzReadRequests checks the frame decoder two ways. Arbitrary bytes must
-// never panic it. And the same bytes, read as a script of client
-// operations, must survive a round trip: the frame the Client encoder
-// builds decodes to the same ops, keys, values and limits.
+// FuzzReadRequests checks the frame decoder three ways. Arbitrary bytes
+// must never panic it. Every frame must decode the same through a reader
+// that holds it whole (decoded in place) and through a 16-byte reader
+// (read into a one-off slice). And the same bytes, read as a script of
+// client operations, must survive a round trip: the frame the Client
+// encoder builds decodes to the same ops, keys, values and limits.
 func FuzzReadRequests(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 'k', 'e', 'y', 1, 2, 'k', 'v', 3, 4, 5, 0, 6, 0, 7, 8, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{9, 0, 0, 0, 1, 0, OpGet, 0xff, 0xff, 0xff, 0xff, 1, 2, 3}) // hostile key length
 	f.Add([]byte{7, 0, 0, 0, 2, 0, OpScan, 0, 0, 0, 0, 0xff, 0xff})         // count past the body
 	f.Fuzz(func(t *testing.T, data []byte) {
-		readRequests(bufio.NewReader(bytes.NewReader(data)), nil)
+		decodeBoth(t, data)
 
 		c := &Client{}
 		want := scriptOps(c, data)
@@ -83,7 +85,7 @@ func FuzzReadRequests(f *testing.F) {
 		if err := writeFrame(bufio.NewWriter(&frame), c.Pending(), c.out); err != nil {
 			t.Fatal(err)
 		}
-		got, err := readRequests(bufio.NewReader(&frame), nil)
+		got, err := decodeBoth(t, frame.Bytes())
 		if err != nil {
 			t.Fatalf("client frame of %d ops does not decode: %v", len(want), err)
 		}
@@ -97,4 +99,26 @@ func FuzzReadRequests(f *testing.F) {
 			}
 		}
 	})
+}
+
+// decodeBoth decodes one frame from data through a bufSize reader and
+// through a 16-byte one, fails t unless both give the same requests or
+// both fail, and returns the first decode.
+func decodeBoth(t *testing.T, data []byte) ([]Request, error) {
+	t.Helper()
+	got, err := readRequests(bufio.NewReaderSize(bytes.NewReader(data), bufSize), nil)
+	small, serr := readRequests(bufio.NewReaderSize(bytes.NewReader(data), 16), nil)
+	if (err == nil) != (serr == nil) {
+		t.Fatalf("in-place decode error %v, one-off decode error %v", err, serr)
+	}
+	if len(got) != len(small) {
+		t.Fatalf("in-place decode gave %d requests, one-off %d", len(got), len(small))
+	}
+	for i := range got {
+		g, s := got[i], small[i]
+		if g.Op != s.Op || !bytes.Equal(g.Key, s.Key) || !bytes.Equal(g.Val, s.Val) || g.Limit != s.Limit {
+			t.Fatalf("request %d: in place %+v, one-off %+v", i, g, s)
+		}
+	}
+	return got, err
 }

@@ -11,11 +11,13 @@ package netkv
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -184,17 +186,33 @@ type Server struct {
 	mx    *ServerMetrics
 	start time.Time
 
-	workers  []chan func(index.ReadHandle) // one job channel per shard
+	workers  []chan func(*pinned) // one job channel per shard
 	workerWG sync.WaitGroup
 }
 
-// newReadHandle returns a pinned read handle for one goroutine's
-// lifetime, or nil when the index has no amortized read path.
-func (s *Server) newReadHandle() index.ReadHandle {
+// pinned is one goroutine's pinned read handle and the optional faces of
+// it the point path uses, resolved once for the goroutine's lifetime.
+type pinned struct {
+	h  index.ReadHandle  // nil when the index has no amortized read path
+	bh index.BatchHandle // batched Gets; nil unless the index is sharded
+	dw index.WriteHandle // writes without their durability wait; nil unless the index commits
+}
+
+// newPinned claims a pinned read handle for one goroutine's lifetime;
+// the caller closes a non-nil h.
+func (s *Server) newPinned() *pinned {
+	p := &pinned{}
 	if s.rp == nil {
-		return nil
+		return p
 	}
-	return s.rp.NewReadHandle()
+	p.h = s.rp.NewReadHandle()
+	if s.bx != nil {
+		p.bh, _ = p.h.(index.BatchHandle)
+	}
+	if s.cm != nil {
+		p.dw, _ = p.h.(index.WriteHandle)
+	}
+	return p
 }
 
 // Serve starts a plain server on addr (e.g. "127.0.0.1:0") and returns
@@ -233,16 +251,16 @@ func ServeOpts(addr string, ix index.Index, opt ServerOptions) (*Server, error) 
 	if bx, ok := ix.(index.Batcher); ok {
 		s.bx = bx
 		s.cm, _ = ix.(index.Committer)
-		s.workers = make([]chan func(index.ReadHandle), bx.NumShards())
+		s.workers = make([]chan func(*pinned), bx.NumShards())
 		for i := range s.workers {
-			ch := make(chan func(index.ReadHandle), 16)
+			ch := make(chan func(*pinned), 16)
 			s.workers[i] = ch
 			s.workerWG.Add(1)
 			go func() {
 				defer s.workerWG.Done()
-				h := s.newReadHandle() // the worker's own pinned reader
-				if h != nil {
-					defer h.Close()
+				p := s.newPinned() // the worker's own pinned reader
+				if p.h != nil {
+					defer p.h.Close()
 				}
 				for job := range ch {
 					// A panicking job must not take the worker (and with it
@@ -250,7 +268,7 @@ func ServeOpts(addr string, ix index.Index, opt ServerOptions) (*Server, error) 
 					// StatusErr and the pool keeps serving.
 					func() {
 						defer func() { recover() }()
-						job(h)
+						job(p)
 					}()
 				}
 			}()
@@ -311,18 +329,20 @@ func (s *Server) handle(conn net.Conn) {
 		s.mx.conns.Inc()
 		defer s.mx.conns.Dec()
 	}
-	r := bufio.NewReaderSize(conn, 1<<20)
-	w := bufio.NewWriterSize(conn, 1<<20)
-	h := s.newReadHandle() // one pinned reader per connection
-	if h != nil {
-		defer h.Close()
+	r := bufio.NewReaderSize(conn, bufSize)
+	w := bufio.NewWriterSize(conn, bufSize)
+	p := s.newPinned() // one pinned reader per connection
+	if p.h != nil {
+		defer p.h.Close()
 	}
-	scratch := make([]Request, 0, DefaultBatch)
+	b := s.newBatch(p)
 	for {
 		if s.opt.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opt.ReadTimeout))
 		}
-		reqs, err := readRequests(r, scratch[:0])
+		// The requests are views into r's buffer, valid until the next
+		// read on r: this batch's reply is written before that.
+		reqs, err := readRequests(r, b.reqs)
 		if err != nil {
 			return // EOF, deadline or protocol error: drop the connection
 		}
@@ -331,9 +351,10 @@ func (s *Server) handle(conn net.Conn) {
 				s.mx.record(OpSubscribe, StatusNotFound, nil, 0)
 				// Not a replication leader: a regular one-response frame
 				// says so and the connection stays usable.
-				if writeFrame(w, 1, []byte{StatusNotFound}) != nil {
+				if writeFrame(w, 1, append(newFrame(b.reply), StatusNotFound)) != nil {
 					return
 				}
+				b.reqs = keep(reqs)
 				continue
 			}
 			// The connection now belongs to the replication stream: long
@@ -344,7 +365,9 @@ func (s *Server) handle(conn net.Conn) {
 			if s.mx != nil {
 				s.mx.subscribers.Inc()
 			}
-			s.opt.Subscribe(conn, r, w, reqs[0].Key)
+			// The stream reads r, which overwrites the request's bytes, so
+			// the hook gets its own copy of the payload.
+			s.opt.Subscribe(conn, r, w, bytes.Clone(reqs[0].Key))
 			if s.mx != nil {
 				s.mx.subscribers.Dec()
 			}
@@ -372,7 +395,7 @@ func (s *Server) handle(conn net.Conn) {
 			t0 = time.Now()
 			s.mx.inflight.Inc()
 		}
-		body, perr := s.execute(reqs, h)
+		frame, perr := b.execute(reqs)
 		// Count the batch before any byte of its reply leaves: a client
 		// that scrapes right after its reply must already see it.
 		if s.mx != nil {
@@ -385,7 +408,7 @@ func (s *Server) handle(conn net.Conn) {
 			if s.opt.WriteTimeout > 0 {
 				conn.SetWriteDeadline(time.Now().Add(s.opt.WriteTimeout))
 			}
-			perr = writeFrame(w, len(reqs), body)
+			perr = writeFrame(w, len(reqs), frame)
 		}
 		if s.sem != nil {
 			<-s.sem
@@ -393,11 +416,57 @@ func (s *Server) handle(conn net.Conn) {
 		if perr != nil || s.cls.Load() {
 			return
 		}
-		scratch = reqs
+		b.reqs, b.reply = keep(reqs), keep(frame)
 	}
 }
 
-// execute runs one batch and returns its reply body. It is the only place
+// batch is one connection's execution state, created with the connection
+// and reused by every batch it sends, so that a warm point batch
+// allocates nothing. Between batches each buffer is readied with keep.
+type batch struct {
+	s *Server
+	p *pinned // the connection's pinned reader
+
+	reqs  []Request // the decoded requests
+	reply []byte    // the reply frame, built on newFrame
+	// tokens[sh] is shard sh's largest deferred-write token over the
+	// batch; nil when writes wait for themselves.
+	tokens []uint64
+
+	// The point run being executed, its results by position, and its
+	// per-shard groups (one group on an unsharded index).
+	run     []Request
+	results []result
+	groups  []group
+	wg      sync.WaitGroup // the run's groups out on shard workers
+}
+
+// group is one shard's part of a point run.
+type group struct {
+	idx []int // positions in the run, in batch order
+	// A pending stretch of consecutive Gets for one GetBatch: their keys
+	// and their positions in the run.
+	keys [][]byte
+	at   []int
+	// job runs this group on its shard's worker.
+	job func(*pinned)
+}
+
+func (s *Server) newBatch(p *pinned) *batch {
+	b := &batch{s: s, p: p, groups: make([]group, 1)}
+	if s.bx != nil {
+		b.groups = make([]group, s.bx.NumShards())
+		for sh := range b.groups {
+			b.groups[sh].job = func(p *pinned) { b.runOnWorker(sh, p) }
+		}
+		if p.dw != nil {
+			b.tokens = make([]uint64, len(b.groups))
+		}
+	}
+	return b
+}
+
+// execute runs one batch and returns its reply frame. It is the only place
 // that decides how a batch runs: one walk in batch order, where each
 // maximal run of point operations goes to runPoints and every other
 // operation runs inline through execOther. An unknown opcode returns an
@@ -411,18 +480,13 @@ func (s *Server) handle(conn net.Conn) {
 // runs off the shard workers, so other connections' groups keep applying
 // and their commits can share its fsync. Per-op latencies of deferred
 // writes exclude the commit wait (wal_commit_wait_seconds measures it).
-func (s *Server) execute(reqs []Request, h index.ReadHandle) ([]byte, error) {
-	// tokens[sh] is shard sh's largest deferred-write token; nil when
-	// writes wait for themselves.
-	var tokens []uint64
-	if _, ok := h.(index.WriteHandle); ok && s.cm != nil {
-		tokens = make([]uint64, s.bx.NumShards())
-	}
-	var body []byte
+func (b *batch) execute(reqs []Request) ([]byte, error) {
+	clear(b.tokens)
+	frame := newFrame(b.reply)
 	for i := 0; i < len(reqs); {
 		if !isPoint(reqs[i].Op) {
 			var err error
-			if body, err = s.execOther(&reqs[i], h, body); err != nil {
+			if frame, err = b.s.execOther(&reqs[i], b.p.h, frame); err != nil {
 				return nil, err
 			}
 			i++
@@ -432,13 +496,13 @@ func (s *Server) execute(reqs []Request, h index.ReadHandle) ([]byte, error) {
 		for j < len(reqs) && isPoint(reqs[j].Op) {
 			j++
 		}
-		body = s.runPoints(reqs[i:j], h, tokens, body)
+		frame = b.runPoints(reqs[i:j], frame)
 		i = j
 	}
-	if tokens != nil {
-		s.cm.Commit(tokens)
+	if b.tokens != nil {
+		b.s.cm.Commit(b.tokens)
 	}
-	return body, nil
+	return frame, nil
 }
 
 func isPoint(op byte) bool { return op == OpGet || op == OpSet || op == OpDel }
@@ -452,137 +516,146 @@ type result struct {
 }
 
 // runPoints executes a run of point operations and appends their replies
-// to body in request order. On a sharded index the run is grouped by
+// to frame in request order. On a sharded index the run is grouped by
 // owning shard, otherwise it is one group. A single active group runs
-// inline on the connection's handle h, so concurrent connections never
-// serialize behind one worker; several go to their shards' workers. On a
-// sharded index, consecutive Gets within a group go through one batched
-// lookup (Wormhole's memory-parallel pipeline), never across a Set or
-// Del, so each key's operations keep their program order.
-func (s *Server) runPoints(reqs []Request, h index.ReadHandle, tokens []uint64, body []byte) []byte {
-	groups := [][]int{nil}
-	if s.bx != nil {
-		groups = make([][]int, s.bx.NumShards())
-	}
+// inline on the connection's handle, so concurrent connections never
+// serialize behind one worker; several go to their shards' workers.
+func (b *batch) runPoints(reqs []Request, frame []byte) []byte {
+	s := b.s
+	b.run = reqs
+	b.results = slices.Grow(b.results, len(reqs))[:len(reqs)]
 	active := 0
 	for i := range reqs {
 		g := 0
 		if s.bx != nil {
 			g = s.bx.ShardOf(reqs[i].Key)
 		}
-		if len(groups[g]) == 0 {
+		if len(b.groups[g].idx) == 0 {
 			active++
 		}
-		groups[g] = append(groups[g], i)
-	}
-	results := make([]result, len(reqs))
-	runGroup := func(sh int, g []int, h index.ReadHandle) {
-		var bh index.BatchHandle
-		if s.bx != nil {
-			bh, _ = h.(index.BatchHandle)
-		}
-		var dw index.WriteHandle
-		if tokens != nil {
-			dw, _ = h.(index.WriteHandle)
-		}
-		var keys [][]byte
-		var run []int
-		flush := func() {
-			if len(run) == 0 {
-				return
-			}
-			var t0 time.Time
-			if s.mx != nil {
-				t0 = time.Now()
-			}
-			vals, found := bh.GetBatch(keys)
-			// The run executes as one memory-parallel pipeline, so
-			// per-operation latency is the run's wall time divided evenly —
-			// the fair per-op cost of a batched lookup.
-			var per time.Duration
-			if s.mx != nil {
-				per = time.Since(t0) / time.Duration(len(run))
-			}
-			for j, i := range run {
-				st, v := StatusNotFound, []byte(nil)
-				if found[j] {
-					st, v = StatusOK, vals[j]
-				}
-				results[i] = result{status: st, val: v, hasVal: true}
-				s.mx.record(OpGet, st, keys[j], per)
-			}
-			keys, run = keys[:0], run[:0]
-		}
-		for _, i := range g {
-			if bh != nil && reqs[i].Op == OpGet {
-				keys = append(keys, reqs[i].Key)
-				run = append(run, i)
-				continue
-			}
-			flush()
-			var t0 time.Time
-			if s.mx != nil {
-				t0 = time.Now()
-			}
-			st, v, hasVal, t := s.execPoint(&reqs[i], h, dw)
-			if s.mx != nil {
-				s.mx.record(reqs[i].Op, st, reqs[i].Key, time.Since(t0))
-			}
-			results[i] = result{status: st, val: v, hasVal: hasVal}
-			if t != 0 { // only a deferred write has a token
-				tokens[sh] = max(tokens[sh], t)
-			}
-		}
-		flush()
+		b.groups[g].idx = append(b.groups[g].idx, i)
 	}
 	if active == 1 {
-		for sh, g := range groups {
-			if len(g) > 0 {
-				runGroup(sh, g, h)
+		for sh := range b.groups {
+			if len(b.groups[sh].idx) > 0 {
+				b.runGroup(sh, b.p)
 			}
 		}
 	} else {
-		var wg sync.WaitGroup
-		for sh, g := range groups {
-			if len(g) == 0 {
-				continue
-			}
-			wg.Add(1)
-			s.workers[sh] <- func(h index.ReadHandle) {
-				defer wg.Done()
-				// A panicking group answers StatusErr (with an empty value
-				// section where the wire format demands one, so the frame
-				// stays decodable) instead of poisoning the worker.
-				defer func() {
-					if recover() != nil {
-						for _, i := range g {
-							results[i] = result{status: StatusErr, hasVal: reqs[i].Op == OpGet}
-							// No honest duration for a panicked group: count
-							// the outcome, skip the histogram.
-							s.mx.record(reqs[i].Op, StatusErr, reqs[i].Key, 0)
-						}
-					}
-				}()
-				runGroup(sh, g, h)
+		for sh := range b.groups {
+			if len(b.groups[sh].idx) > 0 {
+				b.wg.Add(1)
+				s.workers[sh] <- b.groups[sh].job
 			}
 		}
-		wg.Wait()
+		b.wg.Wait()
 	}
-	for _, rs := range results {
-		body = append(body, rs.status)
+	for _, rs := range b.results {
+		frame = append(frame, rs.status)
 		if rs.hasVal {
-			body = binary.LittleEndian.AppendUint32(body, uint32(len(rs.val)))
-			body = append(body, rs.val...)
+			frame = binary.LittleEndian.AppendUint32(frame, uint32(len(rs.val)))
+			frame = append(frame, rs.val...)
 		}
 	}
-	return body
+	b.results = keep(b.results)
+	for sh := range b.groups {
+		b.groups[sh].idx = keep(b.groups[sh].idx)
+	}
+	return frame
+}
+
+// runOnWorker runs group sh on its shard's worker, through the worker's
+// handle p. A panicking group answers StatusErr (with an empty value
+// section where the wire format demands one, so the frame stays
+// decodable) instead of poisoning the worker.
+func (b *batch) runOnWorker(sh int, p *pinned) {
+	defer b.wg.Done()
+	defer func() {
+		if recover() != nil {
+			g := &b.groups[sh]
+			g.keys, g.at = keep(g.keys), keep(g.at)
+			for _, i := range g.idx {
+				rq := &b.run[i]
+				b.results[i] = result{status: StatusErr, hasVal: rq.Op == OpGet}
+				// No honest duration for a panicked group: count the
+				// outcome, skip the histogram.
+				b.s.mx.record(rq.Op, StatusErr, rq.Key, 0)
+			}
+		}
+	}()
+	b.runGroup(sh, p)
+}
+
+// runGroup executes group sh of the current run through handle p. On a
+// sharded index, consecutive Gets go through one batched lookup
+// (Wormhole's memory-parallel pipeline), never across a Set or Del, so
+// each key's operations keep their program order.
+func (b *batch) runGroup(sh int, p *pinned) {
+	s := b.s
+	g := &b.groups[sh]
+	var dw index.WriteHandle
+	if b.tokens != nil {
+		dw = p.dw
+	}
+	for _, i := range g.idx {
+		rq := &b.run[i]
+		if p.bh != nil && rq.Op == OpGet {
+			g.keys = append(g.keys, rq.Key)
+			g.at = append(g.at, i)
+			continue
+		}
+		b.getBatch(g, p.bh)
+		var t0 time.Time
+		if s.mx != nil {
+			t0 = time.Now()
+		}
+		st, v, hasVal, t := s.execPoint(rq, p.h, dw)
+		if s.mx != nil {
+			s.mx.record(rq.Op, st, rq.Key, time.Since(t0))
+		}
+		b.results[i] = result{status: st, val: v, hasVal: hasVal}
+		if t != 0 { // only a deferred write has a token
+			b.tokens[sh] = max(b.tokens[sh], t)
+		}
+	}
+	b.getBatch(g, p.bh)
+}
+
+// getBatch answers g's pending Gets with one GetBatch on bh.
+func (b *batch) getBatch(g *group, bh index.BatchHandle) {
+	if len(g.at) == 0 {
+		return
+	}
+	mx := b.s.mx
+	var t0 time.Time
+	if mx != nil {
+		t0 = time.Now()
+	}
+	vals, found := bh.GetBatch(g.keys)
+	// The stretch executes as one memory-parallel pipeline, so per-
+	// operation latency is its wall time divided evenly — the fair per-op
+	// cost of a batched lookup.
+	var per time.Duration
+	if mx != nil {
+		per = time.Since(t0) / time.Duration(len(g.at))
+	}
+	for j, i := range g.at {
+		st, v := StatusNotFound, []byte(nil)
+		if found[j] {
+			st, v = StatusOK, vals[j]
+		}
+		b.results[i] = result{status: st, val: v, hasVal: true}
+		mx.record(OpGet, st, g.keys[j], per)
+	}
+	g.keys, g.at = keep(g.keys), keep(g.at)
 }
 
 // execPoint executes one point operation against the index, returning the
 // response status plus, for operations whose response carries a value
 // section (Get), the value. Gets go through the calling goroutine's
 // pinned read handle when one exists. Set copies its buffers: the request
-// slices are reused per batch. With a non-nil dw, writes go through it
+// is a view into the connection's read buffer, valid only until the
+// batch's reply is written. With a non-nil dw, writes go through it
 // without their durability wait and token is what the caller must
 // Commit before replying; otherwise the write has waited and token is 0.
 func (s *Server) execPoint(rq *Request, h index.ReadHandle, dw index.WriteHandle) (status byte, val []byte, hasVal bool, token uint64) {

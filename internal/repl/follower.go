@@ -274,7 +274,10 @@ func (f *Follower) handshake() (net.Conn, *bufio.Reader, error) {
 	// detected from its first bytes (errNotLeader), and a server that
 	// sends nothing at all must not block the magic read forever.
 	conn.SetReadDeadline(time.Now().Add(f.o.DialTimeout))
-	r := bufio.NewReaderSize(conn, 1<<20)
+	// 64 KiB, as a netkv connection's: messages larger than that (WAL
+	// batches and snapshot chunks run to 256 KiB) pass through as direct
+	// reads.
+	r := bufio.NewReaderSize(conn, 64<<10)
 	status, leaderEpoch, leaderHist, nshards, bounds, err := readHandshake(r)
 	if err != nil {
 		if errors.Is(err, errNotLeader) {

@@ -278,6 +278,34 @@ func TestFreshFollowerBelowGCHorizon(t *testing.T) {
 	waitSnapshots(t, f, int64(ld.st.NumShards()))
 }
 
+// TestFrameOverBufferSnapshot catches a fresh follower up by snapshot
+// from shards whose chunks are larger than the follower's 64 KiB reader,
+// so every chunk bypasses that buffer, and checks the result byte for
+// byte.
+func TestFrameOverBufferSnapshot(t *testing.T) {
+	keys := testKeys(900)
+	ld := newLeader(t, t.TempDir(), keys)
+	perShard := make([]int, ld.st.NumShards())
+	for i, k := range keys {
+		v := bytes.Repeat([]byte{byte(i), byte(i >> 8), 0x5a}, 342) // 1,026 bytes
+		ld.st.Set(k, append(v, k...))
+		perShard[ld.st.ShardOf(k)] += len(v) + len(k)
+	}
+	for sh, n := range perShard {
+		if n < 2*(64<<10) {
+			t.Fatalf("shard %d holds %d value bytes: its snapshot chunk would fit the follower's buffer", sh, n)
+		}
+	}
+	if err := ld.st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	ld.st.Set(keys[0], []byte("after the snapshot"))
+	f := startFollower(t, ld, t.TempDir())
+	defer f.Close()
+	waitConverged(t, ld, f)
+	waitSnapshots(t, f, int64(ld.st.NumShards()))
+}
+
 // TestDivergedFollowerBeyondLeaderHistory covers the third unreachable-
 // position case: a leader crash loses an unsynced WAL suffix the follower
 // had already applied, and the leader has never snapshotted — so there is

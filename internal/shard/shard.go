@@ -17,6 +17,7 @@ package shard
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -330,6 +331,10 @@ func (s *Store) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
 type Reader struct {
 	s  *Store
 	rs []*core.Reader
+	// GetBatch's results and per-shard grouping, reused by every call.
+	vals   [][]byte
+	found  []bool
+	groups [][]int
 }
 
 // NewReader returns a read handle bound to this store.
@@ -350,19 +355,47 @@ func (r *Reader) Get(key []byte) ([]byte, bool) {
 	return r.rs[r.s.part.Locate(key)].Get(key)
 }
 
+// maxKeptBatch is the largest batch whose result slices a Reader keeps
+// for its next GetBatch, and the most keys a kept grouping slice holds. A
+// larger batch gets one-off results, and the next call drops a grouping
+// slice it grew, so one big batch cannot pin scratch for the reader's
+// life.
+const maxKeptBatch = 2048
+
 // GetBatch looks up keys grouped by shard through the pinned readers;
 // vals[i], found[i] answer keys[i]. Groups run sequentially on the
 // caller's goroutine (the handles are single-goroutine); use the store's
-// GetBatch for fan-out across shards.
+// GetBatch for fan-out across shards. The returned slices may be the
+// reader's own, reused by its next GetBatch, so a warm call allocates
+// nothing; the values in them follow the usual rules.
 func (r *Reader) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
 	var t0 time.Time
 	bmx := r.s.bmx.Load()
 	if bmx != nil {
 		t0 = time.Now()
 	}
-	vals = make([][]byte, len(keys))
-	found = make([]bool, len(keys))
-	for sh, idxs := range r.s.group(keys) {
+	clear(r.vals) // the last call's values, so they pin nothing
+	if len(keys) > maxKeptBatch {
+		vals, found = make([][]byte, len(keys)), make([]bool, len(keys))
+	} else {
+		r.vals = slices.Grow(r.vals[:0], len(keys))[:len(keys)]
+		r.found = slices.Grow(r.found[:0], len(keys))[:len(keys)]
+		vals, found = r.vals, r.found
+	}
+	if r.groups == nil {
+		r.groups = make([][]int, len(r.rs))
+	}
+	for sh, idxs := range r.groups {
+		r.groups[sh] = idxs[:0]
+		if cap(idxs) > maxKeptBatch {
+			r.groups[sh] = nil
+		}
+	}
+	for i, k := range keys {
+		sh := r.s.part.Locate(k)
+		r.groups[sh] = append(r.groups[sh], i)
+	}
+	for sh, idxs := range r.groups {
 		if len(idxs) > 0 {
 			r.rs[sh].GetBatch(keys, vals, found, idxs)
 		}

@@ -147,6 +147,50 @@ func TestGetBatchResultOrdering(t *testing.T) {
 // TestCrossShardScanOrdering loads keys that straddle every boundary and
 // verifies that stitched scans yield the exact global order, including
 // scans that start precisely on, just below and just above a boundary.
+// TestReaderGetBatchScratch drives one Reader through batches of changing
+// size: a warm reader answers from its kept result slices, a batch larger
+// than maxKeptBatch from one-off ones, and no call sees a value or a
+// grouping left over from an earlier one.
+func TestReaderGetBatchScratch(t *testing.T) {
+	st := New(Options{Shards: 4})
+	key := func(i int) []byte { return []byte(fmt.Sprintf("scratch-%05d", i)) }
+	const n = maxKeptBatch + 500
+	for i := 0; i < n; i++ {
+		st.Set(key(i), append([]byte("v-"), key(i)...))
+	}
+	rd := st.NewReader()
+	defer rd.Close()
+	check := func(keys [][]byte, present func(i int) bool) {
+		t.Helper()
+		vals, found := rd.GetBatch(keys)
+		if len(vals) != len(keys) || len(found) != len(keys) {
+			t.Fatalf("%d keys: %d/%d results", len(keys), len(vals), len(found))
+		}
+		for i, k := range keys {
+			want := append([]byte("v-"), k...)
+			if present(i) != found[i] || (found[i] && !bytes.Equal(vals[i], want)) || (!found[i] && vals[i] != nil) {
+				t.Fatalf("%d keys: result %d for %q = %q,%v", len(keys), i, k, vals[i], found[i])
+			}
+		}
+	}
+	all := make([][]byte, n)
+	for i := range all {
+		all[i] = key(i)
+	}
+	every := func(int) bool { return true }
+	check(all[:100], every)
+	check(all, every)
+	misses := make([][]byte, 100)
+	for i := range misses {
+		misses[i] = key(n + i)
+		if i%3 == 0 {
+			misses[i] = all[i*7]
+		}
+	}
+	check(misses, func(i int) bool { return i%3 == 0 })
+	check(all[n-64:], every)
+}
+
 func TestCrossShardScanOrdering(t *testing.T) {
 	keys := sampleFrom(indextest.GenPrefixed, 6000, 21)
 	st := New(Options{Shards: 6, Sample: keys})

@@ -1,6 +1,8 @@
 package wormhole
 
 import (
+	"slices"
+
 	"github.com/repro/wormhole/internal/shard"
 )
 
@@ -120,7 +122,9 @@ func (r *ShardedReader) Get(key []byte) ([]byte, bool) { return r.r.Get(key) }
 // GetBatch looks up keys grouped by shard through the pinned readers;
 // vals[i], found[i] answer keys[i].
 func (r *ShardedReader) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
-	return r.r.GetBatch(keys)
+	vals, found = r.r.GetBatch(keys)
+	// The shard reader reuses its result slices; the caller gets its own.
+	return slices.Clone(vals), slices.Clone(found)
 }
 
 // Scan visits keys >= start in ascending order until fn returns false,
