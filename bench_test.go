@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/repro/wormhole"
 	"github.com/repro/wormhole/internal/adapters"
 	"github.com/repro/wormhole/internal/bench"
 	"github.com/repro/wormhole/internal/index"
@@ -271,7 +272,7 @@ func BenchmarkAblation_LeafCap(b *testing.B) {
 	keys := loadKeyset(b, "Az1")
 	for _, leafCap := range []int{32, 128, 512} {
 		b.Run(fmt.Sprintf("cap%d", leafCap), func(b *testing.B) {
-			ix := bench.NewWormholeLeafCap(leafCap)
+			ix := wormhole.NewConfig(wormhole.Config{LeafCap: leafCap})
 			for _, k := range keys {
 				ix.Set(k, k)
 			}

@@ -1,12 +1,13 @@
 // Command whkv runs the networked key-value store of Figure 12: a server
-// hosting any of the registered indexes behind the batched binary
-// protocol, plus a small client for ad-hoc operations and load testing.
+// hosting a Wormhole index — one core, or a range-sharded store of them —
+// behind the batched binary protocol, plus a small client for ad-hoc
+// operations and load testing.
 //
 // Usage:
 //
-//	whkv serve -addr 127.0.0.1:7070 -index wormhole
-//	whkv serve -addr 127.0.0.1:7070 -index wormhole-sharded -shards 8
-//	whkv serve -index wormhole-sharded -bounds "g,n,t"   # explicit shard boundaries
+//	whkv serve -addr 127.0.0.1:7070                     # one unsharded index
+//	whkv serve -addr 127.0.0.1:7070 -shards 8           # sharded store
+//	whkv serve -bounds "g,n,t"                          # explicit shard boundaries
 //	whkv serve -dir /var/lib/whkv -sync interval        # durable store (WAL + snapshots)
 //	whkv serve -dir /var/lib/whkv2 -follow host:7070    # replication follower (read-only)
 //	whkv serve -read-timeout 5m -write-timeout 30s -max-inflight 64  # hardened edges
@@ -34,8 +35,8 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/repro/wormhole/internal/adapters"
 	"github.com/repro/wormhole/internal/bench"
+	"github.com/repro/wormhole/internal/core"
 	"github.com/repro/wormhole/internal/index"
 	"github.com/repro/wormhole/internal/netkv"
 	"github.com/repro/wormhole/internal/repl"
@@ -44,7 +45,6 @@ import (
 )
 
 func main() {
-	_ = adapters.Baselines() // link the registry
 	if len(os.Args) < 2 {
 		usage()
 	}
@@ -71,13 +71,10 @@ func usage() {
 func serve(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
-	name := fs.String("index", "wormhole", "index implementation")
-	shards := fs.Int("shards", 0, "shard count for -index wormhole-sharded (default: min(GOMAXPROCS, 16))")
-	bounds := fs.String("bounds", "", "comma-separated shard boundary keys for -index wormhole-sharded (overrides -shards; place them at your keyspace's quantiles, since the default uniform byte ranges put all-ASCII keys in one shard)")
-	dir := fs.String("dir", "", "durable mode: persist to this directory (WAL + snapshots per shard; reopening recovers). Implies a sharded store; -index must be wormhole-sharded or unset")
+	shards := fs.Int("shards", 0, "serve a sharded store of this many shards (without -shards, -bounds or -dir: one unsharded index; a sharded store defaults to min(GOMAXPROCS, 16))")
+	bounds := fs.String("bounds", "", "serve a sharded store split at these comma-separated boundary keys (overrides -shards; place them at your keyspace's quantiles, since the default uniform byte ranges put all-ASCII keys in one shard)")
+	dir := fs.String("dir", "", "durable mode: persist to this directory (WAL + snapshots per shard; reopening recovers). Implies a sharded store")
 	syncMode := fs.String("sync", "none", "durable mode sync policy: none, interval or always")
-	segBytes := fs.Int("seg-bytes", 0, "durable mode: target snapshot segment size in bytes (0: 1MiB default); v2 snapshots split at this size so recovery decodes segments concurrently")
-	decodeWorkers := fs.Int("decode-workers", 0, "durable mode: snapshot segment decode workers per shard at recovery (0: GOMAXPROCS)")
 	follow := fs.String("follow", "", "follower mode: replicate from this leader address, serve reads (writes answer StatusReadOnly); SIGUSR1 promotes to standalone. Combine with -dir so restarts resume the leader's WAL tail instead of resyncing")
 	connectTimeout := fs.Duration("connect-timeout", 0, "follower mode: keep retrying the first leader handshake this long before giving up and exiting non-zero (0: one attempt, fail fast)")
 	autoPromote := fs.Bool("auto-promote", false, "follower mode: promote automatically when the leader goes silent for -heartbeat-timeout, bumping the replication epoch so the old leader is fenced on first contact")
@@ -98,36 +95,23 @@ func serve(args []string) {
 	if *follow != "" {
 		serveFollower(followerConfig{
 			addr: *addr, leader: *follow, dir: *dir, syncMode: *syncMode,
-			segBytes: *segBytes, decodeWorkers: *decodeWorkers,
 			connectTimeout: *connectTimeout, autoPromote: *autoPromote,
 			heartbeatTimeout: *heartbeatTimeout, hardening: hardening,
 			metricsAddr: *metricsAddr, obs: obs,
 		})
 		return
 	}
-	if *dir == "" && (*shards > 0 || *bounds != "") && *name != "wormhole-sharded" {
-		// With -dir the store is always sharded, so -shards/-bounds apply
-		// to it regardless of the (defaulted) -index value.
-		fmt.Fprintf(os.Stderr, "whkv: -shards and -bounds require -index wormhole-sharded\n")
-		os.Exit(2)
-	}
-	if *dir != "" && *name != "wormhole" && *name != "wormhole-sharded" {
-		fmt.Fprintf(os.Stderr, "whkv: -dir serves a durable sharded wormhole; it cannot host -index %s\n", *name)
-		os.Exit(2)
-	}
-	if *shards > 0 {
-		shard.DefaultShards = *shards
-	}
-	parseBounds := func() *shard.Partitioner {
+	o := shard.Options{Shards: *shards}
+	if *bounds != "" {
 		var bs [][]byte
 		for _, b := range strings.Split(*bounds, ",") {
 			bs = append(bs, []byte(strings.TrimSpace(b)))
 		}
-		return shard.NewExplicit(bs)
+		o.Partitioner = shard.NewExplicit(bs)
 	}
 	var ix index.Index
 	var durable *shard.Store
-	served := *name
+	served := "wormhole"
 	switch {
 	case *dir != "":
 		policy, err := wal.ParsePolicy(*syncMode)
@@ -135,15 +119,8 @@ func serve(args []string) {
 			fmt.Fprintln(os.Stderr, "whkv:", err)
 			os.Exit(2)
 		}
-		o := shard.Options{Dir: *dir, Durability: wal.Options{
-			Sync:          policy,
-			SegmentBytes:  *segBytes,
-			DecodeWorkers: *decodeWorkers,
-			Metrics:       obs.wal,
-		}}
-		if *bounds != "" {
-			o.Partitioner = parseBounds()
-		}
+		o.Dir = *dir
+		o.Durability = wal.Options{Sync: policy, Metrics: obs.wal}
 		st, err := shard.Open(o)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "whkv:", err)
@@ -154,16 +131,12 @@ func serve(args []string) {
 		ix, durable = st, st
 		served = fmt.Sprintf("durable wormhole-sharded (%d shards, sync=%s, replication leader)",
 			st.NumShards(), policy)
-	case *bounds != "":
-		ix = shard.New(shard.Options{Partitioner: parseBounds()})
-		served = "wormhole-sharded"
+	case *shards > 0 || *bounds != "":
+		st := shard.New(o)
+		ix = st
+		served = fmt.Sprintf("wormhole-sharded (%d shards)", st.NumShards())
 	default:
-		info, ok := index.Lookup(*name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "whkv: unknown index %q\n", *name)
-			os.Exit(2)
-		}
-		ix = info.New()
+		ix = core.New(core.DefaultOptions())
 	}
 	// A durable store doubles as a replication leader: followers subscribe
 	// on the same address clients use.
@@ -228,7 +201,6 @@ func printDegraded(hs []wal.Health) {
 // followerConfig bundles serveFollower's knobs.
 type followerConfig struct {
 	addr, leader, dir, syncMode string
-	segBytes, decodeWorkers     int
 	connectTimeout              time.Duration
 	autoPromote                 bool
 	heartbeatTimeout            time.Duration
@@ -256,14 +228,9 @@ func serveFollower(c followerConfig) {
 	promotions := c.obs.reg.Counter("whkv_promotions_total",
 		"Promotions of this follower to a writable leader.")
 	o := repl.Options{
-		Leader: c.leader,
-		Dir:    c.dir,
-		Durability: wal.Options{
-			Sync:          policy,
-			SegmentBytes:  c.segBytes,
-			DecodeWorkers: c.decodeWorkers,
-			Metrics:       c.obs.wal,
-		},
+		Leader:     c.leader,
+		Dir:        c.dir,
+		Durability: wal.Options{Sync: policy, Metrics: c.obs.wal},
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "whkv: "+format+"\n", args...)
 		},

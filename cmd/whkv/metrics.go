@@ -48,7 +48,7 @@ func (o *observability) armIndex(ix index.Index) {
 		func() float64 { return float64(ix.Count()) })
 	if q, ok := ix.(interface{ QSBRReaderLag() uint64 }); ok {
 		o.reg.GaugeFunc("whkv_qsbr_reader_lag_epochs",
-			"Grace-period epochs the slowest active reader trails the write side (any shard).",
+			"Grace-period epochs the slowest active reader trails the write side (on a sharded store, its slowest shard).",
 			func() float64 { return float64(q.QSBRReaderLag()) })
 	}
 }

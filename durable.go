@@ -70,7 +70,7 @@ func Open(dir string, c DurableConfig) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{Sharded{s: st}}, nil
+	return &DB{Sharded{storeView{st}}}, nil
 }
 
 // Flush forces every logged mutation to stable storage, regardless of

@@ -1,12 +1,19 @@
-// Package adapters wraps every index implementation behind the shared
-// index.Index / index.Ordered interfaces and registers them, giving the
-// benchmark harness, the networked KV server and the integration tests one
-// uniform way to instantiate the paper's five ordered indexes plus the
-// Cuckoo hash table, the ablation variants of Figure 11, and the
-// range-partitioned sharded store ("wormhole-sharded").
+// Package adapters registers every index implementation under a name,
+// giving the benchmark harness, the networked KV server and the
+// integration tests one uniform way to instantiate the paper's five
+// ordered indexes plus the Cuckoo hash table, the ablation variants of
+// Figure 11, and the range-partitioned sharded store ("wormhole-sharded").
+//
+// Wormhole's core (*core.Wormhole) and the sharded store (*shard.Store)
+// implement the index interfaces themselves and are registered as they
+// are. The baselines are wrapped: each wrapper adds a sequential GetBatch
+// and copies the key and value in Set, so every registered index follows
+// index.Index's ownership rule and the caller may reuse its buffers.
 package adapters
 
 import (
+	"bytes"
+
 	"github.com/repro/wormhole/internal/art"
 	"github.com/repro/wormhole/internal/btree"
 	"github.com/repro/wormhole/internal/core"
@@ -30,10 +37,8 @@ var AblationOrder = []string{
 func init() {
 	index.Register(index.Info{
 		Name: "wormhole", ThreadSafe: true, RangeScan: true,
-		New: func() index.Index { return wh(core.DefaultOptions()) },
+		New: func() index.Index { return core.New(core.DefaultOptions()) },
 	})
-	// The sharded store reads shard.DefaultShards at construction time so
-	// the cmd -shards flags can size it before instantiation.
 	index.Register(index.Info{
 		Name: "wormhole-sharded", ThreadSafe: true, RangeScan: true,
 		New: func() index.Index { return shard.New(shard.Options{}) },
@@ -43,7 +48,7 @@ func init() {
 		New: func() index.Index {
 			o := core.DefaultOptions()
 			o.Concurrent = false
-			return wh(o)
+			return core.New(o)
 		},
 	})
 	// Figure 11's cumulative optimization ladder.
@@ -63,7 +68,7 @@ func init() {
 			New: func() index.Index {
 				o := core.DefaultOptions()
 				adjust(&o)
-				return wh(o)
+				return core.New(o)
 			},
 		})
 	}
@@ -94,56 +99,6 @@ func Baselines() []string {
 	return []string{"skiplist", "btree", "art", "masstree", "wormhole"}
 }
 
-type whIx struct{ t *core.Wormhole }
-
-func wh(o core.Options) index.Index { return &whIx{core.New(o)} }
-
-func (ix *whIx) Get(k []byte) ([]byte, bool) { return ix.t.Get(k) }
-func (ix *whIx) Set(k, v []byte)             { ix.t.Set(k, v) }
-func (ix *whIx) Del(k []byte) bool           { return ix.t.Del(k) }
-func (ix *whIx) Count() int64                { return ix.t.Count() }
-func (ix *whIx) Footprint() int64            { return ix.t.Footprint() }
-func (ix *whIx) Scan(s []byte, fn func(k, v []byte) bool) {
-	ix.t.Scan(s, fn)
-}
-
-func (ix *whIx) ScanDesc(s []byte, fn func(k, v []byte) bool) {
-	ix.t.ScanDesc(s, fn)
-}
-
-// GetBatch answers the batch through the core's memory-parallel pipeline
-// under one reader announcement.
-func (ix *whIx) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
-	vals = make([][]byte, len(keys))
-	found = make([]bool, len(keys))
-	ix.t.GetBatch(keys, vals, found, nil)
-	return vals, found
-}
-
-// NewReadHandle implements index.ReadPinner with a pinned QSBR reader
-// (core.Reader satisfies index.ReadHandle structurally, and
-// index.BatchHandle via batchReader below).
-func (ix *whIx) NewReadHandle() index.ReadHandle { return &batchReader{ix.t.NewReader()} }
-
-// batchReader adapts core.Reader's positional GetBatch to the
-// allocate-and-return shape of index.BatchHandle.
-type batchReader struct{ r *core.Reader }
-
-func (b *batchReader) Get(k []byte) ([]byte, bool) { return b.r.Get(k) }
-func (b *batchReader) Close()                      { b.r.Close() }
-func (b *batchReader) Scan(s []byte, fn func(k, v []byte) bool) {
-	b.r.Scan(s, fn)
-}
-func (b *batchReader) ScanDesc(s []byte, fn func(k, v []byte) bool) {
-	b.r.ScanDesc(s, fn)
-}
-func (b *batchReader) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
-	vals = make([][]byte, len(keys))
-	found = make([]bool, len(keys))
-	b.r.GetBatch(keys, vals, found, nil)
-	return vals, found
-}
-
 // scalarGetBatch answers a batch with sequential Gets — the reference
 // semantics indextest's equivalence harness checks every backend
 // against. The baseline indexes use it so batched callers (netkv, the
@@ -160,7 +115,7 @@ func scalarGetBatch(ix index.Index, keys [][]byte) (vals [][]byte, found []bool)
 type btreeIx struct{ t *btree.Tree }
 
 func (ix *btreeIx) Get(k []byte) ([]byte, bool) { return ix.t.Get(k) }
-func (ix *btreeIx) Set(k, v []byte)             { ix.t.Set(k, v) }
+func (ix *btreeIx) Set(k, v []byte)             { ix.t.Set(bytes.Clone(k), bytes.Clone(v)) }
 func (ix *btreeIx) Del(k []byte) bool           { return ix.t.Del(k) }
 func (ix *btreeIx) Count() int64                { return ix.t.Count() }
 func (ix *btreeIx) Footprint() int64            { return ix.t.Footprint() }
@@ -174,7 +129,7 @@ func (ix *btreeIx) Scan(s []byte, fn func(k, v []byte) bool) {
 type slIx struct{ t *skiplist.List }
 
 func (ix *slIx) Get(k []byte) ([]byte, bool) { return ix.t.Get(k) }
-func (ix *slIx) Set(k, v []byte)             { ix.t.Set(k, v) }
+func (ix *slIx) Set(k, v []byte)             { ix.t.Set(bytes.Clone(k), bytes.Clone(v)) }
 func (ix *slIx) Del(k []byte) bool           { return ix.t.Del(k) }
 func (ix *slIx) Count() int64                { return ix.t.Count() }
 func (ix *slIx) Footprint() int64            { return ix.t.Footprint() }
@@ -188,7 +143,7 @@ func (ix *slIx) Scan(s []byte, fn func(k, v []byte) bool) {
 type artIx struct{ t *art.Tree }
 
 func (ix *artIx) Get(k []byte) ([]byte, bool) { return ix.t.Get(k) }
-func (ix *artIx) Set(k, v []byte)             { ix.t.Set(k, v) }
+func (ix *artIx) Set(k, v []byte)             { ix.t.Set(bytes.Clone(k), bytes.Clone(v)) }
 func (ix *artIx) Del(k []byte) bool           { return ix.t.Del(k) }
 func (ix *artIx) Count() int64                { return ix.t.Count() }
 func (ix *artIx) Footprint() int64            { return ix.t.Footprint() }
@@ -202,7 +157,7 @@ func (ix *artIx) Scan(s []byte, fn func(k, v []byte) bool) {
 type mtIx struct{ t *masstree.Tree }
 
 func (ix *mtIx) Get(k []byte) ([]byte, bool) { return ix.t.Get(k) }
-func (ix *mtIx) Set(k, v []byte)             { ix.t.Set(k, v) }
+func (ix *mtIx) Set(k, v []byte)             { ix.t.Set(bytes.Clone(k), bytes.Clone(v)) }
 func (ix *mtIx) Del(k []byte) bool           { return ix.t.Del(k) }
 func (ix *mtIx) Count() int64                { return ix.t.Count() }
 func (ix *mtIx) Footprint() int64            { return ix.t.Footprint() }
@@ -216,7 +171,7 @@ func (ix *mtIx) Scan(s []byte, fn func(k, v []byte) bool) {
 type ckIx struct{ t *cuckoo.Table }
 
 func (ix *ckIx) Get(k []byte) ([]byte, bool) { return ix.t.Get(k) }
-func (ix *ckIx) Set(k, v []byte)             { ix.t.Set(k, v) }
+func (ix *ckIx) Set(k, v []byte)             { ix.t.Set(bytes.Clone(k), bytes.Clone(v)) }
 func (ix *ckIx) Del(k []byte) bool           { return ix.t.Del(k) }
 func (ix *ckIx) Count() int64                { return ix.t.Count() }
 func (ix *ckIx) Footprint() int64            { return ix.t.Footprint() }

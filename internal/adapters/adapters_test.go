@@ -40,6 +40,50 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestRegisteredIndexesCopySet holds every registered index to
+// index.Index's ownership rule: Set copies the key and value, so the caller
+// may overwrite its buffers as soon as Set returns. Every Set here comes
+// from the same two buffers, scribbled over afterwards; Get and Scan must
+// still return the original bytes.
+func TestRegisteredIndexesCopySet(t *testing.T) {
+	const n = 300
+	key := func(i int) []byte { return []byte(fmt.Sprintf("cp-%05d", i)) }
+	val := func(i int) []byte { return []byte(fmt.Sprintf("va-%05d", i)) }
+	for _, info := range index.All() {
+		t.Run(info.Name, func(t *testing.T) {
+			ix := info.New()
+			kb, vb := make([]byte, 8), make([]byte, 8)
+			for i := 0; i < n; i++ {
+				copy(kb, key(i))
+				copy(vb, val(i))
+				ix.Set(kb, vb)
+				copy(kb, "XXXXXXXX")
+				copy(vb, "YYYYYYYY")
+			}
+			for i := 0; i < n; i++ {
+				if v, ok := ix.Get(key(i)); !ok || !bytes.Equal(v, val(i)) {
+					t.Fatalf("Get(%s) = %q, %v after the caller reused its buffers", key(i), v, ok)
+				}
+			}
+			o, ok := ix.(index.Ordered)
+			if !ok {
+				return
+			}
+			i := 0
+			o.Scan(nil, func(k, v []byte) bool {
+				if !bytes.Equal(k, key(i)) || !bytes.Equal(v, val(i)) {
+					t.Fatalf("Scan item %d = %q=%q, want %q=%q", i, k, v, key(i), val(i))
+				}
+				i++
+				return true
+			})
+			if i != n {
+				t.Fatalf("Scan visited %d keys, want %d", i, n)
+			}
+		})
+	}
+}
+
 // TestAllIndexesAgree drives the same operation stream through every
 // registered index and a reference model; any divergence in point results,
 // counts, or (for ordered indexes) full scans fails.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/repro/wormhole/internal/adapters"
+	"github.com/repro/wormhole/internal/core"
 	"github.com/repro/wormhole/internal/index"
 	"github.com/repro/wormhole/internal/keyset"
 	"github.com/repro/wormhole/internal/netkv"
@@ -163,12 +164,9 @@ func AblationShortAnchors(c *Config) {
 	for _, ks := range []string{"Az1", "Url", "K6"} {
 		keys := c.Keyset(ks)
 		for _, short := range []bool{false, true} {
-			var ix *whDirect
-			if short {
-				ix = NewWormholeShortAnchors()
-			} else {
-				ix = NewWormholeLeafCap(0)
-			}
+			o := core.DefaultOptions()
+			o.ShortAnchors = short
+			ix := core.New(o)
 			for _, k := range keys {
 				ix.Set(k, k)
 			}
@@ -409,7 +407,9 @@ func AblationLeafCap(c *Config) {
 	c.printf("Ablation: leaf capacity sweep, Az1 lookups (MOPS), %d threads\n", c.Threads)
 	c.printf("%-10s %10s %12s %12s\n", "leafcap", "MOPS", "leaves", "meta items")
 	for _, cap := range []int{16, 32, 64, 128, 256, 512} {
-		ix := NewWormholeLeafCap(cap)
+		o := core.DefaultOptions()
+		o.LeafCap = cap
+		ix := core.New(o)
 		for _, k := range keys {
 			ix.Set(k, k)
 		}

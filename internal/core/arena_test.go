@@ -105,7 +105,7 @@ func TestResultsCapacityClipped(t *testing.T) {
 		keys[i] = key(i)
 	}
 	vals, found := make([][]byte, n), make([]bool, n)
-	w.GetBatch(keys, vals, found, nil)
+	w.GetBatchInto(keys, vals, found, nil)
 	for i := range vals {
 		scribble("GetBatch", nil, vals[i])
 	}
@@ -115,20 +115,6 @@ func TestResultsCapacityClipped(t *testing.T) {
 		for it.Next() {
 			scribble("Iter", it.Key(), it.Value())
 		}
-	}
-	if k, v, ok := w.Min(); ok {
-		scribble("Min", k, v)
-	}
-	if k, v, ok := w.Max(); ok {
-		scribble("Max", k, v)
-	}
-	ks, vs := w.RangeAsc(nil, n)
-	for i := range ks {
-		scribble("RangeAsc", ks[i], vs[i])
-	}
-	ks, vs = w.RangeDesc(nil, n)
-	for i := range ks {
-		scribble("RangeDesc", ks[i], vs[i])
 	}
 	i := 0
 	w.Scan(nil, func(k, v []byte) bool {
@@ -278,7 +264,7 @@ func TestCompactionUnderReaders(t *testing.T) {
 					for j := range keys {
 						keys[j] = hotKey(r.Intn(hot))
 					}
-					rd.GetBatch(keys, vals, found, nil)
+					rd.GetBatchInto(keys, vals, found, nil)
 					for j := range keys {
 						if !found[j] || !checkVersioned(keys[j], vals[j]) {
 							fail("GetBatch(%s) = %q, %v", keys[j], vals[j], found[j])

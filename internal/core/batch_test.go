@@ -125,7 +125,7 @@ func TestGetBatchEquivalence(t *testing.T) {
 					batch := keys[lo:min(lo+64, len(keys))]
 					vals := make([][]byte, len(batch))
 					found := make([]bool, len(batch))
-					rd.GetBatch(batch, vals, found, nil)
+					rd.GetBatchInto(batch, vals, found, nil)
 					for i, k := range batch {
 						sv, sok := w.Get(k)
 						if found[i] != sok || !bytes.Equal(vals[i], sv) {
@@ -146,7 +146,7 @@ func TestGetBatchEquivalence(t *testing.T) {
 					}
 					vals := make([][]byte, n)
 					found := make([]bool, n)
-					w.GetBatch(batch, vals, found, nil)
+					w.GetBatchInto(batch, vals, found, nil)
 					for i, k := range batch {
 						sv, sok := w.Get(k)
 						if found[i] != sok || !bytes.Equal(vals[i], sv) {
@@ -162,7 +162,7 @@ func TestGetBatchEquivalence(t *testing.T) {
 					}
 					vals2 := make([][]byte, n)
 					found2 := make([]bool, n)
-					rd.GetBatch(batch, vals2, found2, idxs)
+					rd.GetBatchInto(batch, vals2, found2, idxs)
 					for _, i := range idxs {
 						if found2[i] != found[i] || !bytes.Equal(vals2[i], vals[i]) {
 							t.Fatalf("depth %d: Reader.GetBatch[%d] = %q,%v; want %q,%v",
@@ -360,14 +360,14 @@ func TestGetBatchZeroAllocs(t *testing.T) {
 					batch[j] = keys[(i*2654435761+j*40503)%len(keys)]
 				}
 				batch[3] = miss // a guaranteed miss per batch
-				r.GetBatch(batch, vals, found, nil)
+				r.GetBatchInto(batch, vals, found, nil)
 				i++
 			}); n > poolAllocs(500) {
 				t.Errorf("%s depth %d: Reader.GetBatch: %d allocs over 500 batches, want <= %d", tc.name, depth, n, poolAllocs(500))
 			}
 			i = 0
 			if n := mallocs(500, func() {
-				w.GetBatch(batch, vals, found, nil)
+				w.GetBatchInto(batch, vals, found, nil)
 				i++
 			}); n > poolAllocs(500) {
 				t.Errorf("%s depth %d: Wormhole.GetBatch: %d allocs over 500 batches, want <= %d", tc.name, depth, n, poolAllocs(500))
@@ -434,7 +434,7 @@ func TestGetBatchUnderChurn(t *testing.T) {
 						batch[i] = hotKey(r.Intn(hammered))
 					}
 				}
-				rd.GetBatch(batch, vals, found, nil)
+				rd.GetBatchInto(batch, vals, found, nil)
 				for i := range batch {
 					if !found[i] {
 						t.Errorf("hammered key %s missing", batch[i])
@@ -456,7 +456,7 @@ func TestGetBatchUnderChurn(t *testing.T) {
 			for i := range batch {
 				batch[i] = []byte(fmt.Sprintf("hot-%03d-churn-%04d", r.Intn(hammered), r.Intn(500)))
 			}
-			w.GetBatch(batch, vals, found, nil)
+			w.GetBatchInto(batch, vals, found, nil)
 			for i := range batch {
 				if found[i] && string(vals[i]) != "c" {
 					t.Errorf("churn key %s = %q, want %q", batch[i], vals[i], "c")

@@ -115,7 +115,7 @@ func FuzzBatchGet(f *testing.F) {
 			for i := range vals {
 				vals[i], found[i] = nil, false
 			}
-			w.GetBatch(batch, vals, found, nil)
+			w.GetBatchInto(batch, vals, found, nil)
 			for i, k := range batch {
 				mv, mok := model[string(k)]
 				if found[i] != mok || (mok && string(vals[i]) != mv) {

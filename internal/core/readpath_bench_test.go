@@ -133,7 +133,7 @@ func BenchmarkGetBatchVsGet(b *testing.B) {
 				probe[j] = keys[order[p]]
 				p = (p + 1) & (len(order) - 1)
 			}
-			rd.GetBatch(probe, vals, found, nil)
+			rd.GetBatchInto(probe, vals, found, nil)
 			for j := range found {
 				if !found[j] {
 					b.Fatal("loaded key missing")

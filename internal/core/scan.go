@@ -646,57 +646,6 @@ func (w *Wormhole) rightmostLeaf(t *metaTable) *leafNode {
 	return root.rightmost
 }
 
-// Min returns (a copy of) the smallest key and its value.
-func (w *Wormhole) Min() (key, val []byte, ok bool) {
-	w.Scan(nil, func(k, v []byte) bool {
-		key, val, ok = cloneBytes(k), v, true
-		return false
-	})
-	return
-}
-
-// Max returns (a copy of) the largest key and its value.
-func (w *Wormhole) Max() (key, val []byte, ok bool) {
-	w.ScanDesc(nil, func(k, v []byte) bool {
-		key, val, ok = cloneBytes(k), v, true
-		return false
-	})
-	return
-}
-
-// RangeAsc collects up to limit pairs with key >= start, ascending — the
-// paper's RangeSearchAscending shape, convenient for benchmarks. The keys
-// are copies.
-func (w *Wormhole) RangeAsc(start []byte, limit int) (keys, vals [][]byte) {
-	if limit <= 0 {
-		return nil, nil
-	}
-	keys = make([][]byte, 0, limit)
-	vals = make([][]byte, 0, limit)
-	w.Scan(start, func(k, v []byte) bool {
-		keys = append(keys, cloneBytes(k))
-		vals = append(vals, v)
-		return len(keys) < limit
-	})
-	return keys, vals
-}
-
-// RangeDesc collects up to limit pairs with key <= start, descending (a
-// nil start collects from the largest key). The keys are copies.
-func (w *Wormhole) RangeDesc(start []byte, limit int) (keys, vals [][]byte) {
-	if limit <= 0 {
-		return nil, nil
-	}
-	keys = make([][]byte, 0, limit)
-	vals = make([][]byte, 0, limit)
-	w.ScanDesc(start, func(k, v []byte) bool {
-		keys = append(keys, cloneBytes(k))
-		vals = append(vals, v)
-		return len(keys) < limit
-	})
-	return keys, vals
-}
-
 // Iter is a pull-style cursor over the index. It holds no locks between
 // Next calls; mutations made while iterating may or may not be observed,
 // but every key present for the whole iteration is visited exactly once.

@@ -118,7 +118,7 @@ func TestSuffixHashCollision(t *testing.T) {
 	}
 	keys := [][]byte{forged, stored, forged}
 	vals, found := make([][]byte, 3), make([]bool, 3)
-	w.GetBatch(keys, vals, found, nil)
+	w.GetBatchInto(keys, vals, found, nil)
 	if found[0] || found[2] || !found[1] || string(vals[1]) != model[string(stored)] {
 		t.Fatalf("GetBatch = %q %v", vals, found)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/repro/wormhole/internal/index"
 	"github.com/repro/wormhole/internal/qsbr"
 )
 
@@ -233,14 +234,23 @@ func (w *Wormhole) getOnline(s *qsbr.Slot, h uint32, key []byte) ([]byte, bool) 
 	}
 }
 
-// GetBatch answers keys[i] into vals[i] and found[i] for every i in idxs
-// (nil idxs means all of keys). The whole batch shares one QSBR reader
-// announcement — the server-side analogue of netkv's request batching,
-// used by the sharded store's per-shard groups — and on the concurrent
-// index the lookups run through the memory-parallel pipeline (batch.go),
-// which interleaves the keys' dependent-miss chains instead of walking
-// them one at a time.
-func (w *Wormhole) GetBatch(keys, vals [][]byte, found []bool, idxs []int) {
+// GetBatch looks up every key in one call: vals[i], found[i] answer
+// keys[i], exactly as len(keys) sequential Gets would (index.BatchHandle's
+// shape, in fresh slices).
+func (w *Wormhole) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
+	vals, found = make([][]byte, len(keys)), make([]bool, len(keys))
+	w.GetBatchInto(keys, vals, found, nil)
+	return vals, found
+}
+
+// GetBatchInto answers keys[i] into vals[i] and found[i] for every i in
+// idxs (nil idxs means all of keys). The whole batch shares one QSBR
+// reader announcement — the server-side analogue of netkv's request
+// batching, used by the sharded store's per-shard groups — and on the
+// concurrent index the lookups run through the memory-parallel pipeline
+// (batch.go), which interleaves the keys' dependent-miss chains instead
+// of walking them one at a time.
+func (w *Wormhole) GetBatchInto(keys, vals [][]byte, found []bool, idxs []int) {
 	if !w.opt.Concurrent {
 		if idxs == nil {
 			for i := range keys {
@@ -271,6 +281,10 @@ type Reader struct {
 	pin *qsbr.Pin // nil when the index is not concurrent
 }
 
+// NewReadHandle implements index.ReadPinner: the handle is a *Reader,
+// which is also an index.BatchHandle and an index.ScanHandle.
+func (w *Wormhole) NewReadHandle() index.ReadHandle { return w.NewReader() }
+
 // NewReader returns a read handle bound to this index.
 func (w *Wormhole) NewReader() *Reader {
 	r := &Reader{w: w}
@@ -292,12 +306,20 @@ func (r *Reader) Get(key []byte) ([]byte, bool) {
 	return val, ok
 }
 
-// GetBatch answers keys[i] into vals[i] and found[i] for every i in idxs
-// (nil idxs means all of keys), under a single reader announcement on the
-// handle's pinned slot and through the memory-parallel pipeline.
-func (r *Reader) GetBatch(keys, vals [][]byte, found []bool, idxs []int) {
+// GetBatch looks up every key in one call through the handle's pinned
+// slot: vals[i], found[i] answer keys[i], in fresh slices.
+func (r *Reader) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
+	vals, found = make([][]byte, len(keys)), make([]bool, len(keys))
+	r.GetBatchInto(keys, vals, found, nil)
+	return vals, found
+}
+
+// GetBatchInto answers keys[i] into vals[i] and found[i] for every i in
+// idxs (nil idxs means all of keys), under a single reader announcement
+// on the handle's pinned slot and through the memory-parallel pipeline.
+func (r *Reader) GetBatchInto(keys, vals [][]byte, found []bool, idxs []int) {
 	if r.pin == nil {
-		r.w.GetBatch(keys, vals, found, idxs)
+		r.w.GetBatchInto(keys, vals, found, idxs)
 		return
 	}
 	s := r.pin.Enter()

@@ -36,12 +36,6 @@ func TestEmptyIndex(t *testing.T) {
 		if w.Count() != 0 {
 			t.Fatal("Count != 0")
 		}
-		if _, _, ok := w.Min(); ok {
-			t.Fatal("Min on empty index returned ok")
-		}
-		if _, _, ok := w.Max(); ok {
-			t.Fatal("Max on empty index returned ok")
-		}
 		n := 0
 		w.Scan(nil, func(k, v []byte) bool { n++; return true })
 		if n != 0 {
@@ -308,19 +302,6 @@ func TestScanDescending(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	w := New(smallOpts(true))
-	for i := 100; i < 200; i++ {
-		w.Set([]byte(fmt.Sprintf("m%d", i)), []byte{1})
-	}
-	if k, _, ok := w.Min(); !ok || string(k) != "m100" {
-		t.Fatalf("Min = %q, %v", k, ok)
-	}
-	if k, _, ok := w.Max(); !ok || string(k) != "m199" {
-		t.Fatalf("Max = %q, %v", k, ok)
-	}
-}
-
 func TestIterator(t *testing.T) {
 	w := New(smallOpts(true))
 	const n = 257
@@ -357,22 +338,13 @@ func TestIterator(t *testing.T) {
 	}
 }
 
-func TestRangeAsc(t *testing.T) {
-	w := New(opts(true))
-	for i := 0; i < 100; i++ {
-		w.Set([]byte(fmt.Sprintf("r%03d", i)), []byte{byte(i)})
-	}
-	keys, vals := w.RangeAsc([]byte("r050"), 10)
-	if len(keys) != 10 || string(keys[0]) != "r050" || string(keys[9]) != "r059" {
-		t.Fatalf("RangeAsc wrong window: %q..%q (%d)", keys[0], keys[len(keys)-1], len(keys))
-	}
-	if vals[0][0] != 50 {
-		t.Fatal("RangeAsc wrong values")
-	}
-	keys, _ = w.RangeAsc([]byte("r095"), 10)
-	if len(keys) != 5 {
-		t.Fatalf("RangeAsc at tail returned %d keys, want 5", len(keys))
-	}
+// rangeAsc collects copies of up to limit keys >= start, ascending.
+func rangeAsc(w *Wormhole, start []byte, limit int) (keys [][]byte) {
+	w.Scan(start, func(k, _ []byte) bool {
+		keys = append(keys, bytes.Clone(k))
+		return len(keys) < limit
+	})
+	return keys
 }
 
 // modelRun drives the index against a reference map + sorted-key model.
@@ -407,7 +379,7 @@ func modelRun(t *testing.T, o Options, seed int64, steps int, gen func(*rand.Ran
 			}
 		default: // bounded range
 			limit := 1 + r.Intn(8)
-			keys, _ := w.RangeAsc(k, limit)
+			keys := rangeAsc(w, k, limit)
 			var want []string
 			for mk := range model {
 				if mk >= string(k) {

@@ -2,15 +2,19 @@
 // networked KV store and the integration tests use to drive Wormhole and
 // every baseline the paper compares against (§4): B+ tree, skip list, ART,
 // Masstree and the Cuckoo hash table.
+//
+// Wormhole's core (*core.Wormhole, with *core.Reader as its read handle)
+// and the sharded store (*shard.Store) implement these interfaces
+// directly; internal/adapters wraps the baselines and registers them all
+// by name.
 package index
 
 // Index is the point-operation surface shared by all seven index builds.
 type Index interface {
 	// Get returns the value stored under key.
 	Get(key []byte) ([]byte, bool)
-	// Set inserts or replaces key. Key and value buffers may be retained
-	// (the baselines keep them; Wormhole copies), so the caller must not
-	// mutate them afterwards.
+	// Set inserts or replaces key. The key and value are copied, so the
+	// caller may reuse its buffers as soon as Set returns.
 	Set(key, val []byte)
 	// Del removes key, reporting whether it was present.
 	Del(key []byte) bool

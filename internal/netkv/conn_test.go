@@ -3,6 +3,7 @@ package netkv
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -117,6 +118,85 @@ func TestPointBatchZeroAllocs(t *testing.T) {
 				t.Fatalf("%d allocations over %d batches of %d Gets, want <= %d", n, batches, perB, budget)
 			}
 			t.Logf("%d allocations over %d batches of %d Gets", n, batches, perB)
+		})
+	}
+}
+
+// TestPointSetBatchAllocs pins the write side of a warm point batch:
+// each Set's key and value, views into the connection's read buffer, go to
+// the index as they are, and the index copies them into its own storage.
+// 1,000 batches of 64 Sets overwrite 1,000 keys; what may allocate is a
+// leaf's arena growing or compacting now and then, far below one
+// allocation per four Sets (a copy of each Set's buffers costs two per Set).
+func TestPointSetBatchAllocs(t *testing.T) {
+	info, ok := index.Lookup("wormhole")
+	if !ok {
+		t.Fatal(`index "wormhole" not registered`)
+	}
+	const (
+		nkeys   = 1000
+		perB    = 64
+		batches = 1000
+	)
+	for _, tc := range []struct {
+		name     string
+		ix       index.Index
+		poolGets int // pooled scratch Gets per batch, as in TestPointBatchZeroAllocs
+	}{
+		{"unsharded", info.New(), 0},
+		{"2-shard", shard.New(shard.Options{Partitioner: shard.NewExplicit([][]byte{[]byte("k-0500")})}), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Serve("127.0.0.1:0", tc.ix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			c, err := Dial(s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			keys := make([][]byte, nkeys)
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("k-%04d", i))
+			}
+			last := make([]uint64, nkeys) // the last value Set under each key
+			val := make([]byte, 8)
+			i, bad := 0, 0
+			batch := func() {
+				for j := 0; j < perB; j++ {
+					k := (i*perB + j*7) % nkeys
+					last[k] = uint64(i*perB + j)
+					binary.LittleEndian.PutUint64(val, last[k])
+					c.QueueSet(keys[k], val)
+				}
+				rs, err := c.Flush()
+				if err != nil || len(rs) != perB {
+					bad++
+					return
+				}
+				for _, r := range rs {
+					if r.Status != StatusOK {
+						bad++
+					}
+				}
+				i++
+			}
+			n := mallocs(batches, batch)
+			if bad != 0 {
+				t.Fatalf("%d wrong responses", bad)
+			}
+			for k, key := range keys {
+				v, ok := tc.ix.Get(key)
+				if !ok || len(v) != 8 || binary.LittleEndian.Uint64(v) != last[k] {
+					t.Fatalf("Get(%s) = %x, %v; want the last value Set, %d", key, v, ok, last[k])
+				}
+			}
+			if budget := uint64(batches*perB/4) + poolAllocs(batches*tc.poolGets); n >= budget {
+				t.Fatalf("%d allocations over %d batches of %d Sets, want < %d", n, batches, perB, budget)
+			}
+			t.Logf("%d allocations over %d batches of %d Sets", n, batches, perB)
 		})
 	}
 }

@@ -653,11 +653,10 @@ func (b *batch) getBatch(g *group, bh index.BatchHandle) {
 // execPoint executes one point operation against the index, returning the
 // response status plus, for operations whose response carries a value
 // section (Get), the value. Gets go through the calling goroutine's
-// pinned read handle when one exists. Set copies its buffers: the request
-// is a view into the connection's read buffer, valid only until the
-// batch's reply is written. With a non-nil dw, writes go through it
-// without their durability wait and token is what the caller must
-// Commit before replying; otherwise the write has waited and token is 0.
+// pinned read handle when one exists. With a non-nil dw, writes go
+// through it without their durability wait and token is what the caller
+// must Commit before replying; otherwise the write has waited and token
+// is 0.
 func (s *Server) execPoint(rq *Request, h index.ReadHandle, dw index.WriteHandle) (status byte, val []byte, hasVal bool, token uint64) {
 	if rq.Op == OpGet {
 		var v []byte
@@ -689,12 +688,10 @@ func (s *Server) execPoint(rq *Request, h index.ReadHandle, dw index.WriteHandle
 		return StatusDegraded, nil, false, 0
 	}
 	if rq.Op == OpSet {
-		k := append([]byte{}, rq.Key...)
-		v := append([]byte{}, rq.Val...)
 		if dw != nil {
-			return StatusOK, nil, false, dw.SetNoWait(k, v)
+			return StatusOK, nil, false, dw.SetNoWait(rq.Key, rq.Val)
 		}
-		s.ix.Set(k, v)
+		s.ix.Set(rq.Key, rq.Val)
 		return StatusOK, nil, false, 0
 	}
 	var found bool

@@ -122,7 +122,7 @@ func Open(o Options) (*Store, error) {
 	case os.IsNotExist(err):
 		// Fresh directory: derive the partitioning as New would, then pin it.
 		if o.Shards <= 0 {
-			o.Shards = DefaultShards
+			o.Shards = defaultShards()
 		}
 		if o.Partitioner == nil {
 			if len(o.Sample) > 0 {

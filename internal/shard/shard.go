@@ -15,7 +15,6 @@
 package shard
 
 import (
-	"bytes"
 	"runtime"
 	"slices"
 	"sync"
@@ -28,12 +27,9 @@ import (
 	"github.com/repro/wormhole/internal/wal"
 )
 
-// DefaultShards is the shard count used when Options.Shards is zero; the
-// cmd/whbench and cmd/whkv -shards flags override it. One shard per
-// available CPU (capped like the paper's 16-core NUMA node) is the
+// defaultShards is the shard count used when Options.Shards is zero: one
+// shard per available CPU, capped like the paper's 16-core NUMA node — the
 // starting point the shard-sweep bench experiment refines.
-var DefaultShards = defaultShards()
-
 func defaultShards() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > 16 {
@@ -50,10 +46,10 @@ func defaultShards() int {
 // handoff costs more than it saves.
 const parallelBatch = 256
 
-// Options configures a Store. The zero value selects DefaultShards
-// uniform-range shards of default-configured Wormholes.
+// Options configures a Store. The zero value selects one uniform-range
+// shard per available CPU (at most 16) of default-configured Wormholes.
 type Options struct {
-	// Shards is the number of partitions (default DefaultShards).
+	// Shards is the number of partitions (default: GOMAXPROCS, at most 16).
 	Shards int
 	// Sample, when non-empty, supplies keys representative of the
 	// workload; boundaries are placed at sampled-anchor quantiles
@@ -106,7 +102,7 @@ type Store struct {
 // New creates an empty sharded store.
 func New(o Options) *Store {
 	if o.Shards <= 0 {
-		o.Shards = DefaultShards
+		o.Shards = defaultShards()
 	}
 	if o.Core == (core.Options{}) {
 		o.Core = core.DefaultOptions()
@@ -187,76 +183,51 @@ func (s *Store) ShardCounts() []int64 {
 	return counts
 }
 
-// Scan visits keys >= start in ascending order until fn returns false.
-// Because shards partition the keyspace by range, the stitched scan simply
-// runs the owning shard from start and every following shard from its
-// smallest key; order is global without any merging.
+// Scan visits keys >= start in ascending order until fn returns false,
+// stitching the shards' scans in key order across shard boundaries.
 func (s *Store) Scan(start []byte, fn func(key, val []byte) bool) {
-	first := 0
-	if len(start) > 0 {
-		first = s.part.Locate(start)
-	}
-	more := true
-	for i := first; i < len(s.shards) && more; i++ {
-		from := start
-		if i > first {
-			from = nil
-		}
-		s.shards[i].Scan(from, func(k, v []byte) bool {
-			more = fn(k, v)
-			return more
-		})
-	}
+	stitch(s.part, s.shards, start, false, fn)
 }
 
 // ScanDesc visits keys <= start in descending order until fn returns
-// false (nil start: from the largest key). The mirror of Scan: the owning
-// shard runs down from start, then every preceding shard from its largest
-// key. Partitions are ordered and disjoint, so stitching per-shard
-// cursors in partition order is already the k-way merge a general
-// partitioner would need — with zero per-key comparison overhead.
+// false (nil start: from the largest key), stitched like Scan.
 func (s *Store) ScanDesc(start []byte, fn func(key, val []byte) bool) {
-	first := len(s.shards) - 1
+	stitch(s.part, s.shards, start, true, fn)
+}
+
+// scanner is one shard's ordered scan source: its *core.Wormhole, or a
+// pinned *core.Reader on it.
+type scanner interface {
+	Scan(start []byte, fn func(key, val []byte) bool)
+	ScanDesc(start []byte, fn func(key, val []byte) bool)
+}
+
+// stitch runs one scan across shards: the shard owning start from start,
+// then every following shard (preceding, when desc) from its end, until fn
+// returns false. A nil start begins at the first (desc: last) shard's end.
+// Partitions are ordered and disjoint, so concatenating per-shard scans in
+// partition order is already the global order — the k-way merge a general
+// partitioner would need, with zero per-key comparisons.
+func stitch[S scanner](p *Partitioner, shards []S, start []byte, desc bool, fn func(key, val []byte) bool) {
+	i, step := 0, 1
+	if desc {
+		i, step = len(shards)-1, -1
+	}
 	if start != nil {
-		first = s.part.Locate(start)
+		i = p.Locate(start)
 	}
 	more := true
-	for i := first; i >= 0 && more; i-- {
-		from := start
-		if i < first {
-			from = nil
+	emit := func(k, v []byte) bool {
+		more = fn(k, v)
+		return more
+	}
+	for from := start; more && i >= 0 && i < len(shards); i, from = i+step, nil {
+		if desc {
+			shards[i].ScanDesc(from, emit)
+		} else {
+			shards[i].Scan(from, emit)
 		}
-		s.shards[i].ScanDesc(from, func(k, v []byte) bool {
-			more = fn(k, v)
-			return more
-		})
 	}
-}
-
-// RangeAsc collects up to limit pairs with key >= start, ascending. The
-// keys are copies.
-func (s *Store) RangeAsc(start []byte, limit int) (keys, vals [][]byte) {
-	return collectRange(limit, start, s.Scan)
-}
-
-// RangeDesc collects up to limit pairs with key <= start, descending (nil
-// start: from the largest key). The keys are copies.
-func (s *Store) RangeDesc(start []byte, limit int) (keys, vals [][]byte) {
-	return collectRange(limit, start, s.ScanDesc)
-}
-
-func collectRange(limit int, start []byte, scan func([]byte, func(k, v []byte) bool)) (keys, vals [][]byte) {
-	if limit <= 0 {
-		return nil, nil
-	}
-	keys = make([][]byte, 0, limit)
-	vals = make([][]byte, 0, limit)
-	scan(start, func(k, v []byte) bool {
-		keys = append(keys, bytes.Clone(k)) // a scan key lives only until fn returns
-		vals = append(vals, v)
-		return len(keys) < limit
-	})
-	return keys, vals
 }
 
 // group partitions batch indexes by owning shard, preserving the batch's
@@ -315,7 +286,7 @@ func (s *Store) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
 	vals = make([][]byte, len(keys))
 	found = make([]bool, len(keys))
 	s.fanOut(s.group(keys), len(keys), func(sh int, idxs []int) {
-		s.shards[sh].GetBatch(keys, vals, found, idxs)
+		s.shards[sh].GetBatchInto(keys, vals, found, idxs)
 	})
 	if bmx != nil {
 		bmx.observeBatch(bmx.GetBatchSeconds, len(keys), t0)
@@ -397,7 +368,7 @@ func (r *Reader) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
 	}
 	for sh, idxs := range r.groups {
 		if len(idxs) > 0 {
-			r.rs[sh].GetBatch(keys, vals, found, idxs)
+			r.rs[sh].GetBatchInto(keys, vals, found, idxs)
 		}
 	}
 	if bmx != nil {
@@ -411,41 +382,13 @@ func (r *Reader) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
 // readers — a long-lived goroutine (a netkv connection) pays no per-scan
 // reader registration on any shard.
 func (r *Reader) Scan(start []byte, fn func(key, val []byte) bool) {
-	first := 0
-	if len(start) > 0 {
-		first = r.s.part.Locate(start)
-	}
-	more := true
-	for i := first; i < len(r.rs) && more; i++ {
-		from := start
-		if i > first {
-			from = nil
-		}
-		r.rs[i].Scan(from, func(k, v []byte) bool {
-			more = fn(k, v)
-			return more
-		})
-	}
+	stitch(r.s.part, r.rs, start, false, fn)
 }
 
 // ScanDesc visits keys <= start descending until fn returns false (nil
 // start: from the largest key), through the pinned per-shard readers.
 func (r *Reader) ScanDesc(start []byte, fn func(key, val []byte) bool) {
-	first := len(r.rs) - 1
-	if start != nil {
-		first = r.s.part.Locate(start)
-	}
-	more := true
-	for i := first; i >= 0 && more; i-- {
-		from := start
-		if i < first {
-			from = nil
-		}
-		r.rs[i].ScanDesc(from, func(k, v []byte) bool {
-			more = fn(k, v)
-			return more
-		})
-	}
+	stitch(r.s.part, r.rs, start, true, fn)
 }
 
 // Close releases every per-shard reader slot.

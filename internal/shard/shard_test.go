@@ -11,6 +11,17 @@ import (
 	"github.com/repro/wormhole/internal/indextest"
 )
 
+// collect gathers copies of up to limit keys, with their values, from one
+// scan.
+func collect(scan func([]byte, func(k, v []byte) bool), start []byte, limit int) (keys, vals [][]byte) {
+	scan(start, func(k, v []byte) bool {
+		keys = append(keys, bytes.Clone(k))
+		vals = append(vals, v)
+		return len(keys) < limit
+	})
+	return keys, vals
+}
+
 func sampleFrom(gen func(*rand.Rand) []byte, n int, seed int64) [][]byte {
 	r := rand.New(rand.NewSource(seed))
 	keys := make([][]byte, n)
@@ -366,8 +377,8 @@ func TestConcurrentBatchedStress(t *testing.T) {
 
 func TestZeroOptionsDefaults(t *testing.T) {
 	st := New(Options{})
-	if st.NumShards() != DefaultShards {
-		t.Fatalf("NumShards = %d, want DefaultShards = %d", st.NumShards(), DefaultShards)
+	if st.NumShards() != defaultShards() {
+		t.Fatalf("NumShards = %d, want defaultShards() = %d", st.NumShards(), defaultShards())
 	}
 	st.Set([]byte("k"), []byte("v"))
 	if v, ok := st.Get([]byte("k")); !ok || string(v) != "v" {
@@ -382,10 +393,10 @@ func TestZeroOptionsDefaults(t *testing.T) {
 }
 
 // TestCrossShardScanDescAndRanges mirrors the ascending ordering test for
-// the descending direction and the Range collectors: a descending scan
-// must stitch shards in reverse partition order with global key order
-// preserved across every boundary, and RangeAsc/RangeDesc must agree with
-// the sorted key set.
+// the descending direction and for bounded windows: a descending scan must
+// stitch shards in reverse partition order with global key order
+// preserved across every boundary, and windows collected in either
+// direction must agree with the sorted key set.
 func TestCrossShardScanDescAndRanges(t *testing.T) {
 	keys := sampleFrom(indextest.GenPrefixed, 5000, 31)
 	st := New(Options{Shards: 5, Sample: keys})
@@ -446,11 +457,11 @@ func TestCrossShardScanDescAndRanges(t *testing.T) {
 		checkDesc(keys[r.Intn(len(keys))])
 	}
 
-	ka, _ := st.RangeAsc([]byte(sorted[10]), 25)
+	ka, _ := collect(st.Scan, []byte(sorted[10]), 25)
 	if len(ka) != 25 || string(ka[0]) != sorted[10] || string(ka[24]) != sorted[34] {
 		t.Fatalf("RangeAsc misaligned: got %d keys, first %q", len(ka), ka[0])
 	}
-	kd, vd := st.RangeDesc([]byte(sorted[100]), 30)
+	kd, vd := collect(st.ScanDesc, []byte(sorted[100]), 30)
 	if len(kd) != 30 || string(kd[0]) != sorted[100] || string(kd[29]) != sorted[71] {
 		t.Fatalf("RangeDesc misaligned: got %d keys, first %q", len(kd), kd[0])
 	}

@@ -69,6 +69,7 @@ type ReplPosition struct {
 // Writes belong on the leader; Promote detaches the follower and hands
 // the caller a writable store.
 type Follower struct {
+	storeView
 	f *repl.Follower
 }
 
@@ -93,55 +94,13 @@ func Replicate(c FollowerConfig) (*Follower, error) {
 	}
 	if c.OnPromote != nil {
 		cb := c.OnPromote
-		o.OnPromote = func(s *shard.Store) { cb(&DB{Sharded{s: s}}) }
+		o.OnPromote = func(s *shard.Store) { cb(&DB{Sharded{storeView{s}}}) }
 	}
 	f, err := repl.Start(o)
 	if err != nil {
 		return nil, err
 	}
-	return &Follower{f: f}, nil
-}
-
-// Get returns the value stored under key.
-func (f *Follower) Get(key []byte) ([]byte, bool) { return f.f.Store().Get(key) }
-
-// GetBatch looks up keys grouped by shard; vals[i], found[i] answer
-// keys[i].
-func (f *Follower) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
-	return f.f.Store().GetBatch(keys)
-}
-
-// Count returns the number of keys across all shards.
-func (f *Follower) Count() int64 { return f.f.Store().Count() }
-
-// NumShards returns the number of partitions (the leader's).
-func (f *Follower) NumShards() int { return f.f.Store().NumShards() }
-
-// Scan visits keys >= start in ascending order until fn returns false.
-func (f *Follower) Scan(start []byte, fn func(key, val []byte) bool) {
-	f.f.Store().Scan(start, fn)
-}
-
-// ScanDesc visits keys <= start in descending order until fn returns
-// false (nil start: from the largest key).
-func (f *Follower) ScanDesc(start []byte, fn func(key, val []byte) bool) {
-	f.f.Store().ScanDesc(start, fn)
-}
-
-// RangeAsc collects up to limit pairs with key >= start, ascending.
-func (f *Follower) RangeAsc(start []byte, limit int) (keys, vals [][]byte) {
-	return f.f.Store().RangeAsc(start, limit)
-}
-
-// RangeDesc collects up to limit pairs with key <= start, descending.
-func (f *Follower) RangeDesc(start []byte, limit int) (keys, vals [][]byte) {
-	return f.f.Store().RangeDesc(start, limit)
-}
-
-// Reader returns an amortized read handle over the follower store (one
-// pinned reader per shard), like Sharded.Reader.
-func (f *Follower) Reader() *ShardedReader {
-	return &ShardedReader{r: f.f.Store().NewReader()}
+	return &Follower{storeView{f.Store()}, f}, nil
 }
 
 // Applied returns the per-shard leader positions the follower has applied
@@ -167,12 +126,12 @@ func (f *Follower) Connected() bool { return f.f.Connected() }
 // Epoch returns the replication epoch of the follower's own store. It
 // grows only on promotion: a follower created at epoch e keeps it until
 // Promote (manual or automatic) bumps past every epoch it has observed.
-func (f *Follower) Epoch() uint64 { return f.f.Store().Epoch() }
+func (f *Follower) Epoch() uint64 { return f.s.Epoch() }
 
 // FencedBy returns the epoch that fenced this store, or zero while
 // unfenced. A non-zero value means a higher-epoch leader exists and this
 // store refuses writes until it resyncs into that lineage.
-func (f *Follower) FencedBy() uint64 { return f.f.Store().FencedBy() }
+func (f *Follower) FencedBy() uint64 { return f.s.FencedBy() }
 
 // SnapshotsApplied returns how many shard snapshot catch-ups have run
 // (zero when every byte arrived by tail replay).
@@ -199,7 +158,7 @@ func (f *Follower) Promote() *DB {
 	if s == nil {
 		return nil
 	}
-	return &DB{Sharded{s: s}}
+	return &DB{Sharded{storeView{s}}}
 }
 
 // Close stops replication and closes the follower store (unless Promote

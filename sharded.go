@@ -26,22 +26,28 @@ type ShardedConfig struct {
 // execute disjoint shards concurrently. All operations are safe for
 // concurrent use; buffer ownership rules match Index.
 type Sharded struct {
+	storeView
+}
+
+// storeView is the read surface Sharded and Follower share over one
+// sharded store.
+type storeView struct {
 	s *shard.Store
 }
 
 // NewSharded returns an empty sharded store.
 func NewSharded(c ShardedConfig) *Sharded {
-	return &Sharded{s: shard.New(shard.Options{Shards: c.Shards, Sample: c.Sample})}
+	return &Sharded{storeView{shard.New(shard.Options{Shards: c.Shards, Sample: c.Sample})}}
 }
 
 // NumShards returns the number of partitions.
-func (sx *Sharded) NumShards() int { return sx.s.NumShards() }
+func (v *storeView) NumShards() int { return v.s.NumShards() }
 
 // ShardOf returns the partition that owns key.
 func (sx *Sharded) ShardOf(key []byte) int { return sx.s.ShardOf(key) }
 
 // Get returns the value stored under key.
-func (sx *Sharded) Get(key []byte) ([]byte, bool) { return sx.s.Get(key) }
+func (v *storeView) Get(key []byte) ([]byte, bool) { return v.s.Get(key) }
 
 // Set inserts key or replaces its value. Key and value are copied.
 func (sx *Sharded) Set(key, val []byte) { sx.s.Set(key, val) }
@@ -50,41 +56,39 @@ func (sx *Sharded) Set(key, val []byte) { sx.s.Set(key, val) }
 func (sx *Sharded) Del(key []byte) bool { return sx.s.Del(key) }
 
 // Count returns the number of keys across all shards.
-func (sx *Sharded) Count() int64 { return sx.s.Count() }
+func (v *storeView) Count() int64 { return v.s.Count() }
 
 // Footprint returns the approximate heap bytes held across all shards.
 func (sx *Sharded) Footprint() int64 { return sx.s.Footprint() }
 
 // Scan visits keys >= start in ascending order until fn returns false,
 // stitching per-shard scans in key order across shard boundaries.
-func (sx *Sharded) Scan(start []byte, fn func(key, val []byte) bool) {
-	sx.s.Scan(start, fn)
-}
+func (v *storeView) Scan(start []byte, fn func(key, val []byte) bool) { v.s.Scan(start, fn) }
 
 // ScanDesc visits keys <= start in descending order until fn returns
 // false, stitching per-shard scans across shard boundaries. A nil start
 // scans from the largest key.
-func (sx *Sharded) ScanDesc(start []byte, fn func(key, val []byte) bool) {
-	sx.s.ScanDesc(start, fn)
-}
+func (v *storeView) ScanDesc(start []byte, fn func(key, val []byte) bool) { v.s.ScanDesc(start, fn) }
 
 // RangeAsc collects up to limit key/value pairs with key >= start,
 // ascending.
-func (sx *Sharded) RangeAsc(start []byte, limit int) (keys, vals [][]byte) {
-	return sx.s.RangeAsc(start, limit)
+func (v *storeView) RangeAsc(start []byte, limit int) (keys, vals [][]byte) {
+	return collect(v.s.Scan, start, limit)
 }
 
 // RangeDesc collects up to limit key/value pairs with key <= start,
 // descending (nil start: from the largest key).
-func (sx *Sharded) RangeDesc(start []byte, limit int) (keys, vals [][]byte) {
-	return sx.s.RangeDesc(start, limit)
+func (v *storeView) RangeDesc(start []byte, limit int) (keys, vals [][]byte) {
+	return collect(v.s.ScanDesc, start, limit)
 }
 
 // GetBatch looks up keys grouped by shard; vals[i], found[i] answer
 // keys[i]. Large batches execute disjoint shards concurrently.
-func (sx *Sharded) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
-	return sx.s.GetBatch(keys)
-}
+func (v *storeView) GetBatch(keys [][]byte) (vals [][]byte, found []bool) { return v.s.GetBatch(keys) }
+
+// Reader returns an amortized read handle over the store: one pinned
+// reader per shard.
+func (v *storeView) Reader() *ShardedReader { return &ShardedReader{r: v.s.NewReader()} }
 
 // SetBatch inserts or replaces keys[i] -> vals[i] grouped by shard;
 // duplicate keys within one batch apply in batch order.
@@ -111,9 +115,6 @@ func (sx *Sharded) Close() error { return sx.s.Close() }
 type ShardedReader struct {
 	r *shard.Reader
 }
-
-// Reader returns a read handle bound to this store.
-func (sx *Sharded) Reader() *ShardedReader { return &ShardedReader{r: sx.s.NewReader()} }
 
 // Get returns the value stored under key, through the owning shard's
 // pinned reader.

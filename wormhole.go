@@ -103,12 +103,7 @@ func (ix *Index) Get(key []byte) ([]byte, bool) { return ix.t.Get(key) }
 // so large batches (16+) resolve substantially faster than a Get loop.
 // Duplicate and missing keys are fine; value slices follow the same
 // ownership rules as Get.
-func (ix *Index) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
-	vals = make([][]byte, len(keys))
-	found = make([]bool, len(keys))
-	ix.t.GetBatch(keys, vals, found, nil)
-	return vals, found
-}
+func (ix *Index) GetBatch(keys [][]byte) (vals [][]byte, found []bool) { return ix.t.GetBatch(keys) }
 
 // Set inserts key or replaces its value. Key and value are copied.
 func (ix *Index) Set(key, val []byte) { ix.t.Set(key, val) }
@@ -137,20 +132,45 @@ func (ix *Index) ScanDesc(start []byte, fn func(key, val []byte) bool) {
 // RangeAsc collects up to limit key/value pairs with key >= start — the
 // paper's RangeSearchAscending.
 func (ix *Index) RangeAsc(start []byte, limit int) (keys, vals [][]byte) {
-	return ix.t.RangeAsc(start, limit)
+	return collect(ix.t.Scan, start, limit)
 }
 
 // RangeDesc collects up to limit key/value pairs with key <= start,
 // descending (nil start: from the largest key).
 func (ix *Index) RangeDesc(start []byte, limit int) (keys, vals [][]byte) {
-	return ix.t.RangeDesc(start, limit)
+	return collect(ix.t.ScanDesc, start, limit)
 }
 
 // Min returns (a copy of) the smallest key and its value.
-func (ix *Index) Min() (key, val []byte, ok bool) { return ix.t.Min() }
+func (ix *Index) Min() (key, val []byte, ok bool) { return first(collect(ix.t.Scan, nil, 1)) }
 
 // Max returns (a copy of) the largest key and its value.
-func (ix *Index) Max() (key, val []byte, ok bool) { return ix.t.Max() }
+func (ix *Index) Max() (key, val []byte, ok bool) { return first(collect(ix.t.ScanDesc, nil, 1)) }
+
+// collect gathers up to limit pairs from one scan from start. The keys are
+// copies, since a scan key lives only until its callback returns; the
+// values are the index's own slices. Both have cap == len.
+func collect(scan func([]byte, func(k, v []byte) bool), start []byte, limit int) (keys, vals [][]byte) {
+	if limit <= 0 {
+		return nil, nil
+	}
+	keys = make([][]byte, 0, min(limit, 1024))
+	vals = make([][]byte, 0, cap(keys))
+	scan(start, func(k, v []byte) bool {
+		keys = append(keys, append(make([]byte, 0, len(k)), k...))
+		vals = append(vals, v)
+		return len(keys) < limit
+	})
+	return keys, vals
+}
+
+// first returns collect's only pair, if it found one.
+func first(keys, vals [][]byte) (key, val []byte, ok bool) {
+	if len(keys) == 0 {
+		return nil, nil, false
+	}
+	return keys[0], vals[0], true
+}
 
 // Iter returns a pull-style iterator positioned before the first key >=
 // start (nil start means the smallest key), in ascending order.
@@ -184,12 +204,7 @@ func (r *Reader) Get(key []byte) ([]byte, bool) { return r.r.Get(key) }
 // GetBatch looks up every key in one call through the handle's amortized
 // registration and the memory-parallel pipeline; vals[i], found[i]
 // answer keys[i], exactly as len(keys) sequential Gets would.
-func (r *Reader) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
-	vals = make([][]byte, len(keys))
-	found = make([]bool, len(keys))
-	r.r.GetBatch(keys, vals, found, nil)
-	return vals, found
-}
+func (r *Reader) GetBatch(keys [][]byte) (vals [][]byte, found []bool) { return r.r.GetBatch(keys) }
 
 // Scan visits keys >= start in ascending order until fn returns false,
 // through the handle's amortized registration (no per-scan reader setup).
