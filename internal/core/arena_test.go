@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/repro/wormhole/internal/keyset"
+	"github.com/repro/wormhole/internal/testsupport"
 )
 
 // TestSetCopiesBuffers pins the ownership contract: Set, SetNoWait and
@@ -177,7 +178,7 @@ func TestArenaGarbageBounded(t *testing.T) {
 	if limit := float64(st.ArenaLiveBytes) * (1 + 1.0/compactHeadroom) * 9 / 8; float64(st.ArenaBytes) > limit {
 		t.Errorf("arenas hold %d B for %d live B, over the headroom rule's %.0f B", st.ArenaBytes, st.ArenaLiveBytes, limit)
 	}
-	if !raceEnabled && churned > 1.5*loaded {
+	if !testsupport.RaceEnabled && churned > 1.5*loaded {
 		t.Errorf("live heap grew from %.1f to %.1f B/key under overwrites and churn, over 1.5x", loaded, churned)
 	}
 	runtime.KeepAlive(keys)

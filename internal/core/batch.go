@@ -52,21 +52,21 @@ const defaultBatchDepth = 8
 
 // batchLane is one key's in-flight state across the pipeline rounds.
 type batchLane struct {
-	hs            [maxEagerPrefix + 1]uint32 // hs[i] = CRC32-C of key[:i]
-	h             uint32                     // full-key hash
-	ph            uint32                     // hash of the LPM item's key
-	m, n          int32                      // binary-search bounds (confirmed, exclusive upper)
-	node          *metaNode                  // LPM item
-	child         *metaNode                  // child item its tag names, not yet certified; nil if node decides the leaf
-	leaf          *leafNode                  // target leaf
-	a             *arena                     // target leaf's arena, then its block's arrays
-	hashes, items []uint32
-	pos           int    // tag search position
-	s1            uint64 // leaf seqlock snapshot
-	idx           int32  // position in keys/vals/found
-	tok           byte   // sibling token of the child
-	right         bool   // the child is the key's right sibling
-	slow          bool   // lane must take the scalar path
+	hs    [maxEagerPrefix + 1]uint32 // hs[i] = CRC32-C of key[:i]
+	h     uint32                     // full-key hash
+	ph    uint32                     // hash of the LPM item's key
+	m, n  int32                      // binary-search bounds (confirmed, exclusive upper)
+	node  *metaNode                  // LPM item
+	child *metaNode                  // child item its tag names, not yet certified; nil if node decides the leaf
+	leaf  *leafNode                  // target leaf
+	a     *arena                     // target leaf's arena, then its block's entries
+	ents  []tagEnt
+	pos   int    // tag search position
+	s1    uint64 // leaf seqlock snapshot
+	idx   int32  // position in keys/vals/found
+	tok   byte   // sibling token of the child
+	right bool   // the child is the key's right sibling
+	slow  bool   // lane must take the scalar path
 }
 
 // batchScratch is the pooled per-batch state: the lane array dominates
@@ -257,23 +257,22 @@ func (w *Wormhole) batchWave(s *qsbr.Slot, sc *batchScratch, keys, vals [][]byte
 	}
 
 	// Block: touch each target leaf's arena header and, loaded after it
-	// (the reader rule), its block at the speculative tag position.
+	// (the reader rule), its block's entry at the speculative tag
+	// position, whose line holds both the hash and the ref (tagBlock.touch:
+	// the address comes from the block pointer and the leaf's count, so
+	// the load does not wait for the block's header).
 	for li := range lanes {
 		ln := &lanes[li]
 		if ln.slow {
 			continue
 		}
 		a, b, n := ln.leaf.tagsOf()
-		sink += uint(a.hw.Load())
-		if b.big == nil && n > 0 && n <= tagBlockCap {
-			i := tagSpec(ln.h, n)
-			sink += uint(b.hashes[i]) + uint(b.items[i])
-		}
+		sink += uint(a.hw.Load()) + uint(b.touch(ln.h, n))
 	}
 
 	// Record: open each lane's seqlock bracket, apply §2.5's version and
 	// dead checks, load the leaf's arena and block (tagsOf) and place the
-	// tag search (tagSpec, tagPos); touch the first candidate record and
+	// tag search (tagStart, tagPos); touch the first candidate record and
 	// the arena's fence prefix under the reader rule, or the inline tail
 	// when the base holds none.
 	for li := range lanes {
@@ -289,20 +288,21 @@ func (w *Wormhole) batchWave(s *qsbr.Slot, sc *batchScratch, keys, vals [][]byte
 		}
 		a, b, n := l.tagsOf()
 		ln.a = a
-		ln.hashes, ln.items = b.view(n)
-		ln.pos = 0
-		if directPos {
-			ln.pos = tagSpec(ln.h, len(ln.hashes))
+		ln.ents = b.view(n)
+		i, ok := tagStart(ln.ents, ln.h, n, directPos)
+		if !ok {
+			ln.slow = true // a mixed generation
+			continue
 		}
-		ln.pos = tagPos(ln.hashes, ln.h, ln.pos, directPos)
+		ln.pos = tagPos(ln.ents, ln.h, i, directPos)
 	}
 	for li := range lanes {
 		ln := &lanes[li]
 		if ln.slow {
 			continue
 		}
-		if ln.pos < len(ln.hashes) && ln.hashes[ln.pos] == ln.h {
-			sink += ln.a.touch(ln.items[ln.pos], len(keys[ln.idx]))
+		if ln.pos < len(ln.ents) && ln.ents[ln.pos].hash == ln.h {
+			sink += ln.a.touch(ln.ents[ln.pos].ref, len(keys[ln.idx]))
 		} else {
 			sink += uint(ln.leaf.tailHash[0].Load())
 		}
@@ -324,7 +324,7 @@ func (w *Wormhole) batchWave(s *qsbr.Slot, sc *batchScratch, keys, vals [][]byte
 		}
 		l := ln.leaf
 		var v uint64
-		r := l.matchTags(ln.a, ln.hashes, ln.items, ln.pos, ln.h, k)
+		r := l.matchTags(ln.a, ln.ents, ln.pos, ln.h, k)
 		if r != noRef {
 			v = ln.a.val(r) // matchTags checked the header against hw
 		}

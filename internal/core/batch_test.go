@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/repro/wormhole/internal/keyset"
+	"github.com/repro/wormhole/internal/testsupport"
 )
 
 // batchConfigs enumerates the option shapes whose GetBatch code paths
@@ -355,22 +356,22 @@ func TestGetBatchZeroAllocs(t *testing.T) {
 		for _, depth := range tc.depths {
 			w.batchDepth.Store(depth)
 			i := 0
-			if n := mallocs(500, func() {
+			if n := testsupport.Mallocs(500, func() {
 				for j := range batch {
 					batch[j] = keys[(i*2654435761+j*40503)%len(keys)]
 				}
 				batch[3] = miss // a guaranteed miss per batch
 				r.GetBatchInto(batch, vals, found, nil)
 				i++
-			}); n > poolAllocs(500) {
-				t.Errorf("%s depth %d: Reader.GetBatch: %d allocs over 500 batches, want <= %d", tc.name, depth, n, poolAllocs(500))
+			}); n > testsupport.PoolAllocs(500) {
+				t.Errorf("%s depth %d: Reader.GetBatch: %d allocs over 500 batches, want <= %d", tc.name, depth, n, testsupport.PoolAllocs(500))
 			}
 			i = 0
-			if n := mallocs(500, func() {
+			if n := testsupport.Mallocs(500, func() {
 				w.GetBatchInto(batch, vals, found, nil)
 				i++
-			}); n > poolAllocs(500) {
-				t.Errorf("%s depth %d: Wormhole.GetBatch: %d allocs over 500 batches, want <= %d", tc.name, depth, n, poolAllocs(500))
+			}); n > testsupport.PoolAllocs(500) {
+				t.Errorf("%s depth %d: Wormhole.GetBatch: %d allocs over 500 batches, want <= %d", tc.name, depth, n, testsupport.PoolAllocs(500))
 			}
 		}
 		r.Close()

@@ -158,6 +158,9 @@ func (w *Wormhole) checkLeafList() error {
 		// every tail slot's merge position must match a fresh search of
 		// that view, so a refactor cannot silently desynchronize what
 		// lock-free scans walk from what lookups see.
+		if b := l.base.Load(); int(b.n) != int(l.baseN.Load()) {
+			return fmt.Errorf("leaf %q publishes %d base entries in a %d-entry block", a.stored, l.baseN.Load(), b.n)
+		}
 		baseItems, ord := l.sortedView()
 		if ord.len() != len(tags.base) {
 			return fmt.Errorf("sorted view size mismatch in leaf %q: %d entries, base has %d",
@@ -171,7 +174,7 @@ func (w *Wormhole) checkLeafList() error {
 					i, a.stored, ix)
 			}
 			seenIdx[ix] = true // each base item exactly once
-			if i > 0 && bytes.Compare(ar.sfx(baseItems[ord.at(i-1)]), ar.sfx(baseItems[ix])) >= 0 {
+			if i > 0 && bytes.Compare(ar.sfx(baseItems[ord.at(i-1)].ref), ar.sfx(baseItems[ix].ref)) >= 0 {
 				return fmt.Errorf("sorted view out of key order in leaf %q at %d", a.stored, i)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // tagEnt is one tag-array slot: the item's full hash inline (its low bits
@@ -23,12 +24,11 @@ const tagTailMax = 15
 // The leaf's hash index — the paper's sorted tag array (Figure 7, §3.2)
 // — is split across two structures tuned for the lock-free reader:
 //
-//   - The base is an immutable published block (tagBlock) holding the
-//     hashes and the items' record refs as two parallel arrays in (hash,
-//     key) order. The dense []uint32 hash array is what direct
-//     positioning walks: 4 bytes per item, so the speculative start
-//     position and the true position almost always share one cache line.
-//     The ref array is touched exactly once, on the final match.
+//   - The base is an immutable published block (tagBlock) holding each
+//     item's hash and record ref as one 8-byte pair, in (hash, key)
+//     order. Direct positioning walks the pairs: the speculative start
+//     position and the true position almost always share one cache line,
+//     and that line also holds the ref the final match resolves.
 //   - The tail is a fixed array *inline in the leaf*, holding up to
 //     tagTailMax recent inserts. Inserting stores one hash, one ref, one
 //     merge position and the new length — all atomics on leaf-local cache
@@ -45,49 +45,90 @@ const tagTailMax = 15
 // does so inside a seqlock bracket, so the optimistic reader's sequence
 // validation discards exactly those reads.
 
-// tagBlockCap sizes the block's inline arrays: the default 128-key leaf
-// (a fold never makes a block larger than the leaf) plus a few spare
-// slots. The block is then 1,268 bytes, and with the 8-byte header the
-// allocator puts before every pointerful object over 512 bytes it fits
-// the 1,280-byte size class (one more entry costs 9 bytes). Leaves that
-// outgrow it (fat leaves, large custom LeafCap) spill to the slice-based
-// big form.
+// tagBlockCap is the entry count up to which a fold and setSorted keep
+// their scratch on the stack: the default 128-key leaf plus a few spare
+// slots. Larger blocks (fat leaves, a large custom LeafCap) allocate it.
 const tagBlockCap = 140
 
-// tagBlock is one immutable published base: hashes[i] is the hash of the
-// record items[i] refers to, ordered by (hash, key). The arrays are inline
-// and fixed-size, and the entry count lives in the leaf header (baseN),
-// not here — so a reader computes the address of hashes[i] from the block
-// pointer alone, without first reading the block. That removes one
-// serialized cache miss from every lookup, and it keeps mixed-generation
-// races inside the fixed arrays, where a stale slot holds zero (the
-// arena's first record) or a ref the reader rule bounds-checks.
+// smallOrderMax is the largest block whose key-order entries are bytes;
+// a larger block's are int32.
+const smallOrderMax = 256
+
+// tagBlock is the header of one immutable published base, sized for its
+// entries: one pointer-free allocation holding this header, then n
+// (hash, ref) pairs ordered by (hash, key) — entry i is the record ref
+// and its hash, so a hit reads both from one cache line — then the
+// key-order array (order entries are bytes up to smallOrderMax entries,
+// int32 beyond). Blocks are immutable and every fold, remove, setSorted
+// and bulk load builds a fresh one, so a block never has room beyond n.
 //
-// order is the published key-sorted view: order[k] is the items index of
+// The published entry count lives in the leaf header (baseN) as well as
+// here. A reader computes the address of entry i from the block pointer
+// and baseN alone, without first reading the block, which keeps one
+// serialized cache miss off every lookup. A lock-free reader can pair a
+// block with the baseN of another generation, so every view clamps the
+// count to the block's own n and no read leaves the allocation; the
+// seqlock bracket discards such a read.
+//
+// order is the published key-sorted view: order[k] is the entry index of
 // the k-th smallest key. Together with the leaf's (pos, key)-sorted inline
 // tail it is the leaf's only item list — lock-free and locked scans,
-// splits, merges, compactions and the key-sorted search all read it. Its
-// indices are below tagBlockCap, so a byte holds each.
+// splits, merges, compactions and the key-sorted search all read it.
 type tagBlock struct {
-	big    *tagBlockBig // non-nil iff the entries exceed tagBlockCap
-	hashes [tagBlockCap]uint32
-	items  [tagBlockCap]uint32
-	order  [tagBlockCap]uint8
+	n    uint32 // entries the block holds
+	size uint32 // bytes of its allocation: the size class, header included
 }
 
-// tagBlockBig is the overflow form for leaves beyond tagBlockCap items.
-type tagBlockBig struct {
-	hashes []uint32
-	items  []uint32
-	order  []int32
+// tagBlockHdr is the header's size; the entry array starts there.
+const tagBlockHdr = unsafe.Sizeof(tagBlock{})
+
+// emptyTagBlock is the zero-entry block shared by all fresh leaves. Its
+// storage runs a word past the header, so its empty arrays start inside
+// it like every other block's.
+var emptyTagBlock = (*tagBlock)(unsafe.Pointer(new([2]uint64)))
+
+// tagBlockBytes is the bytes a block of n entries needs.
+func tagBlockBytes(n int) int {
+	ord := n
+	if n > smallOrderMax {
+		ord = 4 * n
+	}
+	return int(tagBlockHdr) + n*int(unsafe.Sizeof(tagEnt{})) + ord
 }
 
-// emptyTagBlock is the zero-entry block shared by all fresh leaves.
-var emptyTagBlock = &tagBlock{}
+// allocTagBlock allocates a zeroed block for n > 0 entries. Its storage is
+// a []uint64, so the allocator neither scans it nor prefixes it with a
+// malloc header; slices.Grow rounds the capacity up to the size class,
+// which records what the block really takes.
+func allocTagBlock(n int) *tagBlock {
+	words := (tagBlockBytes(n) + 7) / 8
+	buf := slices.Grow([]uint64(nil), words)[:words]
+	b := (*tagBlock)(unsafe.Pointer(&buf[0]))
+	b.n, b.size = uint32(n), uint32(cap(buf)*8)
+	return b
+}
 
-// keyOrder is a block's key-sorted view: at(k) is the items index of the
-// k-th smallest key. The inline block's indices fit a byte, a big block's
-// do not; exactly one of the two slices is in use.
+// ents returns all of the block's entries.
+func (b *tagBlock) ents() []tagEnt {
+	return unsafe.Slice((*tagEnt)(unsafe.Add(unsafe.Pointer(b), tagBlockHdr)), b.n)
+}
+
+// order returns the block's key-sorted view cut to n entries, at most the
+// block's own count.
+func (b *tagBlock) order(n int) keyOrder {
+	c := int(b.n)
+	n = min(n, c)
+	p := unsafe.Add(unsafe.Pointer(b), tagBlockHdr+uintptr(c)*unsafe.Sizeof(tagEnt{}))
+	if c > smallOrderMax {
+		return keyOrder{big: unsafe.Slice((*int32)(p), c)[:n]}
+	}
+	return keyOrder{small: unsafe.Slice((*uint8)(p), c)[:n]}
+}
+
+// keyOrder is a block's key-sorted view: at(k) is the entry index of the
+// k-th smallest key. A block of at most smallOrderMax entries keeps its
+// indices in bytes, a larger one in int32; exactly one of the two slices
+// is in use.
 type keyOrder struct {
 	small []uint8
 	big   []int32
@@ -116,11 +157,11 @@ func (o keyOrder) set(k, i int) {
 // key). A ref the reader rule rejects (a mixed generation, which the
 // caller's bracket discards) compares low. A plain loop instead of
 // sort.Search keeps callers closure-free.
-func lowerBoundIdx(a *arena, items []uint32, ord keyOrder, sfx []byte, incl bool) int {
+func lowerBoundIdx(a *arena, ents []tagEnt, ord keyOrder, sfx []byte, incl bool) int {
 	lo, hi := 0, ord.len()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		k, ok := a.peekSfx(items[ord.at(mid)])
+		k, ok := a.peekSfx(ents[ord.at(mid)].ref)
 		cmp := -1
 		if ok {
 			cmp = bytes.Compare(k, sfx)
@@ -137,43 +178,48 @@ func lowerBoundIdx(a *arena, items []uint32, ord keyOrder, sfx []byte, incl bool
 // keyPosIn returns the merge position in the key-sorted view of the key
 // whose suffix is sfx, with a one-compare fast path for the common
 // append-at-end (ascending insert) case. Caller holds mu.
-func keyPosIn(a *arena, items []uint32, ord keyOrder, sfx []byte) int {
+func keyPosIn(a *arena, ents []tagEnt, ord keyOrder, sfx []byte) int {
 	n := ord.len()
-	if n == 0 || bytes.Compare(a.sfx(items[ord.at(n-1)]), sfx) < 0 {
+	if n == 0 || bytes.Compare(a.sfx(ents[ord.at(n-1)].ref), sfx) < 0 {
 		return n
 	}
-	return lowerBoundIdx(a, items, ord, sfx, true)
+	return lowerBoundIdx(a, ents, ord, sfx, true)
 }
 
-// view returns the block's entry arrays; n is the leaf's published entry
-// count (authoritative while the caller's seqlock bracket holds).
-func (b *tagBlock) view(n int) ([]uint32, []uint32) {
-	if bg := b.big; bg != nil {
-		n = min(n, len(bg.hashes), len(bg.items))
-		return bg.hashes[:n], bg.items[:n]
-	}
-	if n > tagBlockCap {
-		n = tagBlockCap
-	}
-	return b.hashes[:n], b.items[:n]
+// view returns the block's entries for the leaf's published entry count
+// n (authoritative while the caller's seqlock bracket holds), clamped to
+// the block's own count.
+func (b *tagBlock) view(n int) []tagEnt {
+	return b.ents()[:min(n, int(b.n))]
 }
 
 // sortedView returns the block's key-sorted view for the leaf's published
-// entry count n, and the ref array it indexes. items is the block's whole
-// array, not cut to n, because a lock-free reader can pair the block with
-// an n from another generation — and every index the block holds is below
-// its own population, which n does not bound. A stale smaller n thus still
-// indexes populated slots, and a stale larger n reads zero indices past
-// the population, i.e. items[0]. Memory-safe either way; the seqlock
-// bracket discards the mixed read. Under mu, n is exact.
-func (b *tagBlock) sortedView(n int) ([]uint32, keyOrder) {
-	if bg := b.big; bg != nil {
-		return bg.items, keyOrder{big: bg.order[:min(n, len(bg.order))]}
+// entry count n, and the entry array it indexes. The entries are the
+// block's whole array, not cut to n, because a lock-free reader can pair
+// the block with an n from another generation — and every index the block
+// holds is below its own count, which n does not bound. The view itself
+// is cut to the smaller of the two counts, so either way every read stays
+// inside the block; the seqlock bracket discards the mixed read. Under mu,
+// n is exact.
+func (b *tagBlock) sortedView(n int) ([]tagEnt, keyOrder) {
+	return b.ents(), b.order(n)
+}
+
+// touch loads the entry at h's speculative position among the leaf's
+// published count n (tagSpec) and returns its hash, 0 when n names no
+// entry of this block: the batched read's block round, which brings the
+// entry's line in ahead of the tag search. The address depends only on
+// the block pointer and n; the clamp against the block's own count is a
+// branch, so the load does not wait for the header.
+func (b *tagBlock) touch(h uint32, n int) uint32 {
+	if n <= 0 {
+		return 0
 	}
-	if b == emptyTagBlock {
-		return nil, keyOrder{}
+	ents := b.view(n)
+	if i := tagSpec(h, n); i < len(ents) {
+		return ents[i].hash
 	}
-	return b.items[:], keyOrder{small: b.order[:min(n, tagBlockCap)]}
+	return 0
 }
 
 // tagsView is a point-in-time view of a leaf's hash index, materialized
@@ -256,20 +302,16 @@ func newLeafNode(a anchor) *leafNode {
 
 // sortedView returns the key-sorted view of l's base block (see
 // tagBlock.sortedView).
-func (l *leafNode) sortedView() ([]uint32, keyOrder) {
+func (l *leafNode) sortedView() ([]tagEnt, keyOrder) {
 	return l.base.Load().sortedView(int(l.baseN.Load()))
 }
 
 // tags returns an entry view of the current hash index (cold paths; the
 // lookup path is findTags). Callers needing a consistent view hold mu.
 func (l *leafNode) tags() tagsView {
-	hashes, items := l.base.Load().view(int(l.baseN.Load()))
 	v := tagsView{}
-	if len(hashes) > 0 {
-		v.base = make([]tagEnt, len(hashes))
-		for i, h := range hashes {
-			v.base[i] = tagEnt{hash: h, ref: items[i]}
-		}
+	if ents := l.base.Load().view(int(l.baseN.Load())); len(ents) > 0 {
+		v.base = slices.Clone(ents)
 	}
 	tl := int(l.tailLen.Load())
 	for i := 0; i < tl && i < tagTailMax; i++ {
@@ -279,30 +321,36 @@ func (l *leafNode) tags() tagsView {
 }
 
 // findTags locates (h, key) in the hash index: positioned search over the
-// base block's dense hash array (§3.2's direct positioning or binary
+// base block's (hash, ref) entries (§3.2's direct positioning or binary
 // search), then — on a miss only — a linear scan of the short inline
 // tail. It returns the arena the ref resolves in and the ref (noRef on a
 // miss). Safe without any lock; optimistic callers bracket it with the
 // seqlock (see the tagBlock comment and the reader rule for why no read
 // here can fault or race). It runs the search's steps in sequence —
-// tagsOf, tagSpec, tagPos, matchTags — which the batched read pipeline
+// tagsOf, tagStart, tagPos, matchTags — which the batched read pipeline
 // runs one round at a time across its lanes.
 func (l *leafNode) findTags(h uint32, key []byte, directPos bool) (*arena, uint32) {
 	a, b, n := l.tagsOf()
-	hashes, items := b.view(n)
-	i := 0
-	if directPos && len(items) > 0 {
-		i = tagSpec(h, len(items))
-		// Touch the ref slot at the speculative position while the hash
-		// walk's own loads are in flight; the final position is almost
-		// always on the same or an adjacent line, so the ref-array miss
-		// overlaps the hash-array miss instead of following it. The
-		// comparison feeds a benign branch so the load stays live.
-		if items[i] == noRef && h == 0 {
-			return a, noRef
-		}
+	ents := b.view(n)
+	i, ok := tagStart(ents, h, n, directPos)
+	if !ok {
+		return a, noRef // a mixed generation: the caller's bracket fails
 	}
-	return a, l.matchTags(a, hashes, items, tagPos(hashes, h, i, directPos), h, key)
+	return a, l.matchTags(a, ents, tagPos(ents, h, i, directPos), h, key)
+}
+
+// tagStart returns where tagPos starts its walk over ents, the block's
+// view for the leaf's published count n: h's speculative position with
+// directPos, 0 otherwise. The position comes from n, not from the block,
+// so the first entry load waits for no load of the block header. It
+// reports false when n names a position past the block, which only a
+// mixed generation does (the caller's seqlock bracket then fails).
+func tagStart(ents []tagEnt, h uint32, n int, directPos bool) (int, bool) {
+	if !directPos || n <= 0 {
+		return 0, true
+	}
+	i := tagSpec(h, n)
+	return i, i < len(ents)
 }
 
 // tagsOf loads l's arena, then its base block and entry count: the reader
@@ -316,10 +364,10 @@ func (l *leafNode) tagsOf() (*arena, *tagBlock, int) {
 // block, then — on a miss only — the inline tail. It returns the ref of
 // key's record, noRef on a miss. A hash match is confirmed against the
 // whole key, prefix included (arena.holds).
-func (l *leafNode) matchTags(a *arena, hashes, items []uint32, i int, h uint32, key []byte) uint32 {
-	for ; i < len(hashes) && hashes[i] == h; i++ {
-		if a.holds(items[i], key) {
-			return items[i]
+func (l *leafNode) matchTags(a *arena, ents []tagEnt, i int, h uint32, key []byte) uint32 {
+	for ; i < len(ents) && ents[i].hash == h; i++ {
+		if a.holds(ents[i].ref, key) {
+			return ents[i].ref
 		}
 	}
 	tl := int(l.tailLen.Load())
@@ -343,23 +391,23 @@ func (l *leafNode) size() int { return int(l.baseN.Load() + l.tailLen.Load()) }
 
 // tagSpec returns h's speculative position among n sorted hashes,
 // hash*n/2^32: with a uniform hash it lands within a step or two of h's
-// run (§3.2's direct speculative positioning), and on the dense 4-byte
-// array the speculation and the true position almost always share a
+// run (§3.2's direct speculative positioning), and on the dense 8-byte
+// entries the speculation and the true position almost always share a
 // cache line.
 func tagSpec(h uint32, n int) int { return int(uint64(h) * uint64(n) >> 32) }
 
-// tagPos returns the first index in the sorted hash array a whose value
+// tagPos returns the first index in the hash-sorted entries a whose hash
 // is >= h (== len(a) when every hash is smaller). With directPos it walks
 // there from i, h's speculative position (tagSpec); otherwise it binary
 // searches and ignores i.
-func tagPos(a []uint32, h uint32, i int, directPos bool) int {
+func tagPos(a []tagEnt, h uint32, i int, directPos bool) int {
 	if !directPos {
-		return sort.Search(len(a), func(j int) bool { return a[j] >= h })
+		return sort.Search(len(a), func(j int) bool { return a[j].hash >= h })
 	}
-	for i > 0 && h <= a[i-1] {
+	for i > 0 && h <= a[i-1].hash {
 		i--
 	}
-	for i < len(a) && h > a[i] {
+	for i < len(a) && h > a[i].hash {
 		i++
 	}
 	return i
@@ -381,9 +429,9 @@ func (l *leafNode) find(h uint32, key []byte, sortByTag, directPos bool) uint32 
 	if rel != 0 {
 		return noRef // outside the fences
 	}
-	items, ord := l.sortedView()
-	if i := lowerBoundIdx(a, items, ord, sfx, true); i < ord.len() {
-		if r := items[ord.at(i)]; bytes.Equal(a.sfx(r), sfx) {
+	ents, ord := l.sortedView()
+	if i := lowerBoundIdx(a, ents, ord, sfx, true); i < ord.len() {
+		if r := ents[ord.at(i)].ref; bytes.Equal(a.sfx(r), sfx) {
 			return r
 		}
 	}
@@ -458,8 +506,8 @@ func (l *leafNode) insert(h uint32, key, val []byte) {
 	it := a.put(h, sfx, val)
 	tl := int(l.tailLen.Load())
 	if tl < tagTailMax {
-		items, ord := l.sortedView()
-		pos := int32(keyPosIn(a, items, ord, sfx))
+		ents, ord := l.sortedView()
+		pos := int32(keyPosIn(a, ents, ord, sfx))
 		// Keep the inline tail (pos, key)-sorted: find the insertion
 		// slot, shift the greater suffix up one, store the new item. The
 		// shift's transient duplicates are inside this bracket, so
@@ -495,11 +543,11 @@ func (l *leafNode) insert(h uint32, key, val []byte) {
 		// the small tail sort.
 		ob := l.base.Load()
 		bn := int(l.baseN.Load())
-		oh, oldItems := ob.view(bn)
-		_, oo := ob.sortedView(bn)
+		old := ob.view(bn)
+		oo := ob.order(bn)
 
 		// The new item joins the (pos, key)-sorted tail in a local copy.
-		newPos := int32(keyPosIn(a, oldItems, oo, sfx))
+		newPos := int32(keyPosIn(a, old, oo, sfx))
 		sl := tl
 		for sl > 0 {
 			p := l.tailPos[sl-1].Load()
@@ -537,40 +585,40 @@ func (l *leafNode) insert(h uint32, key, val []byte) {
 			}
 		}
 
-		n := len(oh) + m
-		nh, ni, no := newTagBlockInto(l, n)
+		n := len(old) + m
+		ne, no := newTagBlockInto(l, n)
 		var onBuf [tagBlockCap]int32
 		oldToNew := onBuf[:]
-		if len(oh) > tagBlockCap {
-			oldToNew = make([]int32, len(oh)) // fat leaf: rare
+		if len(old) > tagBlockCap {
+			oldToNew = make([]int32, len(old)) // fat leaf: rare
 		}
-		oldToNew = oldToNew[:len(oh)]
+		oldToNew = oldToNew[:len(old)]
 		var tailToNew [tagTailMax + 1]int32
 		o := 0
 		bi := 0
 		ti := 0
-		for bi < len(oh) && ti < m {
+		for bi < len(old) && ti < m {
 			j := hs[ti]
-			if oh[bi] < thash[j] || (oh[bi] == thash[j] &&
-				bytes.Compare(a.sfx(oldItems[bi]), a.sfx(titems[j])) < 0) {
-				nh[o], ni[o] = oh[bi], oldItems[bi]
+			if e := old[bi]; e.hash < thash[j] || (e.hash == thash[j] &&
+				bytes.Compare(a.sfx(e.ref), a.sfx(titems[j])) < 0) {
+				ne[o] = e
 				oldToNew[bi] = int32(o)
 				bi++
 			} else {
-				nh[o], ni[o] = thash[j], titems[j]
+				ne[o] = tagEnt{hash: thash[j], ref: titems[j]}
 				tailToNew[j] = int32(o)
 				ti++
 			}
 			o++
 		}
-		for ; bi < len(oh); bi++ {
-			nh[o], ni[o] = oh[bi], oldItems[bi]
+		for ; bi < len(old); bi++ {
+			ne[o] = old[bi]
 			oldToNew[bi] = int32(o)
 			o++
 		}
 		for ; ti < m; ti++ {
 			j := hs[ti]
-			nh[o], ni[o] = thash[j], titems[j]
+			ne[o] = tagEnt{hash: thash[j], ref: titems[j]}
 			tailToNew[j] = int32(o)
 			o++
 		}
@@ -599,22 +647,17 @@ func (l *leafNode) insert(h uint32, key, val []byte) {
 // pendingTagBlock passes the block under construction from
 // newTagBlockInto to publishTagBlock (single writer; caller holds mu).
 //
-// newTagBlockInto allocates a block sized for n entries (the shared empty
+// newTagBlockInto allocates a block of exactly n entries (the shared empty
 // block when n is 0) and returns its writable arrays; publishTagBlock
 // stores it as the new base and empties the tail.
-func newTagBlockInto(l *leafNode, n int) ([]uint32, []uint32, keyOrder) {
+func newTagBlockInto(l *leafNode, n int) ([]tagEnt, keyOrder) {
 	if n == 0 {
 		l.pendingBlock = emptyTagBlock
-		return nil, nil, keyOrder{}
+		return nil, keyOrder{}
 	}
-	b := &tagBlock{}
-	if n > tagBlockCap {
-		b.big = &tagBlockBig{hashes: make([]uint32, n), items: make([]uint32, n), order: make([]int32, n)}
-		l.pendingBlock = b
-		return b.big.hashes, b.big.items, keyOrder{big: b.big.order}
-	}
+	b := allocTagBlock(n)
 	l.pendingBlock = b
-	return b.hashes[:n], b.items[:n], keyOrder{small: b.order[:n]}
+	return b.ents(), b.order(n)
 }
 
 func (l *leafNode) publishTagBlock(n int) {
@@ -646,14 +689,14 @@ func (l *leafNode) remove(it uint32) {
 		// the removed item's array slot shift down by one).
 		ob := l.base.Load()
 		bn := int(l.baseN.Load())
-		oh, oi := ob.view(bn)
-		_, oo := ob.sortedView(bn)
-		nh, ni, no := newTagBlockInto(l, len(oh)-1)
+		old := ob.view(bn)
+		oo := ob.order(bn)
+		ne, no := newTagBlockInto(l, len(old)-1)
 		o := 0
-		ri := len(oi) // removed item's index in the old ref array
-		for i, m := range oi {
-			if m != it {
-				nh[o], ni[o] = oh[i], m
+		ri := len(old) // removed item's index in the old entries
+		for i, e := range old {
+			if e.ref != it {
+				ne[o] = e
 				o++
 			} else {
 				ri = i
@@ -721,14 +764,14 @@ func putSorted(bufp *[]uint32, items []uint32) {
 // merge position, comparing no keys — the walk mergeAsc does for scans.
 // Caller holds mu.
 func sortedItems(l *leafNode, dst []uint32) []uint32 {
-	items, ord := l.sortedView()
+	ents, ord := l.sortedView()
 	tl := int(l.tailLen.Load())
 	ti := 0
 	for x := 0; x < ord.len(); x++ {
 		for ; ti < tl && int(l.tailPos[ti].Load()) <= x; ti++ {
 			dst = append(dst, l.tailItem[ti].Load())
 		}
-		dst = append(dst, items[ord.at(x)])
+		dst = append(dst, ents[ord.at(x)].ref)
 	}
 	for ; ti < tl; ti++ {
 		dst = append(dst, l.tailItem[ti].Load())
@@ -755,10 +798,10 @@ func (l *leafNode) setSorted(a *arena, items []uint32) {
 		ranks = append(ranks, uint64(a.hash(it))<<32|uint64(i))
 	}
 	slices.Sort(ranks)
-	nh, ni, no := newTagBlockInto(l, len(items))
+	ne, no := newTagBlockInto(l, len(items))
 	for i, r := range ranks {
 		k := uint32(r)
-		nh[i], ni[i] = uint32(r>>32), items[k]
+		ne[i] = tagEnt{hash: uint32(r >> 32), ref: items[k]}
 		no.set(int(k), i)
 	}
 	l.publishTagBlock(len(items))

@@ -99,14 +99,10 @@ func TestLeafHashPosQuick(t *testing.T) {
 		}
 		l.setSorted(l.arena.Load(), sortedItems(l, nil)) // fold the tail so tagPos sees every item
 		base := l.tags().base
-		hashes := make([]uint32, len(base))
-		for i, e := range base {
-			hashes[i] = e.hash
-		}
 		for k := range present {
 			h := hashKey([]byte(k))
 			for _, dp := range []bool{true, false} {
-				i := tagPos(hashes, h, tagSpec(h, len(hashes)), dp)
+				i := tagPos(base, h, tagSpec(h, len(base)), dp)
 				found := false
 				for ; i < len(base) && base[i].hash == h; i++ {
 					if string(leafKey(l, base[i].ref)) == k {
@@ -126,11 +122,11 @@ func TestLeafHashPosQuick(t *testing.T) {
 				continue
 			}
 			h := hashKey(k)
-			pos := tagPos(hashes, h, tagSpec(h, len(hashes)), i%2 == 0)
-			if pos > 0 && hashes[pos-1] >= h {
+			pos := tagPos(base, h, tagSpec(h, len(base)), i%2 == 0)
+			if pos > 0 && base[pos-1].hash >= h {
 				return false
 			}
-			if pos < len(hashes) && hashes[pos] < h {
+			if pos < len(base) && base[pos].hash < h {
 				return false
 			}
 		}
@@ -230,6 +226,56 @@ func TestHashIncremental(t *testing.T) {
 		h := hashExtend(hashKey(key[:cut]), key[cut:])
 		if h != hashKey(key) {
 			t.Fatalf("hashExtend at cut %d mismatch", cut)
+		}
+	}
+}
+
+// TestTagBlockStaleCount pairs tag blocks of every shape — the shared
+// empty block, byte and int32 key orders, sizes on both sides of the
+// default leaf — with published counts from 0 to 300 past their own, as a
+// lock-free reader racing a fold can. Every view must stay inside the
+// block (under -race, checkptr vets the unsafe arithmetic too) and hold
+// at most the block's entries, and a search may miss but never return a
+// ref that is not the key's.
+func TestTagBlockStaleCount(t *testing.T) {
+	for _, size := range []int{0, 1, 15, 64, 96, 128, 255, 256, 300} {
+		l := newLeafNode(anchor{stored: []byte{}})
+		keys := make([][]byte, size)
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("key%05d", i*7919%100000))
+			l.insert(hashKey(keys[i]), keys[i], []byte("v"))
+		}
+		l.setSorted(l.arena.Load(), sortedItems(l, nil))
+		b := l.base.Load()
+		if int(b.n) != size || (size == 0 && b != emptyTagBlock) {
+			t.Fatalf("a %d-key leaf published a %d-entry block", size, b.n)
+		}
+		probes := append([][]byte{[]byte("absent")}, keys...)
+		for n := 0; n <= size+300; n++ {
+			l.baseN.Store(int32(n))
+			if got := len(b.view(n)); got != min(n, size) {
+				t.Fatalf("block of %d: view(%d) holds %d entries", size, n, got)
+			}
+			ents, ord := b.sortedView(n)
+			if len(ents) != size || ord.len() != min(n, size) {
+				t.Fatalf("block of %d: sortedView(%d) holds %d entries and %d order slots", size, n, len(ents), ord.len())
+			}
+			for k := 0; k < ord.len(); k++ {
+				_ = ents[ord.at(k)]
+			}
+			for _, k := range probes {
+				h := hashKey(k)
+				b.touch(h, n)
+				for _, dp := range []bool{true, false} {
+					a, r := l.findTags(h, k, dp)
+					if r != noRef && !a.holds(r, k) {
+						t.Fatalf("block of %d, count %d: findTags(%q) returned another key's ref", size, n, k)
+					}
+					if n == size && (r == noRef) != (string(k) == "absent") {
+						t.Fatalf("block of %d: findTags(%q, directPos=%v) = %d at the exact count", size, k, dp, r)
+					}
+				}
+			}
 		}
 	}
 }

@@ -267,19 +267,19 @@ func (c *cursor) leafUsable(l *leafNode, tver uint64, checkVer bool, ver uint64)
 // The caller holds l's read lock or brackets the call with l's seqlock.
 func (c *cursor) copyChunk(l *leafNode, buf []scanEntry) (a *arena, out []scanEntry, more bool, adj *leafNode) {
 	a = l.arena.Load() // before any ref: the reader rule
-	items, ord := l.sortedView()
+	ents, ord := l.sortedView()
 	bound, incl, unbounded := c.boundKey()
 	// After a validated hop every key in l lies strictly beyond the bound
 	// (leaf spans are ordered and a real anchor never moves down), so the
 	// merge starts at the leaf edge without any boundary search.
 	edge := c.leaf != nil && !c.sameLeaf
 	if c.desc {
-		out, more = mergeDesc(l, a, items, ord, bound, incl, unbounded || edge, buf)
+		out, more = mergeDesc(l, a, ents, ord, bound, incl, unbounded || edge, buf)
 		if !more {
 			adj = l.prev.Load()
 		}
 	} else {
-		out, more = mergeAsc(l, a, items, ord, bound, incl, edge, buf)
+		out, more = mergeAsc(l, a, ents, ord, bound, incl, edge, buf)
 		if !more {
 			adj = l.next.Load()
 		}
@@ -327,7 +327,7 @@ func (c *cursor) tryFastChunk(l *leafNode, tver uint64, checkVer bool, buf []sca
 // ref the reader rule rejects (a mixed generation) is skipped: the writer
 // that created it bumped the seqlock, so the enclosing bracket discards
 // the chunk anyway.
-func mergeAsc(l *leafNode, a *arena, items []uint32, ord keyOrder, bound []byte, incl, edge bool, buf []scanEntry) ([]scanEntry, bool) {
+func mergeAsc(l *leafNode, a *arena, ents []tagEnt, ord keyOrder, bound []byte, incl, edge bool, buf []scanEntry) ([]scanEntry, bool) {
 	tl := int(l.tailLen.Load())
 	if tl > tagTailMax {
 		tl = tagTailMax
@@ -344,7 +344,7 @@ func mergeAsc(l *leafNode, a *arena, items []uint32, ord keyOrder, bound []byte,
 		edge = rel < 0 // every key is above it: start at the leaf's edge
 	}
 	if !edge {
-		oi = lowerBoundIdx(a, items, ord, sfx, incl)
+		oi = lowerBoundIdx(a, ents, ord, sfx, incl)
 		for ti < tl && int(l.tailPos[ti].Load()) < oi {
 			ti++
 		}
@@ -400,7 +400,7 @@ func mergeAsc(l *leafNode, a *arena, items []uint32, ord keyOrder, bound []byte,
 			end = m
 		}
 		for ; oi < end; oi++ {
-			r := items[ord.at(oi)]
+			r := ents[ord.at(oi)].ref
 			if v, ok := a.peekVal(r); ok {
 				out = append(out, scanEntry{ref: r, val: v})
 			}
@@ -418,7 +418,7 @@ func mergeAsc(l *leafNode, a *arena, items []uint32, ord keyOrder, bound []byte,
 // bound (<= when incl, < otherwise; no bound at all when unbounded). A
 // tail entry with pos == oi+1 sits between order[oi] and order[oi+1], so
 // going down it is emitted before order[oi].
-func mergeDesc(l *leafNode, a *arena, items []uint32, ord keyOrder, bound []byte, incl, unbounded bool, buf []scanEntry) ([]scanEntry, bool) {
+func mergeDesc(l *leafNode, a *arena, ents []tagEnt, ord keyOrder, bound []byte, incl, unbounded bool, buf []scanEntry) ([]scanEntry, bool) {
 	tl := int(l.tailLen.Load())
 	if tl > tagTailMax {
 		tl = tagTailMax
@@ -435,7 +435,7 @@ func mergeDesc(l *leafNode, a *arena, items []uint32, ord keyOrder, bound []byte
 		unbounded = rel > 0 // every key is below it: start at the top
 	}
 	if !unbounded {
-		oi = lowerBoundIdx(a, items, ord, sfx, !incl) - 1
+		oi = lowerBoundIdx(a, ents, ord, sfx, !incl) - 1
 		for ti >= 0 && int(l.tailPos[ti].Load()) > oi+1 {
 			ti--
 		}
@@ -484,7 +484,7 @@ func mergeDesc(l *leafNode, a *arena, items []uint32, ord keyOrder, bound []byte
 			low = m
 		}
 		for ; oi >= low; oi-- {
-			r := items[ord.at(oi)]
+			r := ents[ord.at(oi)].ref
 			if v, ok := a.peekVal(r); ok {
 				out = append(out, scanEntry{ref: r, val: v})
 			}

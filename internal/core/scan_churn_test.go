@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/repro/wormhole/internal/testsupport"
 )
 
 // startChurn launches writers that Set/Del odd-suffixed churn keys around
@@ -199,29 +201,29 @@ func TestScanZeroAllocs(t *testing.T) {
 		cnt++
 		return cnt < 200
 	}
-	if n := mallocs(200, func() {
+	if n := testsupport.Mallocs(200, func() {
 		cnt = 0
 		w.Scan(keys[5000], fn)
-	}); n > poolAllocs(200) {
-		t.Errorf("Scan: %d allocs over 200 scans of 200 keys, want <= %d", n, poolAllocs(200))
+	}); n > testsupport.PoolAllocs(200) {
+		t.Errorf("Scan: %d allocs over 200 scans of 200 keys, want <= %d", n, testsupport.PoolAllocs(200))
 	}
-	if n := mallocs(200, func() {
+	if n := testsupport.Mallocs(200, func() {
 		cnt = 0
 		w.ScanDesc(keys[5000], fn)
-	}); n > poolAllocs(200) {
-		t.Errorf("ScanDesc: %d allocs over 200 scans of 200 keys, want <= %d", n, poolAllocs(200))
+	}); n > testsupport.PoolAllocs(200) {
+		t.Errorf("ScanDesc: %d allocs over 200 scans of 200 keys, want <= %d", n, testsupport.PoolAllocs(200))
 	}
 	rd := w.NewReader()
 	defer rd.Close()
-	if n := mallocs(200, func() {
+	if n := testsupport.Mallocs(200, func() {
 		cnt = 0
 		rd.Scan(keys[5000], fn)
-	}); n > poolAllocs(200) {
-		t.Errorf("Reader.Scan: %d allocs over 200 scans of 200 keys, want <= %d", n, poolAllocs(200))
+	}); n > testsupport.PoolAllocs(200) {
+		t.Errorf("Reader.Scan: %d allocs over 200 scans of 200 keys, want <= %d", n, testsupport.PoolAllocs(200))
 	}
 	it := w.NewIter(nil)
 	defer it.Close()
-	if n := mallocs(100, func() {
+	if n := testsupport.Mallocs(100, func() {
 		for j := 0; j < 100; j++ {
 			if !it.Next() {
 				t.Fatal("iterator ran dry mid-measurement")

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/repro/wormhole/internal/testsupport"
 )
 
 // overwriteValue builds the value written for generation n of a hammered
@@ -124,7 +126,7 @@ func TestGetZeroAllocs(t *testing.T) {
 	}
 	miss := []byte("az-miss-000000000")
 	i := 0
-	if n := mallocs(2000, func() {
+	if n := testsupport.Mallocs(2000, func() {
 		w.Get(keys[(i*2654435761)%len(keys)])
 		w.Get(miss)
 		i++
@@ -134,7 +136,7 @@ func TestGetZeroAllocs(t *testing.T) {
 	r := w.NewReader()
 	defer r.Close()
 	i = 0
-	if n := mallocs(2000, func() {
+	if n := testsupport.Mallocs(2000, func() {
 		r.Get(keys[(i*2654435761)%len(keys)])
 		i++
 	}); n != 0 {

@@ -19,6 +19,9 @@ type Stats struct {
 	// compaction bounds.
 	ArenaBytes     int64
 	ArenaLiveBytes int64
+	// TagBlockBytes is what the leaves' published tag blocks take: each
+	// block's size class (the shared empty block counts nothing).
+	TagBlockBytes int64
 	// AvgPrefixLen is the mean length of the leaves' fence prefixes (the
 	// longest common prefix of a leaf's anchor and the next one's), and
 	// PrefixSavedPerKey the arena bytes per key they save: what the
@@ -42,6 +45,7 @@ func (w *Wormhole) Stats() Stats {
 		a := l.arena.Load()
 		s.ArenaBytes += int64(len(a.buf))
 		s.ArenaLiveBytes += int64(align8(a.plen) + a.live)
+		s.TagBlockBytes += int64(l.base.Load().size)
 		prefixBytes += a.plen
 		saved -= align8(a.plen)
 		refs = sortedItems(l, refs[:0])
@@ -70,8 +74,9 @@ func (w *Wormhole) Stats() Stats {
 }
 
 // Footprint returns the index's approximate heap consumption in bytes:
-// leaf structures, the leaf arenas (records, headroom and garbage), the
-// tag arrays, and every MetaTrieHT copy (both, in concurrent mode — the
+// leaf structures and anchors, the leaf arenas (records, headroom and
+// garbage), the tag blocks at their size class (each sized to its leaf's
+// entries), and every MetaTrieHT copy (both, in concurrent mode — the
 // paper reports the second table costs 0.34–3.7% of the whole index). It
 // is the analytic counterpart to the paper's getrusage measurement in
 // Figure 16.
@@ -79,18 +84,10 @@ func (w *Wormhole) Footprint() int64 {
 	var total int64
 	leafHdr := int64(unsafe.Sizeof(leafNode{}))
 	arenaHdr := int64(unsafe.Sizeof(arena{}))
-	blockSz := int64(unsafe.Sizeof(tagBlock{}))
 	for l := w.head; l != nil; l = l.next.Load() {
 		total += leafHdr // includes the inline tag tail arrays
 		total += int64(len(l.anchor.Load().stored)) + int64(unsafe.Sizeof(anchor{}))
-		// The published base block is a fixed-size allocation regardless
-		// of occupancy; big (overflow) blocks add their slices.
-		if b := l.base.Load(); b != emptyTagBlock {
-			total += blockSz
-			if b.big != nil {
-				total += int64(cap(b.big.hashes)+cap(b.big.items)+cap(b.big.order)) * 4
-			}
-		}
+		total += int64(l.base.Load().size)
 		if a := l.arena.Load(); a != emptyArena {
 			total += arenaHdr + int64(len(a.buf))
 		}
@@ -104,12 +101,17 @@ func (w *Wormhole) Footprint() int64 {
 	return total
 }
 
+// tableFootprint counts one MetaTrieHT copy: its buckets and its items.
+// An item's key is no allocation of its own — a leaf item holds its
+// anchor's stored bytes, an internal item a clipped prefix of an anchor
+// (applySplit, buildMetaTable) — so the anchors, counted with their
+// leaves, account for every key byte.
 func tableFootprint(t *metaTable) int64 {
 	bucketSz := int64(unsafe.Sizeof(metaBucket{}))
 	nodeSz := int64(unsafe.Sizeof(metaNode{}))
 	total := int64(len(t.buckets)) * bucketSz
-	t.forEach(func(n *metaNode) {
-		total += nodeSz + int64(len(n.key))
+	t.forEach(func(*metaNode) {
+		total += nodeSz
 	})
 	// Overflow buckets.
 	for i := range t.buckets {

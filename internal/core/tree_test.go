@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/repro/wormhole/internal/keyset"
+	"github.com/repro/wormhole/internal/testsupport"
 )
 
 func opts(concurrent bool) Options {
@@ -550,7 +551,7 @@ func TestStatsAndFootprint(t *testing.T) {
 	if fp < 500*(9+10) {
 		t.Fatalf("Footprint = %d, implausibly small", fp)
 	}
-	if raceEnabled {
+	if testsupport.RaceEnabled {
 		return // the race detector changes the heap Footprint is checked against
 	}
 	// The analytic footprint must track the measured live heap of the heap

@@ -7,48 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"testing"
 
 	"github.com/repro/wormhole/internal/index"
 	"github.com/repro/wormhole/internal/shard"
+	"github.com/repro/wormhole/internal/testsupport"
 )
-
-// mallocs runs f runs times to warm up, then runs times more, and returns
-// the exact number of heap allocations the whole process made during the
-// second pass (the server's goroutines included). testing.AllocsPerRun
-// rounds its per-run mean down to an integer, which hides up to runs-1
-// allocations. Like AllocsPerRun it runs on one P; the full warm-up pass
-// on that P lets every kept buffer reach its size and fills the P's cache
-// of the records a blocked goroutine parks on, which the runtime
-// otherwise allocates afresh now and then as goroutines block on other Ps.
-// Collecting garbage first keeps a cycle's clean-up out of the count.
-func mallocs(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	before := ms.Mallocs
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs - before
-}
-
-// poolAllocs is how many allocations a path that takes its scratch from a
-// sync.Pool may make over gets pool Gets: none in a normal build. Under
-// the race detector sync.Pool drops one Put in four by design, so about
-// gets/4 Gets allocate a fresh scratch; half of them is the bound.
-func poolAllocs(gets int) uint64 {
-	if raceEnabled {
-		return uint64(gets / 2)
-	}
-	return 0
-}
 
 // TestPointBatchZeroAllocs pins a warm point batch at zero allocations on
 // both ends of a connection: request and response frames decoded in
@@ -110,11 +74,11 @@ func TestPointBatchZeroAllocs(t *testing.T) {
 				}
 				i++
 			}
-			n := mallocs(batches, batch)
+			n := testsupport.Mallocs(batches, batch)
 			if bad != 0 {
 				t.Fatalf("%d wrong responses", bad)
 			}
-			if budget := poolAllocs(batches * tc.poolGets); n > budget {
+			if budget := testsupport.PoolAllocs(batches * tc.poolGets); n > budget {
 				t.Fatalf("%d allocations over %d batches of %d Gets, want <= %d", n, batches, perB, budget)
 			}
 			t.Logf("%d allocations over %d batches of %d Gets", n, batches, perB)
@@ -183,7 +147,7 @@ func TestPointSetBatchAllocs(t *testing.T) {
 				}
 				i++
 			}
-			n := mallocs(batches, batch)
+			n := testsupport.Mallocs(batches, batch)
 			if bad != 0 {
 				t.Fatalf("%d wrong responses", bad)
 			}
@@ -193,7 +157,7 @@ func TestPointSetBatchAllocs(t *testing.T) {
 					t.Fatalf("Get(%s) = %x, %v; want the last value Set, %d", key, v, ok, last[k])
 				}
 			}
-			if budget := uint64(batches*perB/4) + poolAllocs(batches*tc.poolGets); n >= budget {
+			if budget := uint64(batches*perB/4) + testsupport.PoolAllocs(batches*tc.poolGets); n >= budget {
 				t.Fatalf("%d allocations over %d batches of %d Sets, want < %d", n, batches, perB, budget)
 			}
 			t.Logf("%d allocations over %d batches of %d Sets", n, batches, perB)
