@@ -79,7 +79,7 @@ func BenchmarkTable1_KeysetGen(b *testing.B) {
 // BenchmarkFig09_LookupParallel is the thread-scaling experiment: run with
 // -cpu=1,2,4,8,16 to sweep worker counts on the Az1 keyset.
 func BenchmarkFig09_LookupParallel(b *testing.B) {
-	for _, name := range []string{"skiplist", "btree", "art", "masstree", "wormhole", "wormhole-unsafe"} {
+	for _, name := range []string{"skiplist", "btree", "art", "masstree", "wormhole"} {
 		b.Run(name, func(b *testing.B) {
 			keys := loadKeyset(b, "Az1")
 			ix := loadIndex(b, name, "Az1")
@@ -101,13 +101,6 @@ func BenchmarkFig10_Lookup(b *testing.B) {
 		for _, name := range adapters.Baselines() {
 			b.Run(ks+"/"+name, func(b *testing.B) { benchLookup(b, name, ks) })
 		}
-	}
-}
-
-// BenchmarkFig11_Ablation measures the cumulative §3 optimization ladder.
-func BenchmarkFig11_Ablation(b *testing.B) {
-	for _, name := range adapters.AblationOrder {
-		b.Run(name, func(b *testing.B) { benchLookup(b, name, "Az1") })
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package adapters registers every index implementation under a name,
 // giving the benchmark harness, the networked KV server and the
 // integration tests one uniform way to instantiate the paper's five
-// ordered indexes plus the Cuckoo hash table, the ablation variants of
-// Figure 11, and the range-partitioned sharded store ("wormhole-sharded").
+// ordered indexes plus the Cuckoo hash table and the range-partitioned
+// sharded store ("wormhole-sharded").
 //
 // Wormhole's core (*core.Wormhole) and the sharded store (*shard.Store)
 // implement the index interfaces themselves and are registered as they
@@ -24,16 +24,6 @@ import (
 	"github.com/repro/wormhole/internal/skiplist"
 )
 
-// Wormhole variant names registered for the Figure 11 ablation, in the
-// paper's cumulative order.
-var AblationOrder = []string{
-	"base-wormhole",
-	"+tagmatching",
-	"+inchashing",
-	"+sortbytag",
-	"+directpos",
-}
-
 func init() {
 	index.Register(index.Info{
 		Name: "wormhole", ThreadSafe: true, RangeScan: true,
@@ -43,35 +33,6 @@ func init() {
 		Name: "wormhole-sharded", ThreadSafe: true, RangeScan: true,
 		New: func() index.Index { return shard.New(shard.Options{}) },
 	})
-	index.Register(index.Info{
-		Name: "wormhole-unsafe", ThreadSafe: false, RangeScan: true,
-		New: func() index.Index {
-			o := core.DefaultOptions()
-			o.Concurrent = false
-			return core.New(o)
-		},
-	})
-	// Figure 11's cumulative optimization ladder.
-	masks := []func(*core.Options){
-		func(o *core.Options) {
-			o.TagMatching, o.IncHashing, o.SortByTag, o.DirectPos = false, false, false, false
-		},
-		func(o *core.Options) { o.IncHashing, o.SortByTag, o.DirectPos = false, false, false },
-		func(o *core.Options) { o.SortByTag, o.DirectPos = false, false },
-		func(o *core.Options) { o.DirectPos = false },
-		func(o *core.Options) {},
-	}
-	for i, name := range AblationOrder {
-		adjust := masks[i]
-		index.Register(index.Info{
-			Name: name, ThreadSafe: true, RangeScan: true,
-			New: func() index.Index {
-				o := core.DefaultOptions()
-				adjust(&o)
-				return core.New(o)
-			},
-		})
-	}
 	index.Register(index.Info{
 		Name: "btree", ThreadSafe: false, RangeScan: true,
 		New: func() index.Index { return &btreeIx{btree.New(0)} },

@@ -15,9 +15,8 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"wormhole", "wormhole-sharded", "wormhole-unsafe", "btree",
+		"wormhole", "wormhole-sharded", "btree",
 		"skiplist", "art", "masstree", "cuckoo",
-		"base-wormhole", "+tagmatching", "+inchashing", "+sortbytag", "+directpos",
 	}
 	for _, name := range want {
 		info, ok := index.Lookup(name)

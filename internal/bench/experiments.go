@@ -34,7 +34,7 @@ func Experiments() []struct {
 		{"table1", "keyset inventory (Table 1)", Table1},
 		{"fig09", "lookup throughput vs thread count, Az1 (Figure 9)", Fig09},
 		{"fig10", "lookup throughput per keyset (Figure 10)", Fig10},
-		{"fig11", "optimization ablation (Figure 11)", Fig11},
+		{"fig11", "optimization ablation, one rung per build (Figure 11; docs/ablations)", Fig11},
 		{"fig12", "lookup throughput over the networked KV store (Figure 12)", Fig12},
 		{"fig13", "Wormhole vs Cuckoo hash lookups (Figure 13)", Fig13},
 		{"fig14", "anchor-length sensitivity, Kshort vs Klong (Figure 14)", Fig14},
@@ -43,8 +43,6 @@ func Experiments() []struct {
 		{"fig17", "mixed lookups/insertions, Masstree vs Wormhole (Figure 17)", Fig17},
 		{"fig18", "range lookups, 100-key scans (Figure 18)", Fig18},
 		{"ablation-leafcap", "leaf capacity sweep (extension)", AblationLeafCap},
-		{"ablation-unsafe", "thread-safe vs unsafe overhead (extension)", AblationUnsafe},
-		{"ablation-shortanchors", "anchor-minimizing split points (paper's future work)", AblationShortAnchors},
 		{"shard-sweep", "sharded store: shard count × goroutines scaling (extension)", ShardSweep},
 		{"failover", "leader kill → auto-promotion: time to writable, client-observed gap (extension)", Failover},
 	}
@@ -154,34 +152,6 @@ func ShardSweep(c *Config) {
 	}
 }
 
-// AblationShortAnchors measures the paper's deferred split-point
-// optimization: anchor statistics and lookup throughput with and without
-// anchor-length minimization, on the prefix-heavy keysets where it matters.
-func AblationShortAnchors(c *Config) {
-	c.printf("Ablation: anchor-minimizing split points, %d threads\n", c.Threads)
-	c.printf("%-8s %-14s %10s %12s %12s %14s\n",
-		"keyset", "variant", "MOPS", "avg anchor", "meta items", "meta footprint")
-	for _, ks := range []string{"Az1", "Url", "K6"} {
-		keys := c.Keyset(ks)
-		for _, short := range []bool{false, true} {
-			o := core.DefaultOptions()
-			o.ShortAnchors = short
-			ix := core.New(o)
-			for _, k := range keys {
-				ix.Set(k, k)
-			}
-			mops := LookupThroughput(ix, keys, c.Threads, c.Duration, c.Seed)
-			st := ix.Stats()
-			label := "paper"
-			if short {
-				label = "short-anchors"
-			}
-			c.printf("%-8s %-14s %10.2f %12.1f %12d %14d\n",
-				ks, label, mops, st.AvgAnchorLen, st.MetaItems, st.MetaBuckets)
-		}
-	}
-}
-
 // Table1 prints the keyset inventory at the configured scale.
 func Table1(c *Config) {
 	c.printf("Table 1: keysets (scaled to %d base keys, seed %d)\n", c.Keys, c.Seed)
@@ -194,11 +164,11 @@ func Table1(c *Config) {
 	}
 }
 
-// Fig09 sweeps thread counts on Az1 for the five indexes plus
-// Wormhole-unsafe, the paper's scalability experiment.
+// Fig09 sweeps thread counts on Az1 for the five indexes, the paper's
+// scalability experiment.
 func Fig09(c *Config) {
 	keys := c.Keyset("Az1")
-	names := append(append([]string{}, adapters.Baselines()...), "wormhole-unsafe")
+	names := adapters.Baselines()
 	c.printf("Figure 9: lookup throughput (MOPS) vs threads, keyset Az1\n")
 	c.printf("%-16s", "threads")
 	points := threadPoints(c.Threads)
@@ -226,11 +196,13 @@ func Fig10(c *Config) {
 	})
 }
 
-// Fig11 measures the cumulative optimization ladder of §3 against the B+
-// tree baseline.
+// Fig11 measures one rung of §3's cumulative optimization ladder against
+// the B+ tree baseline: the "wormhole" row is whichever rung this binary
+// was built from. The full build is the top rung; the patches under
+// docs/ablations rebuild the lower ones, one worktree each.
 func Fig11(c *Config) {
 	c.printf("Figure 11: optimization ablation, lookup MOPS, %d threads\n", c.Threads)
-	names := append([]string{"btree"}, adapters.AblationOrder...)
+	names := []string{"btree", "wormhole"}
 	runMatrix(c, names, func(name string, keys [][]byte) float64 {
 		ix := BuildIndex(name, keys)
 		return LookupThroughput(ix, keys, c.Threads, c.Duration, c.Seed)
@@ -416,19 +388,6 @@ func AblationLeafCap(c *Config) {
 		mops := LookupThroughput(ix, keys, c.Threads, c.Duration, c.Seed)
 		st := ix.Stats()
 		c.printf("%-10d %10.2f %12d %12d\n", cap, mops, st.Leaves, st.MetaItems)
-	}
-}
-
-// AblationUnsafe compares thread-safe and unsafe Wormhole op by op.
-func AblationUnsafe(c *Config) {
-	keys := c.Keyset("Az1")
-	c.printf("Ablation: concurrency-control overhead, Az1, 1 thread (MOPS)\n")
-	c.printf("%-18s %10s %10s\n", "variant", "lookup", "insert")
-	for _, name := range []string{"wormhole", "wormhole-unsafe"} {
-		ix := BuildIndex(name, keys)
-		look := LookupThroughput(ix, keys, 1, c.Duration, c.Seed)
-		ins := InsertThroughput(name, keys)
-		c.printf("%-18s %10.2f %10.2f\n", name, look, ins)
 	}
 }
 

@@ -80,7 +80,7 @@ func TestSetCopiesBuffers(t *testing.T) {
 // hands out has cap == len: a caller appending to one gets a copy, and the
 // neighbouring records in the arena stay as they were.
 func TestResultsCapacityClipped(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	const n = 300
 	key := func(i int) []byte { return []byte(fmt.Sprintf("clip-%04d", i)) }
 	valOf := func(i int) []byte { return []byte(fmt.Sprintf("value-%04d", i)) }
@@ -216,7 +216,7 @@ func checkVersioned(key, v []byte) bool {
 // every scan strictly ordered. Run with -race: the reader rule must keep
 // every lock-free read of a moving arena race-free.
 func TestCompactionUnderReaders(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	const hot = 48
 	hotKey := func(i int) []byte { return []byte(fmt.Sprintf("hot-%03d", i)) }
 	for i := 0; i < hot; i++ {

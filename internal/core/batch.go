@@ -80,21 +80,8 @@ var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // getBatchOnline answers the batch inside an already-announced reader
 // section (slot s) and returns how many lanes it handed to the scalar
-// getOnline. With SortByTag off the leaf probe has no lock-free form, so
-// the batch degrades to the scalar loop.
+// getOnline.
 func (w *Wormhole) getBatchOnline(s *qsbr.Slot, keys, vals [][]byte, found []bool, idxs []int) (scalar int) {
-	if !w.opt.SortByTag {
-		if idxs == nil {
-			for i := range keys {
-				vals[i], found[i] = w.getOnline(s, hashKey(keys[i]), keys[i])
-			}
-			return len(keys)
-		}
-		for _, i := range idxs {
-			vals[i], found[i] = w.getOnline(s, hashKey(keys[i]), keys[i])
-		}
-		return len(idxs)
-	}
 	count := len(keys)
 	if idxs != nil {
 		count = len(idxs)
@@ -155,12 +142,11 @@ func (w *Wormhole) batchWave(s *qsbr.Slot, sc *batchScratch, keys, vals [][]byte
 	// now, while the wave's epoch still protects t.
 	tver := t.version
 	lanes := sc.lanes[:wave]
-	tagMatch, directPos := w.opt.TagMatching, w.opt.DirectPos
 	sink := sc.sink
 
 	// Hash: per-byte prefix CRCs up to the longest anchor, and the
-	// full-key hash, for every lane. Keys the eager array cannot hold (or
-	// any batch on a non-IncHashing index) go scalar.
+	// full-key hash, for every lane. Keys the eager array cannot hold go
+	// scalar.
 	for li := range lanes {
 		ln := &lanes[li]
 		ki := base + li
@@ -170,7 +156,7 @@ func (w *Wormhole) batchWave(s *qsbr.Slot, sc *batchScratch, keys, vals [][]byte
 		ln.idx = int32(ki)
 		k := keys[ki]
 		maxl := min(len(k), t.maxLen)
-		if !w.opt.IncHashing || maxl > maxEagerPrefix {
+		if maxl > maxEagerPrefix {
 			ln.slow = true
 			ln.h = hashKey(k)
 			continue
@@ -193,13 +179,7 @@ func (w *Wormhole) batchWave(s *qsbr.Slot, sc *batchScratch, keys, vals [][]byte
 			}
 			live = true
 			pl := int(ln.m+ln.n) / 2
-			var nd *metaNode
-			if tagMatch {
-				nd = t.getTagOnly(ln.hs[pl])
-			} else {
-				nd = t.get(ln.hs[pl], keys[ln.idx][:pl], false)
-			}
-			if nd != nil {
+			if nd := t.getTagOnly(ln.hs[pl]); nd != nil {
 				ln.m, ln.node = int32(pl), nd
 			} else {
 				ln.n = int32(pl)
@@ -228,7 +208,7 @@ func (w *Wormhole) batchWave(s *qsbr.Slot, sc *batchScratch, keys, vals [][]byte
 		}
 		k := keys[ln.idx]
 		ln.ph = ln.hs[ln.m]
-		if tagMatch && !bytes.Equal(ln.node.key, k[:ln.m]) {
+		if !bytes.Equal(ln.node.key, k[:ln.m]) {
 			ln.node, ln.ph, _ = w.lpmPass(t, k, false)
 		}
 		ln.leaf, ln.tok, ln.right = lpmTarget(k, ln.node)
@@ -289,12 +269,12 @@ func (w *Wormhole) batchWave(s *qsbr.Slot, sc *batchScratch, keys, vals [][]byte
 		a, b, n := l.tagsOf()
 		ln.a = a
 		ln.ents = b.view(n)
-		i, ok := tagStart(ln.ents, ln.h, n, directPos)
+		i, ok := tagStart(ln.ents, ln.h, n)
 		if !ok {
 			ln.slow = true // a mixed generation
 			continue
 		}
-		ln.pos = tagPos(ln.ents, ln.h, i, directPos)
+		ln.pos = tagPos(ln.ents, ln.h, i)
 	}
 	for li := range lanes {
 		ln := &lanes[li]

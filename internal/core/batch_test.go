@@ -12,24 +12,11 @@ import (
 	"github.com/repro/wormhole/internal/testsupport"
 )
 
-// batchConfigs enumerates the option shapes whose GetBatch code paths
-// differ: the full pipeline, its fallbacks (no eager hashing, no tag
-// matching, no lock-free leaf probe), and the unsafe scalar loop.
+// batchConfigs enumerates the leaf shapes GetBatch is checked on: the
+// paper's 128-key leaves, and tiny leaves whose many anchors give the
+// LPM searches and child probes more to resolve.
 func batchConfigs() map[string]Options {
-	full := DefaultOptions()
-	noInc := DefaultOptions()
-	noInc.IncHashing = false
-	noTag := DefaultOptions()
-	noTag.TagMatching = false
-	noSort := DefaultOptions()
-	noSort.SortByTag, noSort.DirectPos = false, false
-	unsafe := DefaultOptions()
-	unsafe.Concurrent = false
-	small := smallOpts(true)
-	return map[string]Options{
-		"full": full, "noinc": noInc, "notag": noTag,
-		"nosort": noSort, "unsafe": unsafe, "smallleaf": small,
-	}
+	return map[string]Options{"full": DefaultOptions(), "smallleaf": smallOpts()}
 }
 
 // batchTestKeys builds a keyset with shared prefixes, an empty key, keys
@@ -93,13 +80,12 @@ func batchShapes(w *Wormhole, keys [][]byte) map[string]int {
 	return shapes
 }
 
-// TestGetBatchEquivalence checks, for every option shape and interleave
+// TestGetBatchEquivalence checks, for every leaf shape and interleave
 // depth, that GetBatch is byte-identical to sequential scalar Gets over
 // batches with duplicates, misses, the empty key, and long keys, both
 // through the index and through a pinned Reader, with and without an
 // idxs subset. The keyset's lookups take every resolution shape, and
-// every key goes through the pipeline at every depth. The scalar per-key
-// loop is the "nosort" shape.
+// every key goes through the pipeline at every depth.
 func TestGetBatchEquivalence(t *testing.T) {
 	for name, o := range batchConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -326,55 +312,43 @@ func TestGetBatchQuiescentNoFallback(t *testing.T) {
 	}
 }
 
-// TestGetBatchZeroAllocs guards the pooled pipeline scratch: a batched
-// lookup through a pinned Reader with caller-provided result slices must
-// not allocate, at any depth, nor on the scalar loop a SortByTag-off
-// index takes.
+// TestGetBatchZeroAllocs guards the pipeline scratch: a batched lookup
+// through a pinned Reader or the index with caller-provided result slices
+// must not allocate, at any depth.
 func TestGetBatchZeroAllocs(t *testing.T) {
-	noSort := DefaultOptions()
-	noSort.SortByTag, noSort.DirectPos = false, false
-	for _, tc := range []struct {
-		name   string
-		o      Options
-		depths []int32
-	}{
-		{"full", DefaultOptions(), []int32{defaultBatchDepth, maxBatchLanes}},
-		{"nosort", noSort, []int32{defaultBatchDepth}},
-	} {
-		w := New(tc.o)
-		var keys [][]byte
-		for i := 0; i < 50000; i++ {
-			k := []byte(fmt.Sprintf("az-%09d-shared-suffix", i*7))
-			keys = append(keys, k)
-			w.Set(k, k)
-		}
-		batch := make([][]byte, 64)
-		vals := make([][]byte, len(batch))
-		found := make([]bool, len(batch))
-		r := w.NewReader()
-		miss := []byte("az-miss-000000000")
-		for _, depth := range tc.depths {
-			w.batchDepth.Store(depth)
-			i := 0
-			if n := testsupport.Mallocs(500, func() {
-				for j := range batch {
-					batch[j] = keys[(i*2654435761+j*40503)%len(keys)]
-				}
-				batch[3] = miss // a guaranteed miss per batch
-				r.GetBatchInto(batch, vals, found, nil)
-				i++
-			}); n > testsupport.PoolAllocs(500) {
-				t.Errorf("%s depth %d: Reader.GetBatch: %d allocs over 500 batches, want <= %d", tc.name, depth, n, testsupport.PoolAllocs(500))
+	w := New(DefaultOptions())
+	var keys [][]byte
+	for i := 0; i < 50000; i++ {
+		k := []byte(fmt.Sprintf("az-%09d-shared-suffix", i*7))
+		keys = append(keys, k)
+		w.Set(k, k)
+	}
+	batch := make([][]byte, 64)
+	vals := make([][]byte, len(batch))
+	found := make([]bool, len(batch))
+	r := w.NewReader()
+	defer r.Close()
+	miss := []byte("az-miss-000000000")
+	for _, depth := range []int32{defaultBatchDepth, maxBatchLanes} {
+		w.batchDepth.Store(depth)
+		i := 0
+		if n, gcs := testsupport.Mallocs(500, func() {
+			for j := range batch {
+				batch[j] = keys[(i*2654435761+j*40503)%len(keys)]
 			}
-			i = 0
-			if n := testsupport.Mallocs(500, func() {
-				w.GetBatchInto(batch, vals, found, nil)
-				i++
-			}); n > testsupport.PoolAllocs(500) {
-				t.Errorf("%s depth %d: Wormhole.GetBatch: %d allocs over 500 batches, want <= %d", tc.name, depth, n, testsupport.PoolAllocs(500))
-			}
+			batch[3] = miss // a guaranteed miss per batch
+			r.GetBatchInto(batch, vals, found, nil)
+			i++
+		}); n > testsupport.PoolAllocs(500) {
+			t.Errorf("depth %d: Reader.GetBatch: %d allocs over 500 batches, want <= %d (%d GCs in the window)", depth, n, testsupport.PoolAllocs(500), gcs)
 		}
-		r.Close()
+		i = 0
+		if n, gcs := testsupport.Mallocs(500, func() {
+			w.GetBatchInto(batch, vals, found, nil)
+			i++
+		}); n > testsupport.PoolAllocs(500) {
+			t.Errorf("depth %d: Wormhole.GetBatch: %d allocs over 500 batches, want <= %d (%d GCs in the window)", depth, n, testsupport.PoolAllocs(500), gcs)
+		}
 	}
 }
 
@@ -385,7 +359,7 @@ func TestGetBatchZeroAllocs(t *testing.T) {
 // reparse as a generation of its key (see overwriteValue). Run with
 // -race.
 func TestGetBatchUnderChurn(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	const hammered = 64
 	hotKey := func(i int) []byte { return []byte(fmt.Sprintf("hot-%03d", i)) }
 	for i := 0; i < hammered; i++ {

@@ -147,11 +147,9 @@ func (w *Wormhole) BulkLoad(keys, vals [][]byte) error {
 	t1 := buildMetaTable(leaves)
 	t1.version = w.cur.Load().version
 	w.cur.Store(t1)
-	if w.opt.Concurrent {
-		w.metaMu.Lock()
-		w.spare = buildMetaTable(leaves)
-		w.metaMu.Unlock()
-	}
+	w.metaMu.Lock()
+	w.spare = buildMetaTable(leaves)
+	w.metaMu.Unlock()
 	return nil
 }
 
@@ -197,7 +195,7 @@ func buildMetaTable(leaves []*leafNode) *metaTable {
 		t.set(&metaNode{key: stored, leaf: l})
 		for pl := 0; pl < len(stored); pl++ {
 			prf := stored[:pl]
-			node := t.get(hashKey(prf), prf, true)
+			node := t.get(hashKey(prf), prf)
 			if node == nil {
 				// Shares the anchor's bytes, as in applySplit.
 				node = &metaNode{key: stored[:pl:pl], leftmost: l}

@@ -25,46 +25,44 @@ func sortedKeys(gen func(*rand.Rand) []byte, n int, seed int64) [][]byte {
 }
 
 func TestBulkLoadBasic(t *testing.T) {
-	for _, conc := range []bool{true, false} {
-		keys := sortedKeys(genRandom8, 5000, 1)
-		vals := make([][]byte, len(keys))
-		for i := range vals {
-			vals[i] = []byte(fmt.Sprintf("v%d", i))
+	keys := sortedKeys(genRandom8, 5000, 1)
+	vals := make([][]byte, len(keys))
+	for i := range vals {
+		vals[i] = []byte(fmt.Sprintf("v%d", i))
+	}
+	w := New(DefaultOptions())
+	if err := w.BulkLoad(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Count() != int64(len(keys)) {
+		t.Fatalf("Count = %d", w.Count())
+	}
+	for i, k := range keys {
+		v, ok := w.Get(k)
+		if !ok || string(v) != fmt.Sprintf("v%d", i) {
+			t.Fatalf("Get(%x) = %q,%v", k, v, ok)
 		}
-		w := New(opts(conc))
-		if err := w.BulkLoad(keys, vals); err != nil {
-			t.Fatal(err)
+	}
+	// Scans see the exact sorted sequence.
+	i := 0
+	w.Scan(nil, func(k, v []byte) bool {
+		if !bytes.Equal(k, keys[i]) {
+			t.Fatalf("scan[%d] = %x want %x", i, k, keys[i])
 		}
-		if err := w.CheckInvariants(); err != nil {
-			t.Fatalf("concurrent=%v: %v", conc, err)
-		}
-		if w.Count() != int64(len(keys)) {
-			t.Fatalf("Count = %d", w.Count())
-		}
-		for i, k := range keys {
-			v, ok := w.Get(k)
-			if !ok || string(v) != fmt.Sprintf("v%d", i) {
-				t.Fatalf("Get(%x) = %q,%v", k, v, ok)
-			}
-		}
-		// Scans see the exact sorted sequence.
-		i := 0
-		w.Scan(nil, func(k, v []byte) bool {
-			if !bytes.Equal(k, keys[i]) {
-				t.Fatalf("scan[%d] = %x want %x", i, k, keys[i])
-			}
-			i++
-			return true
-		})
-		if i != len(keys) {
-			t.Fatalf("scan saw %d keys", i)
-		}
+		i++
+		return true
+	})
+	if i != len(keys) {
+		t.Fatalf("scan saw %d keys", i)
 	}
 }
 
 func TestBulkLoadThenMutate(t *testing.T) {
 	keys := sortedKeys(genSmallAlpha, 2000, 2)
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	if err := w.BulkLoad(keys, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +101,14 @@ func TestBulkLoadEquivalentToIncremental(t *testing.T) {
 		// Small n: these generators have deliberately tiny key spaces
 		// (genBinary tops out at 255 distinct keys, genTrailingZeros at 174).
 		keys := sortedKeys(gen, 120, int64(10+gi))
-		bulk := New(smallOpts(true))
+		bulk := New(smallOpts())
 		if err := bulk.BulkLoad(keys, nil); err != nil {
 			t.Fatalf("gen%d: %v", gi, err)
 		}
 		if err := bulk.CheckInvariants(); err != nil {
 			t.Fatalf("gen%d: %v", gi, err)
 		}
-		inc := New(smallOpts(true))
+		inc := New(smallOpts())
 		for _, k := range keys {
 			inc.Set(k, nil)
 		}
@@ -141,7 +139,7 @@ func TestBulkLoadPathologicalZeroKeys(t *testing.T) {
 		keys = append(keys, make([]byte, i+1))
 	}
 	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
-	o := opts(true)
+	o := DefaultOptions()
 	o.LeafCap = 4
 	w := New(o)
 	if err := w.BulkLoad(keys, nil); err != nil {
@@ -158,24 +156,24 @@ func TestBulkLoadPathologicalZeroKeys(t *testing.T) {
 }
 
 func TestBulkLoadErrors(t *testing.T) {
-	w := New(opts(true))
+	w := New(DefaultOptions())
 	if err := w.BulkLoad([][]byte{{2}, {1}}, nil); err == nil {
 		t.Fatal("unsorted keys accepted")
 	}
-	w = New(opts(true))
+	w = New(DefaultOptions())
 	if err := w.BulkLoad([][]byte{{1}, {1}}, nil); err == nil {
 		t.Fatal("duplicate keys accepted")
 	}
-	w = New(opts(true))
+	w = New(DefaultOptions())
 	if err := w.BulkLoad([][]byte{{1}}, [][]byte{{1}, {2}}); err == nil {
 		t.Fatal("mismatched vals accepted")
 	}
-	w = New(opts(true))
+	w = New(DefaultOptions())
 	w.Set([]byte("x"), nil)
 	if err := w.BulkLoad([][]byte{{1}}, nil); err == nil {
 		t.Fatal("non-empty index accepted")
 	}
-	w = New(opts(true))
+	w = New(DefaultOptions())
 	if err := w.BulkLoad(nil, nil); err != nil {
 		t.Fatalf("empty load should succeed: %v", err)
 	}

@@ -13,7 +13,7 @@ import (
 // after the storm each can verify its own keys exactly and the global
 // structure must satisfy every invariant.
 func TestConcurrentDisjointWriters(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	const workers = 8
 	const perWorker = 800
 	var wg sync.WaitGroup
@@ -59,7 +59,7 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 // while writers churn disjoint keys, forcing splits, merges, and table
 // swaps underneath the readers.
 func TestConcurrentStableReaders(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	const stable = 500
 	for i := 0; i < stable; i++ {
 		w.Set([]byte(fmt.Sprintf("stable-%04d", i)), []byte("s"))
@@ -108,7 +108,7 @@ func TestConcurrentStableReaders(t *testing.T) {
 // must always contain every stable key in range, while splits and merges
 // run concurrently.
 func TestConcurrentScanUnderChurn(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	const stable = 300
 	for i := 0; i < stable; i++ {
 		w.Set([]byte(fmt.Sprintf("s-%04d", i*2)), []byte("s"))
@@ -163,7 +163,7 @@ func TestConcurrentScanUnderChurn(t *testing.T) {
 // TestConcurrentDescScanUnderChurn is the descending twin, exercising the
 // prev-hop validation path (stale predecessor after a split).
 func TestConcurrentDescScanUnderChurn(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	const stable = 300
 	for i := 0; i < stable; i++ {
 		w.Set([]byte(fmt.Sprintf("s-%04d", i*2)), []byte("s"))
@@ -219,7 +219,7 @@ func TestConcurrentDescScanUnderChurn(t *testing.T) {
 // once and then only checks structural invariants and per-key agreement
 // for keys owned by a single goroutine.
 func TestConcurrentMixedEverything(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	var wg sync.WaitGroup
 	for g := 0; g < 10; g++ {
 		wg.Add(1)
@@ -260,7 +260,7 @@ func TestConcurrentMixedEverything(t *testing.T) {
 // must transparently retry rather than miss. This is probabilistic but the
 // small leaf cap makes version bumps near-continuous.
 func TestVersionRetryPath(t *testing.T) {
-	o := opts(true)
+	o := DefaultOptions()
 	o.LeafCap = 4
 	o.MergeSize = 2
 	w := New(o)

@@ -5,8 +5,8 @@ import "hash/crc32"
 // Wormhole hashes keys and anchor prefixes with CRC32-C (Castagnoli), the
 // same function the paper's implementation uses (§3.1, footnote 2). CRC is
 // incremental: the hash of prefix[:n] can be extended to the hash of
-// prefix[:n+k] without rehashing the first n bytes, which is what the
-// IncHashing optimization exploits during the binary search on prefix
+// prefix[:n+k] without rehashing the first n bytes, which is what
+// incremental hashing (§3.1) exploits during the binary search on prefix
 // lengths.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 

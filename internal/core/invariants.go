@@ -26,8 +26,7 @@ import (
 //   - MetaTrieHT completeness: leaf item per anchor, internal item per
 //     proper prefix, no extras, bitmap bits exactly matching existing
 //     children, leftmost/rightmost equal to the true subtree boundaries;
-//   - in concurrent mode, the spare table structurally identical to the
-//     published one;
+//   - the spare table structurally identical to the published one;
 //   - the key count matching Count().
 func (w *Wormhole) CheckInvariants() error {
 	if err := w.checkLeafList(); err != nil {
@@ -37,18 +36,13 @@ func (w *Wormhole) CheckInvariants() error {
 	if err := w.checkTable(t); err != nil {
 		return fmt.Errorf("published table: %w", err)
 	}
-	if w.opt.Concurrent {
-		w.metaMu.Lock()
-		sp := w.spare
-		w.metaMu.Unlock()
-		if err := w.checkTable(sp); err != nil {
-			return fmt.Errorf("spare table: %w", err)
-		}
-		if err := tablesIdentical(t, sp); err != nil {
-			return err
-		}
+	w.metaMu.Lock()
+	sp := w.spare
+	w.metaMu.Unlock()
+	if err := w.checkTable(sp); err != nil {
+		return fmt.Errorf("spare table: %w", err)
 	}
-	return nil
+	return tablesIdentical(t, sp)
 }
 
 func (w *Wormhole) checkLeafList() error {
@@ -256,7 +250,7 @@ func (w *Wormhole) checkTable(t *metaTable) error {
 	if t.maxLen != expMaxLen {
 		return fmt.Errorf("maxLen %d, longest stored anchor is %d", t.maxLen, expMaxLen)
 	}
-	if t.root == nil || t.root != t.get(0, nil, false) {
+	if t.root == nil || t.root != t.get(0, nil) {
 		return fmt.Errorf("cached root item does not match the stored empty-key item")
 	}
 	count := 0
@@ -319,7 +313,7 @@ func tablesIdentical(a, b *metaTable) error {
 		if err != nil {
 			return
 		}
-		m := b.get(hashKey(n.key), n.key, true)
+		m := b.get(hashKey(n.key), n.key)
 		if m == nil {
 			err = fmt.Errorf("item %q missing from twin table", n.key)
 			return

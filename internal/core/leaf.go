@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -224,7 +223,7 @@ func (b *tagBlock) touch(h uint32, n int) uint32 {
 
 // tagsView is a point-in-time view of a leaf's hash index, materialized
 // as entries for the cold paths (invariants, tests); the hot lookup path
-// reads the structures directly (findTags).
+// reads the structures directly (find).
 type tagsView struct {
 	base, tail []tagEnt
 }
@@ -307,7 +306,7 @@ func (l *leafNode) sortedView() ([]tagEnt, keyOrder) {
 }
 
 // tags returns an entry view of the current hash index (cold paths; the
-// lookup path is findTags). Callers needing a consistent view hold mu.
+// lookup path is find). Callers needing a consistent view hold mu.
 func (l *leafNode) tags() tagsView {
 	v := tagsView{}
 	if ents := l.base.Load().view(int(l.baseN.Load())); len(ents) > 0 {
@@ -320,33 +319,33 @@ func (l *leafNode) tags() tagsView {
 	return v
 }
 
-// findTags locates (h, key) in the hash index: positioned search over the
-// base block's (hash, ref) entries (§3.2's direct positioning or binary
-// search), then — on a miss only — a linear scan of the short inline
-// tail. It returns the arena the ref resolves in and the ref (noRef on a
-// miss). Safe without any lock; optimistic callers bracket it with the
-// seqlock (see the tagBlock comment and the reader rule for why no read
-// here can fault or race). It runs the search's steps in sequence —
-// tagsOf, tagStart, tagPos, matchTags — which the batched read pipeline
+// find locates (h, key) in the hash index (§3.2's sort-by-tag leaf):
+// positioned search over the base block's (hash, ref) entries (direct
+// speculative positioning), then — on a miss only — a linear scan of the
+// short inline tail. It returns the arena the ref resolves in and the ref
+// (noRef on a miss). Safe without any lock; optimistic callers bracket it
+// with the seqlock (see the tagBlock comment and the reader rule for why
+// no read here can fault or race). It runs the search's steps in sequence
+// — tagsOf, tagStart, tagPos, matchTags — which the batched read pipeline
 // runs one round at a time across its lanes.
-func (l *leafNode) findTags(h uint32, key []byte, directPos bool) (*arena, uint32) {
+func (l *leafNode) find(h uint32, key []byte) (*arena, uint32) {
 	a, b, n := l.tagsOf()
 	ents := b.view(n)
-	i, ok := tagStart(ents, h, n, directPos)
+	i, ok := tagStart(ents, h, n)
 	if !ok {
 		return a, noRef // a mixed generation: the caller's bracket fails
 	}
-	return a, l.matchTags(a, ents, tagPos(ents, h, i, directPos), h, key)
+	return a, l.matchTags(a, ents, tagPos(ents, h, i), h, key)
 }
 
 // tagStart returns where tagPos starts its walk over ents, the block's
-// view for the leaf's published count n: h's speculative position with
-// directPos, 0 otherwise. The position comes from n, not from the block,
-// so the first entry load waits for no load of the block header. It
-// reports false when n names a position past the block, which only a
-// mixed generation does (the caller's seqlock bracket then fails).
-func tagStart(ents []tagEnt, h uint32, n int, directPos bool) (int, bool) {
-	if !directPos || n <= 0 {
+// view for the leaf's published count n: h's speculative position. The
+// position comes from n, not from the block, so the first entry load
+// waits for no load of the block header. It reports false when n names a
+// position past the block, which only a mixed generation does (the
+// caller's seqlock bracket then fails).
+func tagStart(ents []tagEnt, h uint32, n int) (int, bool) {
+	if n <= 0 {
 		return 0, true
 	}
 	i := tagSpec(h, n)
@@ -397,13 +396,9 @@ func (l *leafNode) size() int { return int(l.baseN.Load() + l.tailLen.Load()) }
 func tagSpec(h uint32, n int) int { return int(uint64(h) * uint64(n) >> 32) }
 
 // tagPos returns the first index in the hash-sorted entries a whose hash
-// is >= h (== len(a) when every hash is smaller). With directPos it walks
-// there from i, h's speculative position (tagSpec); otherwise it binary
-// searches and ignores i.
-func tagPos(a []tagEnt, h uint32, i int, directPos bool) int {
-	if !directPos {
-		return sort.Search(len(a), func(j int) bool { return a[j].hash >= h })
-	}
+// is >= h (== len(a) when every hash is smaller), walking there from i,
+// h's speculative position (tagSpec).
+func tagPos(a []tagEnt, h uint32, i int) int {
 	for i > 0 && h <= a[i-1].hash {
 		i--
 	}
@@ -411,37 +406,6 @@ func tagPos(a []tagEnt, h uint32, i int, directPos bool) int {
 		i++
 	}
 	return i
-}
-
-// find locates key in the leaf and returns its record ref, noRef when
-// absent. With sortByTag it searches the published tag-array snapshot;
-// without (BaseWormhole) it binary-searches the base's key-sorted order
-// view and scans the short tail linearly, comparing full keys — the
-// behaviour Figure 11's ablation isolates. The key-sorted path requires
-// mu to be held.
-func (l *leafNode) find(h uint32, key []byte, sortByTag, directPos bool) uint32 {
-	if sortByTag {
-		_, r := l.findTags(h, key, directPos)
-		return r
-	}
-	a := l.arena.Load()
-	sfx, rel := a.cut(key)
-	if rel != 0 {
-		return noRef // outside the fences
-	}
-	ents, ord := l.sortedView()
-	if i := lowerBoundIdx(a, ents, ord, sfx, true); i < ord.len() {
-		if r := ents[ord.at(i)].ref; bytes.Equal(a.sfx(r), sfx) {
-			return r
-		}
-	}
-	tl := int(l.tailLen.Load())
-	for i := 0; i < tl; i++ {
-		if r := l.tailItem[i].Load(); bytes.Equal(a.sfx(r), sfx) {
-			return r
-		}
-	}
-	return noRef
 }
 
 // reserve makes room for n more bytes in l's arena and returns ref's

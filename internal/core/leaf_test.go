@@ -23,22 +23,18 @@ func TestLeafInsertFindRemove(t *testing.T) {
 	for _, k := range keys {
 		insertKey(l, k)
 	}
-	for _, dp := range []bool{true, false} {
-		for _, sbt := range []bool{true, false} {
-			for _, k := range keys {
-				it := l.find(hashKey([]byte(k)), []byte(k), sbt, dp)
-				if it == noRef || string(leafKey(l, it)) != k {
-					t.Fatalf("find(%q, sortByTag=%v, directPos=%v) failed", k, sbt, dp)
-				}
-			}
-			if l.find(hashKey([]byte("zulu")), []byte("zulu"), sbt, dp) != noRef {
-				t.Fatalf("find(zulu) should miss")
-			}
+	for _, k := range keys {
+		_, it := l.find(hashKey([]byte(k)), []byte(k))
+		if it == noRef || string(leafKey(l, it)) != k {
+			t.Fatalf("find(%q) failed", k)
 		}
 	}
-	it := l.find(hashKey([]byte("bravo")), []byte("bravo"), true, true)
+	if _, it := l.find(hashKey([]byte("zulu")), []byte("zulu")); it != noRef {
+		t.Fatalf("find(zulu) should miss")
+	}
+	_, it := l.find(hashKey([]byte("bravo")), []byte("bravo"))
 	l.remove(it)
-	if l.find(hashKey([]byte("bravo")), []byte("bravo"), true, true) != noRef {
+	if _, it := l.find(hashKey([]byte("bravo")), []byte("bravo")); it != noRef {
 		t.Fatal("bravo still findable after remove")
 	}
 	if l.size() != 4 || l.tags().size() != 4 {
@@ -74,15 +70,15 @@ func TestLeafSortedItems(t *testing.T) {
 	}
 	for _, it := range items {
 		k := leafKey(l, it)
-		if f := l.find(hashKey(k), k, true, true); f != it {
+		if _, f := l.find(hashKey(k), k); f != it {
 			t.Fatalf("hash index lost %q", k)
 		}
 	}
 }
 
 // TestLeafHashPosQuick property-tests the tag-array search: for random key
-// sets, every present key is found with and without DirectPos, and misses
-// return the correct insertion position.
+// sets, every present key is found from its speculative position, and
+// misses return the correct insertion position.
 func TestLeafHashPosQuick(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -101,18 +97,16 @@ func TestLeafHashPosQuick(t *testing.T) {
 		base := l.tags().base
 		for k := range present {
 			h := hashKey([]byte(k))
-			for _, dp := range []bool{true, false} {
-				i := tagPos(base, h, tagSpec(h, len(base)), dp)
-				found := false
-				for ; i < len(base) && base[i].hash == h; i++ {
-					if string(leafKey(l, base[i].ref)) == k {
-						found = true
-						break
-					}
+			i := tagPos(base, h, tagSpec(h, len(base)))
+			found := false
+			for ; i < len(base) && base[i].hash == h; i++ {
+				if string(leafKey(l, base[i].ref)) == k {
+					found = true
+					break
 				}
-				if !found {
-					return false
-				}
+			}
+			if !found {
+				return false
 			}
 		}
 		// Misses: tagPos must return the first index with hash >= h.
@@ -122,7 +116,7 @@ func TestLeafHashPosQuick(t *testing.T) {
 				continue
 			}
 			h := hashKey(k)
-			pos := tagPos(base, h, tagSpec(h, len(base)), i%2 == 0)
+			pos := tagPos(base, h, tagSpec(h, len(base)))
 			if pos > 0 && base[pos-1].hash >= h {
 				return false
 			}
@@ -266,14 +260,12 @@ func TestTagBlockStaleCount(t *testing.T) {
 			for _, k := range probes {
 				h := hashKey(k)
 				b.touch(h, n)
-				for _, dp := range []bool{true, false} {
-					a, r := l.findTags(h, k, dp)
-					if r != noRef && !a.holds(r, k) {
-						t.Fatalf("block of %d, count %d: findTags(%q) returned another key's ref", size, n, k)
-					}
-					if n == size && (r == noRef) != (string(k) == "absent") {
-						t.Fatalf("block of %d: findTags(%q, directPos=%v) = %d at the exact count", size, k, dp, r)
-					}
+				a, r := l.find(h, k)
+				if r != noRef && !a.holds(r, k) {
+					t.Fatalf("block of %d, count %d: find(%q) returned another key's ref", size, n, k)
+				}
+				if n == size && (r == noRef) != (string(k) == "absent") {
+					t.Fatalf("block of %d: find(%q) = %d at the exact count", size, k, r)
 				}
 			}
 		}

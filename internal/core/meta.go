@@ -148,24 +148,13 @@ func newMetaTable(buckets int) *metaTable {
 }
 
 // get returns the item whose stored key equals key (hashed to h), with full
-// key verification. tagMatch selects the paper's TagMatching behaviour:
-// compare the 16-bit tag first and fall through to a byte comparison only
-// on a tag hit. With tagMatch=false (BaseWormhole) every occupied slot is
-// compared byte-by-byte.
-func (t *metaTable) get(h uint32, key []byte, tagMatch bool) *metaNode {
+// key verification: the 16-bit tags are compared first (§3.1's tag
+// matching), and only a tag hit falls through to a byte comparison.
+func (t *metaTable) get(h uint32, key []byte) *metaNode {
 	tag := metaTag(h)
 	for b := &t.buckets[h&t.mask]; b != nil; b = b.next {
-		if tagMatch {
-			for m := b.tagMask(tag); m != 0; m &= m - 1 {
-				n := b.nodes[bits.TrailingZeros32(m)]
-				if n != nil && bytes.Equal(n.key, key) {
-					return n
-				}
-			}
-			continue
-		}
-		for i := 0; i < metaBucketWidth; i++ {
-			n := b.nodes[i]
+		for m := b.tagMask(tag); m != 0; m &= m - 1 {
+			n := b.nodes[bits.TrailingZeros32(m)]
 			if n != nil && bytes.Equal(n.key, key) {
 				return n
 			}

@@ -102,13 +102,11 @@ func TestMetaTableBasics(t *testing.T) {
 		t.Fatalf("maxLen = %d, want 3", tb.maxLen)
 	}
 	for _, k := range keys {
-		for _, tag := range []bool{true, false} {
-			if n := tb.get(hashKey([]byte(k)), []byte(k), tag); n == nil || string(n.key) != k {
-				t.Fatalf("get(%q, tagMatch=%v) failed", k, tag)
-			}
+		if n := tb.get(hashKey([]byte(k)), []byte(k)); n == nil || string(n.key) != k {
+			t.Fatalf("get(%q) failed", k)
 		}
 	}
-	if tb.get(hashKey([]byte("nope")), []byte("nope"), true) != nil {
+	if tb.get(hashKey([]byte("nope")), []byte("nope")) != nil {
 		t.Fatal("get(nope) should miss")
 	}
 	// getChild finds "ab" from "a" + 'b'.
@@ -122,7 +120,7 @@ func TestMetaTableBasics(t *testing.T) {
 	if n := tb.remove([]byte("ab")); n == nil {
 		t.Fatal("remove failed")
 	}
-	if tb.get(hashKey([]byte("ab")), []byte("ab"), true) != nil {
+	if tb.get(hashKey([]byte("ab")), []byte("ab")) != nil {
 		t.Fatal("removed key still present")
 	}
 	if tb.count != len(keys)-1 {
@@ -142,7 +140,7 @@ func TestMetaTableGrowth(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		k := []byte(fmt.Sprintf("grow-%06d", i))
-		if tb.get(hashKey(k), k, true) == nil {
+		if tb.get(hashKey(k), k) == nil {
 			t.Fatalf("lost %q after growth", k)
 		}
 	}
@@ -163,7 +161,7 @@ func TestMetaTableOverflowChains(t *testing.T) {
 	}
 	for i := 0; i < 48; i++ {
 		k := []byte{byte(i)}
-		if tb.get(hashKey(k), k, true) == nil {
+		if tb.get(hashKey(k), k) == nil {
 			t.Fatalf("lost key %d in overflow chain", i)
 		}
 	}
@@ -178,7 +176,7 @@ func TestGetTagOnlyFalsePositiveIsPossibleButGetIsExact(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		k := []byte(fmt.Sprintf("t%05d", i))
-		n := tb.get(hashKey(k), k, true)
+		n := tb.get(hashKey(k), k)
 		if n == nil || string(n.key) != string(k) {
 			t.Fatalf("exact get(%q) wrong", k)
 		}

@@ -32,18 +32,10 @@ type conversion struct {
 }
 
 // planSplit chooses a cut point for a full leaf and builds the plan;
-// sorted holds l's items in key order (sortedItems). By default cut
-// points are tried middle-out and the first legal one wins (Algorithm 4
-// line 3–5). With
-// shortAnchors — the split-point optimization the paper leaves as future
-// work (§2.3: "search time is only proportional to anchor lengths, which
-// can be further reduced by intelligently choosing the location where a
-// leaf node is split") — every cut in the middle half is evaluated and the
-// one yielding the shortest stored anchor wins, ties broken toward the
-// middle; the full middle-out search remains the fallback so split balance
-// never degrades below the default. nil means no valid cut exists anywhere
-// and the leaf must grow fat (§3.3).
-func planSplit(l *leafNode, sorted []uint32, shortAnchors bool) *splitPlan {
+// sorted holds l's items in key order (sortedItems). Cut points are tried
+// middle-out and the first legal one wins (Algorithm 4 line 3–5). nil
+// means no valid cut exists anywhere and the leaf must grow fat (§3.3).
+func planSplit(l *leafNode, sorted []uint32) *splitPlan {
 	n := len(sorted)
 	if n < 2 {
 		return nil
@@ -56,34 +48,6 @@ func planSplit(l *leafNode, sorted []uint32, shortAnchors bool) *splitPlan {
 	a := l.arena.Load()
 	pre := a.prefix()
 	mid := n / 2
-	if shortAnchors {
-		lo, hi := n/4, n-n/4
-		if lo < 1 {
-			lo = 1
-		}
-		if hi > n-1 {
-			hi = n - 1
-		}
-		var best *splitPlan
-		bestDist := 0
-		for i := lo; i <= hi; i++ {
-			p := tryCut(pre, a.sfx(sorted[i-1]), a.sfx(sorted[i]), own, nextStored, i)
-			if p == nil {
-				continue
-			}
-			dist := i - mid
-			if dist < 0 {
-				dist = -dist
-			}
-			if best == nil || len(p.stored) < len(best.stored) ||
-				(len(p.stored) == len(best.stored) && dist < bestDist) {
-				best, bestDist = p, dist
-			}
-		}
-		if best != nil {
-			return best
-		}
-	}
 	for off := 0; ; off++ {
 		hi := mid + off
 		lo := mid - off
@@ -169,9 +133,9 @@ func tryCut(pre, a, b, own, nextStored []byte, cut int) *splitPlan {
 // the old l.next, or the lower half and l.next == newL — never a
 // truncated base whose next still skips the moved upper half. newL is
 // complete before it becomes reachable: it carries l's bumped version
-// and, with lockNew (the concurrent index), is returned write-locked so
-// the caller can finish the pending insert before locked readers enter.
-func executeLeafSplit(l *leafNode, sorted []uint32, p *splitPlan, lockNew bool) *leafNode {
+// and is returned write-locked so the caller can finish the pending
+// insert before locked readers enter.
+func executeLeafSplit(l *leafNode, sorted []uint32, p *splitPlan) *leafNode {
 	src := l.arena.Load()
 	lo, hi := sorted[:p.cut], sorted[p.cut:]
 	sep := p.stored[:p.realLen]
@@ -181,9 +145,7 @@ func executeLeafSplit(l *leafNode, sorted []uint32, p *splitPlan, lockNew bool) 
 	newL := newLeafNode(anchor{stored: p.stored, realLen: p.realLen})
 	newL.setSorted(ra, hi)
 	newL.version.Store(l.version.Load())
-	if lockNew {
-		newL.mu.Lock()
-	}
+	newL.mu.Lock()
 	lpre := fencePrefix(l.anchor.Load().real(), sep)
 	la := newArena(lpre, withHeadroom(src.sizeAs(lo, len(lpre))))
 	la.copyIn(src, lo)
@@ -248,7 +210,7 @@ func applySplit(t *metaTable, l, newL, oldRight *leafNode, p *splitPlan) {
 	s := p.stored
 	for pl := 0; pl < len(s); pl++ {
 		prf := s[:pl]
-		node := t.get(hashKey(prf), prf, true)
+		node := t.get(hashKey(prf), prf)
 		if node == nil {
 			// The item shares the anchor's bytes: stored anchors are never
 			// written after the plan clones them, and the clipped capacity
@@ -308,7 +270,7 @@ func applyMerge(t *metaTable, p *mergePlan) {
 	removed := true
 	for pl := len(p.stored) - 1; pl >= 0; pl-- {
 		prf := p.stored[:pl]
-		node := t.get(hashKey(prf), prf, true)
+		node := t.get(hashKey(prf), prf)
 		if node == nil || node.isLeafItem() {
 			panic("wormhole: broken trie path during merge")
 		}

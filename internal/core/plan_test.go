@@ -140,7 +140,7 @@ func TestPlanSplitMiddleOut(t *testing.T) {
 	for _, k := range []string{"aa", "ab", "ba", "bb", "ca", "cb"} {
 		insertKey(l, k)
 	}
-	p := planSplit(l, sortedItems(l, nil), false)
+	p := planSplit(l, sortedItems(l, nil))
 	if p == nil {
 		t.Fatal("no plan for a trivially splittable leaf")
 	}
@@ -158,7 +158,7 @@ func TestPlanSplitUnsplittable(t *testing.T) {
 	for zeros := 0; zeros < 6; zeros++ {
 		insertKey(l, string(append(one[:1:1], make([]byte, zeros)...)))
 	}
-	if p := planSplit(l, sortedItems(l, nil), false); p != nil {
+	if p := planSplit(l, sortedItems(l, nil)); p != nil {
 		t.Fatalf("pathological leaf got a plan: %+v", p)
 	}
 }

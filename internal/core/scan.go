@@ -196,14 +196,6 @@ func (c *cursor) advance(l *leafNode, a *arena, adj *leafNode, ver uint64, more 
 		c.started = true
 	}
 	if more {
-		if c.desc && !c.w.opt.Concurrent {
-			// Unsafe-mode splits do not bump leaf versions, so the
-			// descending same-leaf validation could not detect a split an
-			// interleaved Set performs between an Iter's chunks; re-seek
-			// from the bound instead of retaining the leaf.
-			c.reseek()
-			return
-		}
 		c.leaf, c.from = l, nil
 		c.sameLeaf, c.seenVer = true, ver
 		return
@@ -517,8 +509,7 @@ func (c *cursor) lockedChunk(l *leafNode, tver uint64, checkVer bool, buf []scan
 
 // nextChunk copies out the next batch of pairs into buf (up to cap(buf))
 // and advances the cursor. It returns an empty slice exactly when the scan
-// is exhausted. The caller must be inside a QSBR reader section on slot s
-// (nil s: non-concurrent index, no section needed).
+// is exhausted. The caller must be inside a QSBR reader section on slot s.
 func (c *cursor) nextChunk(s *qsbr.Slot, buf []scanEntry) []scanEntry {
 	w := c.w
 outer:
@@ -528,9 +519,7 @@ outer:
 		// leaves, so nothing from the previous epoch is still needed, and
 		// a long scan must not stall writers' grace periods behind the
 		// epoch it started in.
-		if s != nil {
-			w.q.Refresh(s)
-		}
+		w.q.Refresh(s)
 		var (
 			l        *leafNode
 			tver     uint64
@@ -615,10 +604,6 @@ func (w *Wormhole) scanLoop(s *qsbr.Slot, start []byte, desc bool, fn func(key, 
 // A nil start scans from the smallest key. A key passed to fn is valid
 // until fn returns (callers keeping one copy it); a value stays valid.
 func (w *Wormhole) Scan(start []byte, fn func(key, val []byte) bool) {
-	if !w.opt.Concurrent {
-		w.scanLoop(nil, start, false, fn)
-		return
-	}
 	s := w.q.Enter()
 	defer w.q.Leave(s)
 	w.scanLoop(s, start, false, fn)
@@ -627,10 +612,6 @@ func (w *Wormhole) Scan(start []byte, fn func(key, val []byte) bool) {
 // ScanDesc visits keys <= start in descending order until fn returns false.
 // A nil start scans from the largest key.
 func (w *Wormhole) ScanDesc(start []byte, fn func(key, val []byte) bool) {
-	if !w.opt.Concurrent {
-		w.scanLoop(nil, start, true, fn)
-		return
-	}
 	s := w.q.Enter()
 	defer w.q.Leave(s)
 	w.scanLoop(s, start, true, fn)
@@ -677,15 +658,12 @@ func (w *Wormhole) NewIterDesc(start []byte) *Iter { return w.newIter(start, tru
 
 func (w *Wormhole) newIter(start []byte, desc bool) *Iter {
 	sc := scanPool.Get().(*scanScratch)
-	it := &Iter{
-		c:  cursor{w: w, desc: desc, start: start, bound: sc.bound[:0]},
-		sc: sc,
-		i:  -1,
+	return &Iter{
+		c:   cursor{w: w, desc: desc, start: start, bound: sc.bound[:0]},
+		pin: w.q.Pin(),
+		sc:  sc,
+		i:   -1,
 	}
-	if w.opt.Concurrent {
-		it.pin = w.q.Pin()
-	}
-	return it
 }
 
 // Next advances the iterator; it returns false when the keys are exhausted.
@@ -704,14 +682,8 @@ func (i *Iter) Next() bool {
 		i.i = 0
 		return false
 	}
-	var s *qsbr.Slot
-	if i.pin != nil {
-		s = i.pin.Enter()
-	}
-	i.batch = i.c.nextChunk(s, i.sc.ents[:0])
-	if i.pin != nil {
-		i.pin.Leave()
-	}
+	i.batch = i.c.nextChunk(i.pin.Enter(), i.sc.ents[:0])
+	i.pin.Leave()
 	i.i = 0
 	if len(i.batch) == 0 {
 		i.Close() // exhausted: release the pinned slot eagerly

@@ -47,7 +47,7 @@ func startChurn(w *Wormhole, writers int) func() {
 // and a pinned Reader's scans — must visit every stable key exactly once
 // and in order. Run with -race.
 func TestScanChurnExactlyOnce(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	const stable = 400
 	for i := 0; i < stable; i++ {
 		// Gaps between stable keys give churn keys room to land.
@@ -129,7 +129,7 @@ func TestScanChurnExactlyOnce(t *testing.T) {
 // exactly once (the cursor resumes from the retained leaf, never
 // re-fetching the boundary).
 func TestIterWalksWithoutReseek(t *testing.T) {
-	w := New(opts(true))
+	w := New(DefaultOptions())
 	const n = 5000
 	for i := 0; i < n; i++ {
 		w.Set([]byte(fmt.Sprintf("it-%05d", i)), []byte{byte(i)})
@@ -201,29 +201,29 @@ func TestScanZeroAllocs(t *testing.T) {
 		cnt++
 		return cnt < 200
 	}
-	if n := testsupport.Mallocs(200, func() {
+	if n, gcs := testsupport.Mallocs(200, func() {
 		cnt = 0
 		w.Scan(keys[5000], fn)
 	}); n > testsupport.PoolAllocs(200) {
-		t.Errorf("Scan: %d allocs over 200 scans of 200 keys, want <= %d", n, testsupport.PoolAllocs(200))
+		t.Errorf("Scan: %d allocs over 200 scans of 200 keys, want <= %d (%d GCs in the window)", n, testsupport.PoolAllocs(200), gcs)
 	}
-	if n := testsupport.Mallocs(200, func() {
+	if n, gcs := testsupport.Mallocs(200, func() {
 		cnt = 0
 		w.ScanDesc(keys[5000], fn)
 	}); n > testsupport.PoolAllocs(200) {
-		t.Errorf("ScanDesc: %d allocs over 200 scans of 200 keys, want <= %d", n, testsupport.PoolAllocs(200))
+		t.Errorf("ScanDesc: %d allocs over 200 scans of 200 keys, want <= %d (%d GCs in the window)", n, testsupport.PoolAllocs(200), gcs)
 	}
 	rd := w.NewReader()
 	defer rd.Close()
-	if n := testsupport.Mallocs(200, func() {
+	if n, gcs := testsupport.Mallocs(200, func() {
 		cnt = 0
 		rd.Scan(keys[5000], fn)
 	}); n > testsupport.PoolAllocs(200) {
-		t.Errorf("Reader.Scan: %d allocs over 200 scans of 200 keys, want <= %d", n, testsupport.PoolAllocs(200))
+		t.Errorf("Reader.Scan: %d allocs over 200 scans of 200 keys, want <= %d (%d GCs in the window)", n, testsupport.PoolAllocs(200), gcs)
 	}
 	it := w.NewIter(nil)
 	defer it.Close()
-	if n := testsupport.Mallocs(100, func() {
+	if n, gcs := testsupport.Mallocs(100, func() {
 		for j := 0; j < 100; j++ {
 			if !it.Next() {
 				t.Fatal("iterator ran dry mid-measurement")
@@ -232,7 +232,7 @@ func TestScanZeroAllocs(t *testing.T) {
 			_ = it.Value()
 		}
 	}); n != 0 {
-		t.Errorf("Iter.Next: %d allocs over 100 runs of 100 pulls, want 0", n)
+		t.Errorf("Iter.Next: %d allocs over 100 runs of 100 pulls, want 0 (%d GCs in the window)", n, gcs)
 	}
 }
 
@@ -240,7 +240,7 @@ func TestScanZeroAllocs(t *testing.T) {
 // every chunk forced through lockedChunk, traversals must match the
 // lock-free default.
 func TestLockedScansAblation(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	w.lockedScans = true
 	for i := 0; i < 500; i++ {
 		w.Set([]byte(fmt.Sprintf("lk-%04d", i)), []byte{1})
@@ -265,35 +265,53 @@ func TestLockedScansAblation(t *testing.T) {
 	}
 }
 
-// TestUnsafeIterDescInterleavedSplit: in non-concurrent mode leaf versions
-// never move, so the descending cursor must re-seek rather than trust a
-// same-leaf continuation across an interleaved Set that splits the leaf.
-func TestUnsafeIterDescInterleavedSplit(t *testing.T) {
-	o := opts(false)
-	o.LeafCap = 8
+// TestIterDescInterleavedSplit: leaves larger than a scan chunk make a
+// descending Iter continue in the same leaf between chunks, and a Set
+// between those chunks splits that leaf, moving keys the cursor still owes
+// into a right sibling the continuation would skip. The cursor's version
+// check must catch every such split (and re-seek from its bound), so every
+// stable key is still visited once, in order.
+func TestIterDescInterleavedSplit(t *testing.T) {
+	o := DefaultOptions()
+	o.LeafCap = 4 * scanChunk
 	w := New(o)
-	const n = 400
-	for i := 0; i < n; i++ {
-		w.Set([]byte(fmt.Sprintf("u-%04d", i*2)), []byte{1})
+	const n = 6000
+	for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
+		w.Set([]byte(fmt.Sprintf("u-%05d", i*2)), []byte{1})
 	}
 	it := w.NewIterDesc(nil)
-	seen := 0
+	defer it.Close()
+	seen, splits, x := 0, 0, 0
 	next := n - 1
 	for it.Next() {
 		k := string(it.Key())
-		if len(k) == 6 {
-			if want := fmt.Sprintf("u-%04d", next*2); k != want {
+		if len(k) == 7 {
+			if want := fmt.Sprintf("u-%05d", next*2); k != want {
 				t.Fatalf("desc iter skipped: got %q want %q", k, want)
 			}
 			next--
 			seen++
 		}
-		// Interleave inserts right below the cursor so the current leaf
-		// keeps splitting between chunks.
-		w.Set([]byte(fmt.Sprintf("u-%04d-x%02d", (next*2)%800, seen%50)), []byte{2})
+		c := &it.c
+		if it.i != len(it.batch)-1 || !c.sameLeaf {
+			continue
+		}
+		// The next chunk continues in c.leaf: insert keys right above the
+		// cursor until that leaf splits, so the cut falls among the keys
+		// the cursor still owes.
+		for j := 0; c.leaf.version.Load() == c.seenVer && j < 2*o.LeafCap; j++ {
+			w.Set([]byte(fmt.Sprintf("u-%05d-x%05d", (next+1)*2, x)), []byte{2})
+			x++
+		}
+		if c.leaf.version.Load() != c.seenVer {
+			splits++
+		}
 	}
-	it.Close()
 	if seen != n {
 		t.Fatalf("desc iter saw %d stable keys, want %d", seen, n)
 	}
+	if splits == 0 {
+		t.Fatal("no Set split the leaf between two same-leaf chunks")
+	}
+	t.Logf("%d splits between same-leaf chunks", splits)
 }

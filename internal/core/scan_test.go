@@ -9,7 +9,7 @@ import (
 // (via the §3.3 fat-leaf path) so a single leaf requires several
 // chunk-sized lock rounds in both scan directions.
 func TestScanChunkContinuationFatLeaf(t *testing.T) {
-	o := opts(true)
+	o := DefaultOptions()
 	o.LeafCap = 4
 	w := New(o)
 	// One shared prefix with growing zero tails: unsplittable, so the leaf
@@ -51,7 +51,7 @@ func TestScanChunkContinuationFatLeaf(t *testing.T) {
 // TestScanEarlyStopInsideChunk verifies stopping mid-chunk does not visit
 // or copy beyond what fn consumed (behaviourally: fn not called again).
 func TestScanEarlyStopInsideChunk(t *testing.T) {
-	w := New(opts(true))
+	w := New(DefaultOptions())
 	for i := 0; i < 1000; i++ {
 		w.Set([]byte(fmt.Sprintf("es-%04d", i)), []byte{1})
 	}
@@ -68,7 +68,7 @@ func TestScanEarlyStopInsideChunk(t *testing.T) {
 // TestScanEmptyLeavesInPath: deletions can leave empty leaves (merge is
 // opportunistic); scans must step over them silently.
 func TestScanEmptyLeavesInPath(t *testing.T) {
-	o := opts(true)
+	o := DefaultOptions()
 	o.LeafCap = 4
 	o.MergeSize = 1 // merges effectively disabled
 	w := New(o)
@@ -105,7 +105,7 @@ func TestScanEmptyLeavesInPath(t *testing.T) {
 
 // TestScanSeekBeyondEnd starts past the largest key in both directions.
 func TestScanSeekBeyondEnd(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	for i := 0; i < 50; i++ {
 		w.Set([]byte(fmt.Sprintf("sb-%02d", i)), []byte{1})
 	}
@@ -130,7 +130,7 @@ func TestScanSeekBeyondEnd(t *testing.T) {
 // TestScanReentrancy: the callback runs without internal locks held, so it
 // may issue index operations (here: point reads during a scan).
 func TestScanReentrancy(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	for i := 0; i < 200; i++ {
 		w.Set([]byte(fmt.Sprintf("re-%03d", i)), []byte{byte(i)})
 	}

@@ -8,16 +8,17 @@ import "bytes"
 //
 // Two of the paper's §3.1 optimizations live here:
 //
-//   - IncHashing: the CRC of the confirmed prefix key[:m] is extended by
-//     key[m:pl] on each probe instead of rehashing key[:pl] from scratch.
-//   - TagMatching (optimistic mode): every probe trusts the first 16-bit tag
+//   - incremental hashing: the CRC of the confirmed prefix key[:m] is
+//     extended by key[m:pl] on each probe instead of rehashing key[:pl]
+//     from scratch.
+//   - tag matching (optimistic mode): every probe trusts the first 16-bit tag
 //     match without comparing keys. Tag misses are exact ("no false
 //     negatives"), so the binary search's upper boundary is always sound;
 //     only the lower boundary can be optimistic. One full comparison of the
 //     final candidate therefore certifies the whole search, and on a
 //     mismatch the search reruns with exact probes.
 func (w *Wormhole) searchLPM(t *metaTable, key []byte) (*metaNode, uint32) {
-	if node, h, ok := w.lpmPass(t, key, w.opt.TagMatching); ok {
+	if node, h, ok := w.lpmPass(t, key, true); ok {
 		return node, h
 	}
 	// Optimistic pass hit a false-positive tag; redo with verification.
@@ -31,7 +32,7 @@ const maxEagerPrefix = 64
 
 func (w *Wormhole) lpmPass(t *metaTable, key []byte, optimistic bool) (*metaNode, uint32, bool) {
 	maxl := min(len(key), t.maxLen)
-	if w.opt.IncHashing && maxl <= maxEagerPrefix {
+	if maxl <= maxEagerPrefix {
 		return w.lpmPassEager(t, key, maxl, optimistic)
 	}
 	m, n := 0, maxl+1
@@ -39,17 +40,12 @@ func (w *Wormhole) lpmPass(t *metaTable, key []byte, optimistic bool) (*metaNode
 	nodeM := t.root // the root item always exists in a published table
 	for m+1 < n {
 		pl := (m + n) / 2
-		var h uint32
-		if w.opt.IncHashing {
-			h = hashExtend(crcM, key[m:pl])
-		} else {
-			h = hashKey(key[:pl])
-		}
+		h := hashExtend(crcM, key[m:pl])
 		var nd *metaNode
 		if optimistic {
 			nd = t.getTagOnly(h)
 		} else {
-			nd = t.get(h, key[:pl], w.opt.TagMatching)
+			nd = t.get(h, key[:pl])
 		}
 		if nd != nil {
 			m, crcM, nodeM = pl, h, nd
@@ -64,8 +60,7 @@ func (w *Wormhole) lpmPass(t *metaTable, key []byte, optimistic bool) (*metaNode
 }
 
 // lpmPassEager is the memory-parallel variant of the prefix binary
-// search, used whenever IncHashing is on and the key fits the stack
-// array. The lazy pass above extends the confirmed prefix's CRC on each
+// search, used whenever the key fits the stack array. The lazy pass above extends the confirmed prefix's CRC on each
 // probe, which chains every probe's *address* through the previous
 // probe's *data* — the CPU cannot begin fetching probe k+1's bucket
 // until probe k's cache miss resolves, so the search costs log2(maxLen)
@@ -92,7 +87,7 @@ func (w *Wormhole) lpmPassEager(t *metaTable, key []byte, maxl int, optimistic b
 		if optimistic {
 			nd = t.getTagOnly(hs[pl])
 		} else {
-			nd = t.get(hs[pl], key[:pl], w.opt.TagMatching)
+			nd = t.get(hs[pl], key[:pl])
 		}
 		if nd != nil {
 			m, nodeM = pl, nd

@@ -42,7 +42,7 @@ func checkOverwriteValue(t *testing.T, k, v []byte) {
 // delete-driven merges, all while plain Get and pinned Reader.Get race
 // lock-free through the published tag blocks. Run with -race.
 func TestSeqlockGetUnderChurn(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	const hammered = 64 // keys that get overwritten forever
 	for i := 0; i < hammered; i++ {
 		w.Set([]byte(fmt.Sprintf("hot-%03d", i)), overwriteValue(0))
@@ -126,20 +126,20 @@ func TestGetZeroAllocs(t *testing.T) {
 	}
 	miss := []byte("az-miss-000000000")
 	i := 0
-	if n := testsupport.Mallocs(2000, func() {
+	if n, gcs := testsupport.Mallocs(2000, func() {
 		w.Get(keys[(i*2654435761)%len(keys)])
 		w.Get(miss)
 		i++
 	}); n != 0 {
-		t.Errorf("Get: %d allocs over 2000 runs, want 0", n)
+		t.Errorf("Get: %d allocs over 2000 runs, want 0 (%d GCs in the window)", n, gcs)
 	}
 	r := w.NewReader()
 	defer r.Close()
 	i = 0
-	if n := testsupport.Mallocs(2000, func() {
+	if n, gcs := testsupport.Mallocs(2000, func() {
 		r.Get(keys[(i*2654435761)%len(keys)])
 		i++
 	}); n != 0 {
-		t.Errorf("Reader.Get: %d allocs over 2000 runs, want 0", n)
+		t.Errorf("Reader.Get: %d allocs over 2000 runs, want 0 (%d GCs in the window)", n, gcs)
 	}
 }

@@ -93,11 +93,9 @@ func (w *Wormhole) Footprint() int64 {
 		}
 	}
 	total += tableFootprint(w.cur.Load())
-	if w.opt.Concurrent {
-		w.metaMu.Lock()
-		total += tableFootprint(w.spare)
-		w.metaMu.Unlock()
-	}
+	w.metaMu.Lock()
+	total += tableFootprint(w.spare)
+	w.metaMu.Unlock()
 	return total
 }
 

@@ -75,7 +75,7 @@ func forgeCRC(t *testing.T, k []byte, at, win int) []byte {
 // only the prefix tells the two apart. The leaf's own probes must miss it,
 // and Get, GetBatch, Del and Set must never take it for the stored key.
 func TestSuffixHashCollision(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	model := map[string]string{}
 	for i := 0; i < 200; i++ {
 		k := fmt.Sprintf("collide/a-shared-prefix/%04d/tail", i*7)
@@ -103,15 +103,8 @@ func TestSuffixHashCollision(t *testing.T) {
 		t.Fatalf("forged key %q is stored", forged)
 	}
 	h := hashKey(forged)
-	if _, r := leaf.findTags(h, forged, true); r != noRef {
+	if _, r := leaf.find(h, forged); r != noRef {
 		t.Fatalf("tag probe took %q for %q", forged, stored)
-	}
-	for _, sbt := range []bool{false, true} {
-		for _, dp := range []bool{false, true} {
-			if r := leaf.find(h, forged, sbt, dp); r != noRef {
-				t.Fatalf("find(sortByTag=%v, directPos=%v) took %q for %q", sbt, dp, forged, stored)
-			}
-		}
 	}
 	if v, ok := w.Get(forged); ok {
 		t.Fatalf("Get(%q) = %q, want a miss", forged, v)
@@ -151,7 +144,7 @@ func TestSuffixHashCollision(t *testing.T) {
 // strictly ordered before the current one, in both directions and
 // through a pinned Reader.
 func TestSuffixScanKeysLiveOneCall(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	const stable = 400
 	const pre = "retain/a/long/shared/prefix/"
 	for i := 0; i < stable; i++ {
@@ -233,74 +226,72 @@ func TestSuffixScanKeysLiveOneCall(t *testing.T) {
 // across group boundaries, so a surviving leaf's fences move apart and
 // its prefix shortens, and its records are re-cut against the shorter
 // one. Every key left must read back whole through Get, Scan and
-// ScanDesc, on both the concurrent and the unsafe index.
+// ScanDesc.
 func TestSuffixMergeRecut(t *testing.T) {
-	for _, concurrent := range []bool{true, false} {
-		w := New(smallOpts(concurrent))
-		model := map[string]bool{}
-		r := rand.New(rand.NewSource(3))
-		for g := 0; g < 12; g++ {
-			for i := 0; i < 40; i++ {
-				k := fmt.Sprintf("recut/group-%02d/item-%03d", g, i)
-				w.Set([]byte(k), []byte(k))
-				model[k] = true
-			}
+	w := New(smallOpts())
+	model := map[string]bool{}
+	r := rand.New(rand.NewSource(3))
+	for g := 0; g < 12; g++ {
+		for i := 0; i < 40; i++ {
+			k := fmt.Sprintf("recut/group-%02d/item-%03d", g, i)
+			w.Set([]byte(k), []byte(k))
+			model[k] = true
 		}
-		before := map[*leafNode]int{}
-		for l := w.head; l != nil; l = l.next.Load() {
-			before[l] = l.arena.Load().plen
+	}
+	before := map[*leafNode]int{}
+	for l := w.head; l != nil; l = l.next.Load() {
+		before[l] = l.arena.Load().plen
+	}
+	keys := make([]string, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	r.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	for _, k := range keys[:len(keys)*9/10] {
+		if !w.Del([]byte(k)) {
+			t.Fatalf("Del(%q) missed", k)
 		}
-		keys := make([]string, 0, len(model))
-		for k := range model {
-			keys = append(keys, k)
+		delete(model, k)
+	}
+	shortened := 0
+	for l := w.head; l != nil; l = l.next.Load() {
+		if p, ok := before[l]; ok && l.arena.Load().plen < p {
+			shortened++
 		}
-		sort.Strings(keys)
-		r.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-		for _, k := range keys[:len(keys)*9/10] {
-			if !w.Del([]byte(k)) {
-				t.Fatalf("Del(%q) missed", k)
-			}
-			delete(model, k)
+	}
+	if shortened == 0 {
+		t.Fatal("no merge shortened a leaf's prefix")
+	}
+	if err := w.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, 0, len(model))
+	for k := range model {
+		want = append(want, k)
+		if v, ok := w.Get([]byte(k)); !ok || string(v) != k {
+			t.Fatalf("Get(%q) = %q, %v after the merges", k, v, ok)
 		}
-		shortened := 0
-		for l := w.head; l != nil; l = l.next.Load() {
-			if p, ok := before[l]; ok && l.arena.Load().plen < p {
-				shortened++
-			}
+	}
+	sort.Strings(want)
+	var asc, desc []string
+	w.Scan(nil, func(k, v []byte) bool {
+		if string(k) != string(v) {
+			t.Fatalf("Scan: key %q holds %q", k, v)
 		}
-		if shortened == 0 {
-			t.Fatalf("concurrent=%v: no merge shortened a leaf's prefix", concurrent)
+		asc = append(asc, string(k))
+		return true
+	})
+	w.ScanDesc(nil, func(k, v []byte) bool { desc = append(desc, string(k)); return true })
+	if fmt.Sprint(asc) != fmt.Sprint(want) {
+		t.Fatalf("Scan = %q, want %q", asc, want)
+	}
+	for i := range desc {
+		if desc[i] != want[len(want)-1-i] {
+			t.Fatalf("ScanDesc[%d] = %q, want %q", i, desc[i], want[len(want)-1-i])
 		}
-		if err := w.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		want := make([]string, 0, len(model))
-		for k := range model {
-			want = append(want, k)
-			if v, ok := w.Get([]byte(k)); !ok || string(v) != k {
-				t.Fatalf("Get(%q) = %q, %v after the merges", k, v, ok)
-			}
-		}
-		sort.Strings(want)
-		var asc, desc []string
-		w.Scan(nil, func(k, v []byte) bool {
-			if string(k) != string(v) {
-				t.Fatalf("Scan: key %q holds %q", k, v)
-			}
-			asc = append(asc, string(k))
-			return true
-		})
-		w.ScanDesc(nil, func(k, v []byte) bool { desc = append(desc, string(k)); return true })
-		if fmt.Sprint(asc) != fmt.Sprint(want) {
-			t.Fatalf("concurrent=%v: Scan = %q, want %q", concurrent, asc, want)
-		}
-		for i := range desc {
-			if desc[i] != want[len(want)-1-i] {
-				t.Fatalf("concurrent=%v: ScanDesc[%d] = %q, want %q", concurrent, i, desc[i], want[len(want)-1-i])
-			}
-		}
-		if len(desc) != len(want) {
-			t.Fatalf("concurrent=%v: ScanDesc saw %d keys, want %d", concurrent, len(desc), len(want))
-		}
+	}
+	if len(desc) != len(want) {
+		t.Fatalf("ScanDesc saw %d keys, want %d", len(desc), len(want))
 	}
 }

@@ -9,9 +9,10 @@ import (
 	"github.com/repro/wormhole/internal/qsbr"
 )
 
-// Options configures a Wormhole index. The four boolean fields correspond
-// to the incremental optimizations of §3 that Figure 11 ablates; turn them
-// all on (DefaultOptions) for the full Wormhole, all off for BaseWormhole.
+// Options configures a Wormhole index: its leaf sizes. The index is always
+// the full, thread-safe Wormhole with every §3 optimization; the paper's
+// Figure 11 ablation and its Wormhole-unsafe variant are kept as source
+// patches (docs/ablations), not as options.
 type Options struct {
 	// LeafCap is the maximum number of keys per leaf before a split is
 	// attempted (the paper uses 128). Leaves may exceed it only when no
@@ -20,40 +21,12 @@ type Options struct {
 	// MergeSize: after a deletion, two adjacent leaves whose combined size
 	// is below this are merged. Defaults to 2*LeafCap/3.
 	MergeSize int
-	// Concurrent selects the thread-safe index (seqlock leaves over
-	// published tag-array snapshots, dual MetaTrieHT with QSBR grace
-	// periods, version validation — §2.5). With Concurrent=false the index
-	// is the paper's "Wormhole-unsafe": a single meta table and no
-	// locking; the caller must serialize.
-	Concurrent bool
-
-	TagMatching bool // §3.1: 16-bit tags + optimistic tag-only LPM probes
-	IncHashing  bool // §3.1: incremental CRC across the prefix binary search
-	SortByTag   bool // §3.2: hash-ordered leaf search instead of key-sorted
-	DirectPos   bool // §3.2: speculative start position in the tag array
-	// ShortAnchors enables the split-point optimization the paper defers
-	// to future work: among the cuts in a full leaf's middle half, pick
-	// the one producing the shortest anchor instead of the middlemost
-	// legal one. Shorter anchors shrink the MetaTrieHT and cut the prefix
-	// binary search's upper bound. Off by default to match the paper.
-	ShortAnchors bool
-
-	// QSBRSlots sizes the initial reader-slot bank (Concurrent only); the
-	// slot set grows on demand when more readers pin simultaneously.
-	QSBRSlots int
 }
 
-// DefaultOptions returns the full Wormhole configuration used throughout
-// the paper's evaluation: 128-key leaves, thread-safe, all optimizations.
+// DefaultOptions returns the leaf sizes of the paper's evaluation: 128-key
+// leaves, merged below 2/3 of that.
 func DefaultOptions() Options {
-	return Options{
-		LeafCap:     128,
-		Concurrent:  true,
-		TagMatching: true,
-		IncHashing:  true,
-		SortByTag:   true,
-		DirectPos:   true,
-	}
+	return Options{LeafCap: 128}
 }
 
 func (o *Options) normalize() {
@@ -65,9 +38,6 @@ func (o *Options) normalize() {
 	}
 	if o.MergeSize > o.LeafCap {
 		o.MergeSize = o.LeafCap
-	}
-	if o.QSBRSlots <= 0 {
-		o.QSBRSlots = qsbr.DefaultSlots
 	}
 }
 
@@ -81,7 +51,7 @@ type Wormhole struct {
 	q   *qsbr.QSBR
 
 	cur    atomic.Pointer[metaTable]
-	spare  *metaTable // guarded by metaMu; nil when !Concurrent
+	spare  *metaTable // guarded by metaMu
 	metaMu sync.Mutex
 
 	head  *leafNode // leftmost leaf; never removed (merges consume the right node)
@@ -111,12 +81,10 @@ func New(opt Options) *Wormhole {
 	t1.set(&metaNode{key: []byte{}, leaf: w.head})
 	t1.version = 1
 	w.cur.Store(t1)
-	if opt.Concurrent {
-		t2 := newMetaTable(64)
-		t2.set(&metaNode{key: []byte{}, leaf: w.head})
-		w.spare = t2
-		w.q = qsbr.NewWithSlots(opt.QSBRSlots)
-	}
+	t2 := newMetaTable(64)
+	t2.set(&metaNode{key: []byte{}, leaf: w.head})
+	w.spare = t2
+	w.q = qsbr.NewWithSlots(qsbr.DefaultSlots)
 	return w
 }
 
@@ -124,34 +92,14 @@ func New(opt Options) *Wormhole {
 func (w *Wormhole) Count() int64 { return w.count.Load() }
 
 // QSBRReaderLag reports how many grace-period epochs behind the slowest
-// active reader section is (0 when no section runs, or when the index
-// was built without Concurrent and has no QSBR domain). A lag that stays
+// active reader section is (0 when no section runs). A lag that stays
 // high across observations means a stuck reader is stalling meta-table
 // reclamation.
-func (w *Wormhole) QSBRReaderLag() uint64 {
-	if w.q == nil {
-		return 0
-	}
-	return w.q.ReaderLag()
-}
-
-// getUnsafe is the single-threaded lookup (no reader section, no leaf
-// validation).
-func (w *Wormhole) getUnsafe(h uint32, key []byte) ([]byte, bool) {
-	l := w.searchMeta(w.cur.Load(), key)
-	if r := l.find(h, key, w.opt.SortByTag, w.opt.DirectPos); r != noRef {
-		a := l.arena.Load()
-		return a.value(a.val(r)), true
-	}
-	return nil, false
-}
+func (w *Wormhole) QSBRReaderLag() uint64 { return w.q.ReaderLag() }
 
 // Get returns the value stored under key.
 func (w *Wormhole) Get(key []byte) ([]byte, bool) {
 	h := hashKey(key)
-	if !w.opt.Concurrent {
-		return w.getUnsafe(h, key)
-	}
 	s := w.q.Enter()
 	val, ok := w.getOnline(s, h, key)
 	w.q.Leave(s)
@@ -181,38 +129,35 @@ const seqlockAttempts = 4
 // after, no mutation overlapped and the result is consistent with a
 // stable leaf state inside the bracket.
 //
-// After seqlockAttempts collisions (or when SortByTag is off and the leaf
-// must be searched key-sorted in place) it falls back to the classic
-// locked read path.
+// After seqlockAttempts collisions it falls back to the classic locked
+// read path.
 func (w *Wormhole) getOnline(s *qsbr.Slot, h uint32, key []byte) ([]byte, bool) {
-	if w.opt.SortByTag {
-		for tries := 0; tries < seqlockAttempts; {
-			t := w.cur.Load()
-			l := w.searchMeta(t, key)
-			s1 := l.seq.Load()
-			if s1&1 != 0 { // writer mid-mutation
-				tries++
-				continue
-			}
-			if l.version.Load() > t.version || l.dead.Load() {
-				w.q.Refresh(s)
-				continue // stale table: re-resolve, doesn't count as a collision
-			}
-			var v uint64
-			a, r := l.findTags(h, key, w.opt.DirectPos)
-			if r != noRef {
-				v = a.val(r) // findTags checked the header against hw
-			}
-			if l.seq.Load() == s1 {
-				// The bracket held, so the value ref is current and may be
-				// materialized now — never before the validation.
-				if r == noRef {
-					return nil, false
-				}
-				return a.value(v), true
-			}
+	for tries := 0; tries < seqlockAttempts; {
+		t := w.cur.Load()
+		l := w.searchMeta(t, key)
+		s1 := l.seq.Load()
+		if s1&1 != 0 { // writer mid-mutation
 			tries++
+			continue
 		}
+		if l.version.Load() > t.version || l.dead.Load() {
+			w.q.Refresh(s)
+			continue // stale table: re-resolve, doesn't count as a collision
+		}
+		var v uint64
+		a, r := l.find(h, key)
+		if r != noRef {
+			v = a.val(r) // find checked the header against hw
+		}
+		if l.seq.Load() == s1 {
+			// The bracket held, so the value ref is current and may be
+			// materialized now — never before the validation.
+			if r == noRef {
+				return nil, false
+			}
+			return a.value(v), true
+		}
+		tries++
 	}
 	for {
 		t := w.cur.Load()
@@ -223,10 +168,9 @@ func (w *Wormhole) getOnline(s *qsbr.Slot, h uint32, key []byte) ([]byte, bool) 
 			w.q.Refresh(s)
 			continue
 		}
-		r := l.find(h, key, w.opt.SortByTag, w.opt.DirectPos)
+		a, r := l.find(h, key)
 		var val []byte
 		if r != noRef {
-			a := l.arena.Load()
 			val = a.value(a.val(r))
 		}
 		l.mu.RUnlock()
@@ -246,23 +190,11 @@ func (w *Wormhole) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
 // GetBatchInto answers keys[i] into vals[i] and found[i] for every i in
 // idxs (nil idxs means all of keys). The whole batch shares one QSBR
 // reader announcement — the server-side analogue of netkv's request
-// batching, used by the sharded store's per-shard groups — and on the
-// concurrent index the lookups run through the memory-parallel pipeline
-// (batch.go), which interleaves the keys' dependent-miss chains instead
-// of walking them one at a time.
+// batching, used by the sharded store's per-shard groups — and the
+// lookups run through the memory-parallel pipeline (batch.go), which
+// interleaves the keys' dependent-miss chains instead of walking them one
+// at a time.
 func (w *Wormhole) GetBatchInto(keys, vals [][]byte, found []bool, idxs []int) {
-	if !w.opt.Concurrent {
-		if idxs == nil {
-			for i := range keys {
-				vals[i], found[i] = w.getUnsafe(hashKey(keys[i]), keys[i])
-			}
-			return
-		}
-		for _, i := range idxs {
-			vals[i], found[i] = w.getUnsafe(hashKey(keys[i]), keys[i])
-		}
-		return
-	}
 	s := w.q.Enter()
 	w.getBatchOnline(s, keys, vals, found, idxs)
 	w.q.Leave(s)
@@ -278,7 +210,7 @@ func (w *Wormhole) GetBatchInto(keys, vals [][]byte, found []bool, idxs []int) {
 // the slot.
 type Reader struct {
 	w   *Wormhole
-	pin *qsbr.Pin // nil when the index is not concurrent
+	pin *qsbr.Pin
 }
 
 // NewReadHandle implements index.ReadPinner: the handle is a *Reader,
@@ -286,20 +218,11 @@ type Reader struct {
 func (w *Wormhole) NewReadHandle() index.ReadHandle { return w.NewReader() }
 
 // NewReader returns a read handle bound to this index.
-func (w *Wormhole) NewReader() *Reader {
-	r := &Reader{w: w}
-	if w.opt.Concurrent {
-		r.pin = w.q.Pin()
-	}
-	return r
-}
+func (w *Wormhole) NewReader() *Reader { return &Reader{w: w, pin: w.q.Pin()} }
 
 // Get returns the value stored under key.
 func (r *Reader) Get(key []byte) ([]byte, bool) {
 	h := hashKey(key)
-	if r.pin == nil {
-		return r.w.getUnsafe(h, key)
-	}
 	s := r.pin.Enter()
 	val, ok := r.w.getOnline(s, h, key)
 	r.pin.Leave()
@@ -318,10 +241,6 @@ func (r *Reader) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
 // idxs (nil idxs means all of keys), under a single reader announcement
 // on the handle's pinned slot and through the memory-parallel pipeline.
 func (r *Reader) GetBatchInto(keys, vals [][]byte, found []bool, idxs []int) {
-	if r.pin == nil {
-		r.w.GetBatchInto(keys, vals, found, idxs)
-		return
-	}
 	s := r.pin.Enter()
 	r.w.getBatchOnline(s, keys, vals, found, idxs)
 	r.pin.Leave()
@@ -332,10 +251,6 @@ func (r *Reader) GetBatchInto(keys, vals [][]byte, found []bool, idxs []int) {
 // connection) pays no per-scan reader registration. A nil start scans
 // from the smallest key; fn runs with no locks held.
 func (r *Reader) Scan(start []byte, fn func(key, val []byte) bool) {
-	if r.pin == nil {
-		r.w.scanLoop(nil, start, false, fn)
-		return
-	}
 	s := r.pin.Enter()
 	r.w.scanLoop(s, start, false, fn)
 	r.pin.Leave()
@@ -345,10 +260,6 @@ func (r *Reader) Scan(start []byte, fn func(key, val []byte) bool) {
 // false, through the handle's pinned slot. A nil start scans from the
 // largest key.
 func (r *Reader) ScanDesc(start []byte, fn func(key, val []byte) bool) {
-	if r.pin == nil {
-		r.w.scanLoop(nil, start, true, fn)
-		return
-	}
 	s := r.pin.Enter()
 	r.w.scanLoop(s, start, true, fn)
 	r.pin.Leave()
@@ -379,13 +290,6 @@ func (w *Wormhole) Set(key, val []byte) {
 // MutationHook).
 func (w *Wormhole) SetNoWait(key, val []byte) (token uint64) {
 	h := hashKey(key)
-	if !w.opt.Concurrent {
-		return w.setUnsafe(h, key, val)
-	}
-	return w.setOnline(h, key, val)
-}
-
-func (w *Wormhole) setOnline(h uint32, key, val []byte) uint64 {
 	s := w.q.Enter()
 	for {
 		t := w.cur.Load()
@@ -396,7 +300,7 @@ func (w *Wormhole) setOnline(h uint32, key, val []byte) uint64 {
 			w.q.Refresh(s)
 			continue
 		}
-		if r := l.find(h, key, true, w.opt.DirectPos); r != noRef {
+		if _, r := l.find(h, key); r != noRef {
 			l.overwrite(r, val)
 			token := w.logSet(key, val)
 			l.mu.Unlock()
@@ -431,7 +335,7 @@ func (w *Wormhole) splitInsert(h uint32, key, val []byte) uint64 {
 	t := w.cur.Load()
 	l := w.searchMeta(t, key)
 	l.mu.Lock()
-	if r := l.find(h, key, true, w.opt.DirectPos); r != noRef {
+	if _, r := l.find(h, key); r != noRef {
 		l.overwrite(r, val)
 		token := w.logSet(key, val)
 		l.mu.Unlock()
@@ -448,7 +352,7 @@ func (w *Wormhole) splitInsert(h uint32, key, val []byte) uint64 {
 	}
 	bufp := getSorted()
 	sorted := sortedItems(l, *bufp)
-	p := planSplit(l, sorted, w.opt.ShortAnchors)
+	p := planSplit(l, sorted)
 	if p == nil {
 		// No legal anchor at any cut point: grow a fat leaf (§3.3).
 		putSorted(bufp, sorted)
@@ -463,7 +367,7 @@ func (w *Wormhole) splitInsert(h uint32, key, val []byte) uint64 {
 	nv := t.version + 1
 	l.version.Store(nv)
 	oldRight := l.next.Load()
-	newL := executeLeafSplit(l, sorted, p, true)
+	newL := executeLeafSplit(l, sorted, p)
 	putSorted(bufp, sorted)
 	// Insert the pending item into the correct half before publication.
 	target := l
@@ -489,40 +393,6 @@ func (w *Wormhole) splitInsert(h uint32, key, val []byte) uint64 {
 	return token
 }
 
-func (w *Wormhole) setUnsafe(h uint32, key, val []byte) uint64 {
-	t := w.cur.Load()
-	l := w.searchMeta(t, key)
-	if r := l.find(h, key, true, w.opt.DirectPos); r != noRef {
-		l.overwrite(r, val)
-		return w.logSet(key, val)
-	}
-	if l.size() < w.opt.LeafCap {
-		l.insert(h, key, val)
-		w.count.Add(1)
-		return w.logSet(key, val)
-	}
-	bufp := getSorted()
-	sorted := sortedItems(l, *bufp)
-	p := planSplit(l, sorted, w.opt.ShortAnchors)
-	if p == nil {
-		putSorted(bufp, sorted)
-		l.insert(h, key, val)
-		w.count.Add(1)
-		return w.logSet(key, val)
-	}
-	oldRight := l.next.Load()
-	newL := executeLeafSplit(l, sorted, p, false)
-	putSorted(bufp, sorted)
-	target := l
-	if bytes.Compare(key, newL.anchor.Load().real()) >= 0 {
-		target = newL
-	}
-	target.insert(h, key, val)
-	w.count.Add(1)
-	applySplit(t, l, newL, oldRight, p)
-	return w.logSet(key, val)
-}
-
 // Del removes key, reporting whether it was present. When the leaf drains
 // it is opportunistically merged with a neighbor (Algorithm 2's DEL).
 func (w *Wormhole) Del(key []byte) bool {
@@ -538,16 +408,8 @@ func (w *Wormhole) Del(key []byte) bool {
 // token for a later Barrier (0 when key was absent).
 func (w *Wormhole) DelNoWait(key []byte) (found bool, token uint64) {
 	h := hashKey(key)
-	if !w.opt.Concurrent {
-		return w.delUnsafe(h, key)
-	}
-	return w.delOnline(h, key)
-}
-
-func (w *Wormhole) delOnline(h uint32, key []byte) (bool, uint64) {
 	s := w.q.Enter()
 	var shrunk *leafNode
-	var token uint64
 	for {
 		t := w.cur.Load()
 		l := w.searchMeta(t, key)
@@ -557,7 +419,7 @@ func (w *Wormhole) delOnline(h uint32, key []byte) (bool, uint64) {
 			w.q.Refresh(s)
 			continue
 		}
-		it := l.find(h, key, true, w.opt.DirectPos)
+		_, it := l.find(h, key)
 		if it == noRef {
 			l.mu.Unlock()
 			w.q.Leave(s)
@@ -628,36 +490,4 @@ func (w *Wormhole) mergePair(left, victim *leafNode) bool {
 	applyMerge(t, plan)
 	w.spare = t
 	return true
-}
-
-func (w *Wormhole) delUnsafe(h uint32, key []byte) (bool, uint64) {
-	t := w.cur.Load()
-	l := w.searchMeta(t, key)
-	it := l.find(h, key, true, w.opt.DirectPos)
-	if it == noRef {
-		return false, 0
-	}
-	l.remove(it)
-	w.count.Add(-1)
-	token := w.logDel(key)
-	if l.size() >= w.opt.MergeSize/2 {
-		return true, token
-	}
-	var left, victim *leafNode
-	if p := l.prev.Load(); p != nil && p.size()+l.size() < w.opt.MergeSize {
-		left, victim = p, l
-	} else if n := l.next.Load(); n != nil && l.size()+n.size() < w.opt.MergeSize {
-		left, victim = l, n
-	} else {
-		return true, token
-	}
-	plan := &mergePlan{
-		stored: victim.anchor.Load().stored,
-		victim: victim,
-		left:   left,
-		right:  victim.next.Load(),
-	}
-	mergeLeaves(left, victim)
-	applyMerge(t, plan)
-	return true, token
 }

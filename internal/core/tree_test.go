@@ -11,45 +11,37 @@ import (
 	"github.com/repro/wormhole/internal/testsupport"
 )
 
-func opts(concurrent bool) Options {
-	o := DefaultOptions()
-	o.Concurrent = concurrent
-	return o
-}
-
 // smallOpts uses a tiny leaf cap so splits and merges happen constantly.
-func smallOpts(concurrent bool) Options {
-	o := opts(concurrent)
+func smallOpts() Options {
+	o := DefaultOptions()
 	o.LeafCap = 6
 	o.MergeSize = 4
 	return o
 }
 
 func TestEmptyIndex(t *testing.T) {
-	for _, c := range []bool{true, false} {
-		w := New(opts(c))
-		if _, ok := w.Get([]byte("nope")); ok {
-			t.Fatal("Get on empty index returned ok")
-		}
-		if w.Del([]byte("nope")) {
-			t.Fatal("Del on empty index returned true")
-		}
-		if w.Count() != 0 {
-			t.Fatal("Count != 0")
-		}
-		n := 0
-		w.Scan(nil, func(k, v []byte) bool { n++; return true })
-		if n != 0 {
-			t.Fatal("Scan on empty index emitted keys")
-		}
-		if err := w.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
+	w := New(DefaultOptions())
+	if _, ok := w.Get([]byte("nope")); ok {
+		t.Fatal("Get on empty index returned ok")
+	}
+	if w.Del([]byte("nope")) {
+		t.Fatal("Del on empty index returned true")
+	}
+	if w.Count() != 0 {
+		t.Fatal("Count != 0")
+	}
+	n := 0
+	w.Scan(nil, func(k, v []byte) bool { n++; return true })
+	if n != 0 {
+		t.Fatal("Scan on empty index emitted keys")
+	}
+	if err := w.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestBasicSetGetDel(t *testing.T) {
-	w := New(opts(true))
+	w := New(DefaultOptions())
 	keys := []string{"Aaron", "Abbe", "Andrew", "Austin", "Denice", "Jacob",
 		"James", "Jason", "John", "Joseph", "Julian", "Justin"}
 	for i, k := range keys {
@@ -98,7 +90,7 @@ func TestBasicSetGetDel(t *testing.T) {
 }
 
 func TestSplitsWithSmallLeaves(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	const n = 500
 	for i := 0; i < n; i++ {
 		k := []byte(fmt.Sprintf("key-%05d", i))
@@ -125,7 +117,7 @@ func TestSplitsWithSmallLeaves(t *testing.T) {
 }
 
 func TestMergesDrainIndex(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	const n = 400
 	for i := 0; i < n; i++ {
 		w.Set([]byte(fmt.Sprintf("key-%05d", i)), []byte("x"))
@@ -154,7 +146,7 @@ func TestMergesDrainIndex(t *testing.T) {
 }
 
 func TestEmptyKeyAndZeroBytes(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	keys := [][]byte{
 		{}, {0}, {0, 0}, {0, 0, 0}, {0, 1}, {1}, {1, 0}, {1, 0, 0}, {2},
 	}
@@ -194,7 +186,7 @@ func TestEmptyKeyAndZeroBytes(t *testing.T) {
 // and differing only in trailing zero counts admit no legal split anchor,
 // so the leaf must grow fat instead of splitting — and must stay correct.
 func TestFatLeaves(t *testing.T) {
-	o := opts(true)
+	o := DefaultOptions()
 	o.LeafCap = 4
 	o.MergeSize = 2
 	w := New(o)
@@ -234,7 +226,7 @@ func TestFatLeaves(t *testing.T) {
 }
 
 func TestScanAscending(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	const n = 300
 	for i := 0; i < n; i++ {
 		w.Set([]byte(fmt.Sprintf("k%04d", i*2)), []byte{1})
@@ -266,7 +258,7 @@ func TestScanAscending(t *testing.T) {
 }
 
 func TestScanDescending(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	const n = 300
 	for i := 0; i < n; i++ {
 		w.Set([]byte(fmt.Sprintf("k%04d", i*2)), []byte{1})
@@ -304,7 +296,7 @@ func TestScanDescending(t *testing.T) {
 }
 
 func TestIterator(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	const n = 257
 	for i := 0; i < n; i++ {
 		w.Set([]byte(fmt.Sprintf("i%04d", i)), []byte(fmt.Sprintf("v%d", i)))
@@ -478,51 +470,31 @@ func genSharedPrefix(r *rand.Rand) []byte {
 }
 
 func TestModelBinaryKeys(t *testing.T) {
-	modelRun(t, smallOpts(true), 1, 4000, genBinary)
+	modelRun(t, smallOpts(), 1, 4000, genBinary)
 }
 
 func TestModelSmallAlphabet(t *testing.T) {
-	modelRun(t, smallOpts(true), 2, 4000, genSmallAlpha)
+	modelRun(t, smallOpts(), 2, 4000, genSmallAlpha)
 }
 
 func TestModelTrailingZeros(t *testing.T) {
-	modelRun(t, smallOpts(true), 3, 4000, genTrailingZeros)
+	modelRun(t, smallOpts(), 3, 4000, genTrailingZeros)
 }
 
 func TestModelRandom8(t *testing.T) {
-	modelRun(t, smallOpts(true), 4, 4000, genRandom8)
+	modelRun(t, smallOpts(), 4, 4000, genRandom8)
 }
 
 func TestModelSharedPrefix(t *testing.T) {
-	modelRun(t, smallOpts(true), 5, 4000, genSharedPrefix)
-}
-
-func TestModelUnsafeMode(t *testing.T) {
-	modelRun(t, smallOpts(false), 6, 4000, genBinary)
-	modelRun(t, smallOpts(false), 7, 4000, genTrailingZeros)
-}
-
-// TestModelAblations runs the model under every optimization combination,
-// since Figure 11's variants must all be correct, not just fast.
-func TestModelAblations(t *testing.T) {
-	for mask := 0; mask < 16; mask++ {
-		o := smallOpts(true)
-		o.TagMatching = mask&1 != 0
-		o.IncHashing = mask&2 != 0
-		o.SortByTag = mask&4 != 0
-		o.DirectPos = mask&8 != 0
-		t.Run(fmt.Sprintf("mask%02d", mask), func(t *testing.T) {
-			modelRun(t, o, int64(100+mask), 1500, genSmallAlpha)
-		})
-	}
+	modelRun(t, smallOpts(), 5, 4000, genSharedPrefix)
 }
 
 func TestModelPaperLeafSize(t *testing.T) {
-	modelRun(t, opts(true), 8, 6000, genRandom8)
+	modelRun(t, DefaultOptions(), 8, 6000, genRandom8)
 }
 
 func TestLargeValuesAndOverwrite(t *testing.T) {
-	w := New(opts(true))
+	w := New(DefaultOptions())
 	big := bytes.Repeat([]byte("x"), 4096)
 	w.Set([]byte("big"), big)
 	if v, ok := w.Get([]byte("big")); !ok || len(v) != 4096 {
@@ -535,7 +507,7 @@ func TestLargeValuesAndOverwrite(t *testing.T) {
 }
 
 func TestStatsAndFootprint(t *testing.T) {
-	w := New(smallOpts(true))
+	w := New(smallOpts())
 	for i := 0; i < 500; i++ {
 		w.Set([]byte(fmt.Sprintf("stat-%04d", i)), []byte("0123456789"))
 	}
@@ -567,7 +539,7 @@ func TestStatsAndFootprint(t *testing.T) {
 func TestSequentialAndReverseInsert(t *testing.T) {
 	for name, step := range map[string]int{"asc": 1, "desc": -1} {
 		t.Run(name, func(t *testing.T) {
-			w := New(smallOpts(true))
+			w := New(smallOpts())
 			const n = 600
 			for i := 0; i < n; i++ {
 				j := i

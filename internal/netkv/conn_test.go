@@ -74,14 +74,14 @@ func TestPointBatchZeroAllocs(t *testing.T) {
 				}
 				i++
 			}
-			n := testsupport.Mallocs(batches, batch)
+			n, gcs := testsupport.Mallocs(batches, batch)
 			if bad != 0 {
 				t.Fatalf("%d wrong responses", bad)
 			}
 			if budget := testsupport.PoolAllocs(batches * tc.poolGets); n > budget {
-				t.Fatalf("%d allocations over %d batches of %d Gets, want <= %d", n, batches, perB, budget)
+				t.Fatalf("%d allocations over %d batches of %d Gets, want <= %d (%d GCs in the window)", n, batches, perB, budget, gcs)
 			}
-			t.Logf("%d allocations over %d batches of %d Gets", n, batches, perB)
+			t.Logf("%d allocations over %d batches of %d Gets (%d GCs in the window)", n, batches, perB, gcs)
 		})
 	}
 }
@@ -147,7 +147,7 @@ func TestPointSetBatchAllocs(t *testing.T) {
 				}
 				i++
 			}
-			n := testsupport.Mallocs(batches, batch)
+			n, gcs := testsupport.Mallocs(batches, batch)
 			if bad != 0 {
 				t.Fatalf("%d wrong responses", bad)
 			}
@@ -158,9 +158,9 @@ func TestPointSetBatchAllocs(t *testing.T) {
 				}
 			}
 			if budget := uint64(batches*perB/4) + testsupport.PoolAllocs(batches*tc.poolGets); n >= budget {
-				t.Fatalf("%d allocations over %d batches of %d Sets, want < %d", n, batches, perB, budget)
+				t.Fatalf("%d allocations over %d batches of %d Sets, want < %d (%d GCs in the window)", n, batches, perB, budget, gcs)
 			}
-			t.Logf("%d allocations over %d batches of %d Sets", n, batches, perB)
+			t.Logf("%d allocations over %d batches of %d Sets (%d GCs in the window)", n, batches, perB, gcs)
 		})
 	}
 }

@@ -37,8 +37,8 @@ func NewUniform(n int) *Partitioner {
 // FromSample derives boundaries from a sample of expected keys: the sample
 // is sorted and cut at n-quantiles, and each cut key is shortened to its
 // minimal prefix that still orders strictly above its left neighbor — the
-// same anchor-minimizing discipline Wormhole's ShortAnchors split uses for
-// leaf anchors. A nil or tiny sample falls back to NewUniform.
+// shortest-separator rule Wormhole's leaf anchors follow (§2.2). A nil or
+// tiny sample falls back to NewUniform.
 func FromSample(n int, sample [][]byte) *Partitioner {
 	if n < 2 || len(sample) < 2*n {
 		return NewUniform(n)

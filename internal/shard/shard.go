@@ -57,9 +57,6 @@ type Options struct {
 	Sample [][]byte
 	// Partitioner overrides Shards and Sample with explicit boundaries.
 	Partitioner *Partitioner
-	// Core configures every shard's Wormhole; the zero value means
-	// core.DefaultOptions().
-	Core core.Options
 	// Dir, when set via Open, roots the durable layout: a MANIFEST pinning
 	// the partitioner plus one WAL+snapshot directory per shard. New
 	// ignores it (volatile store).
@@ -104,9 +101,6 @@ func New(o Options) *Store {
 	if o.Shards <= 0 {
 		o.Shards = defaultShards()
 	}
-	if o.Core == (core.Options{}) {
-		o.Core = core.DefaultOptions()
-	}
 	p := o.Partitioner
 	if p == nil {
 		if len(o.Sample) > 0 {
@@ -117,7 +111,7 @@ func New(o Options) *Store {
 	}
 	shards := make([]*core.Wormhole, p.NumShards())
 	for i := range shards {
-		shards[i] = core.New(o.Core)
+		shards[i] = core.New(core.DefaultOptions())
 	}
 	return &Store{part: p, shards: shards, epoch: 1, history: []EpochEntry{{Epoch: 1}}}
 }

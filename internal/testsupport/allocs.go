@@ -14,8 +14,10 @@ import "runtime"
 // count, and the full warm-up pass on that P lets every kept buffer and
 // pooled scratch reach its size and fills the P's cache of the records a
 // blocked goroutine parks on, which the runtime otherwise allocates
-// afresh now and then as goroutines block on other Ps.
-func Mallocs(runs int, f func()) uint64 {
+// afresh now and then as goroutines block on other Ps. gcs is how many
+// collections completed inside the counted pass: a collection empties
+// every sync.Pool, so a pooled path's count is only meaningful with it.
+func Mallocs(runs int, f func()) (allocs uint64, gcs uint32) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC()
 	for i := 0; i < runs; i++ {
@@ -23,12 +25,12 @@ func Mallocs(runs int, f func()) uint64 {
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	before := ms.Mallocs
+	before, gcBefore := ms.Mallocs, ms.NumGC
 	for i := 0; i < runs; i++ {
 		f()
 	}
 	runtime.ReadMemStats(&ms)
-	return ms.Mallocs - before
+	return ms.Mallocs - before, ms.NumGC - gcBefore
 }
 
 // PoolAllocs is how many allocations a path that takes its scratch from a

@@ -76,7 +76,6 @@ func FuzzWALDecode(f *testing.F) {
 		_ = err // a decode error ends recovery; Open treats it as a tear
 
 		o := core.DefaultOptions()
-		o.Concurrent = false
 		o.LeafCap = 16 // small leaves: splits and merges under short inputs
 		w := core.New(o)
 		st, openErr := Open(dir, w, Options{Sync: SyncNone})
@@ -174,9 +173,7 @@ func FuzzSegmentLoad(f *testing.F) {
 		if uint64(len(keys)) > maxPairs || kb > maxKeyBytes {
 			t.Fatalf("decode exceeded its budgets: %d pairs, %d key bytes", len(keys), kb)
 		}
-		o := core.DefaultOptions()
-		o.Concurrent = false
-		w := core.New(o)
+		w := core.New(core.DefaultOptions())
 		if err := w.BulkLoad(keys, vals); err != nil {
 			t.Fatalf("accepted segment failed bulkload: %v", err)
 		}
@@ -267,9 +264,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 				t.Fatalf("accepted snapshot with unsorted keys at %d", i)
 			}
 		}
-		o := core.DefaultOptions()
-		o.Concurrent = false
-		w := core.New(o)
+		w := core.New(core.DefaultOptions())
 		if err := w.BulkLoad(keys, vals); err != nil {
 			t.Fatalf("accepted snapshot failed bulkload: %v", err)
 		}

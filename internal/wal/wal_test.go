@@ -192,13 +192,8 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 	mutate("extended", func(b []byte) []byte { return append(b, 0, 0, 0, 0) })
 }
 
-// backend returns a fresh unsafe core index (single-goroutine tests need
-// no locking) satisfying wal.Backend.
-func backend() *core.Wormhole {
-	o := core.DefaultOptions()
-	o.Concurrent = false
-	return core.New(o)
-}
+// backend returns a fresh core index satisfying wal.Backend.
+func backend() *core.Wormhole { return core.New(core.DefaultOptions()) }
 
 func openStore(t *testing.T, dir string, opt Options) (*core.Wormhole, *Store) {
 	t.Helper()

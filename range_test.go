@@ -118,36 +118,34 @@ func TestRangeAsc(t *testing.T) {
 	}
 }
 
-// TestMinMax checks Index.Min and Index.Max, safe and unsafe: nothing on
-// an empty index, then the smallest and largest key as cap-clipped copies.
+// TestMinMax checks Index.Min and Index.Max: nothing on an empty index,
+// then the smallest and largest key as cap-clipped copies.
 func TestMinMax(t *testing.T) {
-	for _, unsafe := range []bool{false, true} {
-		ix := NewConfig(Config{Unsafe: unsafe, LeafCap: 8})
-		if _, _, ok := ix.Min(); ok {
-			t.Fatal("Min on empty index returned ok")
+	ix := NewConfig(Config{LeafCap: 8})
+	if _, _, ok := ix.Min(); ok {
+		t.Fatal("Min on empty index returned ok")
+	}
+	if _, _, ok := ix.Max(); ok {
+		t.Fatal("Max on empty index returned ok")
+	}
+	for i := 100; i < 200; i++ {
+		ix.Set([]byte(fmt.Sprintf("m%d", i)), rangeVal(i))
+	}
+	for _, c := range []struct {
+		name string
+		get  func() ([]byte, []byte, bool)
+		i    int
+	}{{"Min", ix.Min, 100}, {"Max", ix.Max, 199}} {
+		k, v, ok := c.get()
+		if !ok || string(k) != fmt.Sprintf("m%d", c.i) || !bytes.Equal(v, rangeVal(c.i)) {
+			t.Fatalf("%s = %q, %q, %v", c.name, k, v, ok)
 		}
-		if _, _, ok := ix.Max(); ok {
-			t.Fatal("Max on empty index returned ok")
+		if cap(k) != len(k) || cap(v) != len(v) {
+			t.Fatalf("%s key cap %d len %d, value cap %d len %d", c.name, cap(k), len(k), cap(v), len(v))
 		}
-		for i := 100; i < 200; i++ {
-			ix.Set([]byte(fmt.Sprintf("m%d", i)), rangeVal(i))
-		}
-		for _, c := range []struct {
-			name string
-			get  func() ([]byte, []byte, bool)
-			i    int
-		}{{"Min", ix.Min, 100}, {"Max", ix.Max, 199}} {
-			k, v, ok := c.get()
-			if !ok || string(k) != fmt.Sprintf("m%d", c.i) || !bytes.Equal(v, rangeVal(c.i)) {
-				t.Fatalf("unsafe=%v: %s = %q, %q, %v", unsafe, c.name, k, v, ok)
-			}
-			if cap(k) != len(k) || cap(v) != len(v) {
-				t.Fatalf("unsafe=%v: %s key cap %d len %d, value cap %d len %d", unsafe, c.name, cap(k), len(k), cap(v), len(v))
-			}
-			k[0] = 'X'
-			if _, ok := ix.Get([]byte(fmt.Sprintf("m%d", c.i))); !ok {
-				t.Fatalf("unsafe=%v: writing to %s's key changed the index", unsafe, c.name)
-			}
+		k[0] = 'X'
+		if _, ok := ix.Get([]byte(fmt.Sprintf("m%d", c.i))); !ok {
+			t.Fatalf("writing to %s's key changed the index", c.name)
 		}
 	}
 }

@@ -18,9 +18,7 @@
 //	v, ok := idx.Get([]byte("James"))
 //	idx.Scan([]byte("J"), func(k, v []byte) bool { return true })
 //
-// All operations are safe for concurrent use. For single-threaded
-// workloads, Config{Unsafe: true} removes the locking and RCU machinery
-// (the paper's "Wormhole-unsafe", about 8% faster).
+// All operations are safe for concurrent use.
 //
 // Set and BulkLoad copy keys and values into the index, so the caller may
 // reuse its buffers at once. Values returned by Get and the
@@ -38,26 +36,14 @@ import (
 	"github.com/repro/wormhole/internal/core"
 )
 
-// Config tunes an Index. The zero value selects the paper's defaults:
-// 128-key leaves, thread-safe, all §3 optimizations enabled.
+// Config sizes an Index's leaves. The zero value selects the paper's
+// defaults. Every Index is thread-safe and runs all §3 optimizations.
 type Config struct {
 	// LeafCap bounds keys per leaf node (default 128).
 	LeafCap int
 	// MergeSize: adjacent leaves whose combined size falls below this are
 	// merged after deletions (default 2*LeafCap/3).
 	MergeSize int
-	// Unsafe disables all concurrency control; the caller must serialize
-	// every operation. This is the paper's "Wormhole-unsafe" build.
-	Unsafe bool
-	// DisableOptimizations turns off the §3 fast paths (tag matching,
-	// incremental hashing, hash-ordered leaf search, direct positioning),
-	// yielding the paper's "BaseWormhole". Primarily for benchmarks.
-	DisableOptimizations bool
-	// ShortAnchors picks leaf split points that minimize anchor length
-	// (the optimization the paper's §2.3 leaves as future work). It
-	// shrinks the meta-trie on prefix-heavy keysets at a small split-time
-	// cost. Off by default to match the paper's configuration.
-	ShortAnchors bool
 }
 
 // Index is a Wormhole ordered index. Create one with New or NewConfig.
@@ -77,14 +63,6 @@ func NewConfig(c Config) *Index {
 	if c.MergeSize > 0 {
 		opt.MergeSize = c.MergeSize
 	}
-	opt.Concurrent = !c.Unsafe
-	if c.DisableOptimizations {
-		opt.TagMatching = false
-		opt.IncHashing = false
-		opt.SortByTag = false
-		opt.DirectPos = false
-	}
-	opt.ShortAnchors = c.ShortAnchors
 	return &Index{t: core.New(opt)}
 }
 

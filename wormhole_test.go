@@ -95,10 +95,8 @@ func TestPublicGetBatch(t *testing.T) {
 func TestPublicConfigVariants(t *testing.T) {
 	for _, cfg := range []wormhole.Config{
 		{},
-		{Unsafe: true},
 		{LeafCap: 8},
-		{DisableOptimizations: true},
-		{LeafCap: 16, Unsafe: true, DisableOptimizations: true},
+		{LeafCap: 16, MergeSize: 4},
 	} {
 		idx := wormhole.NewConfig(cfg)
 		model := map[string]string{}
