@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"os/signal"
 	"strings"
@@ -35,7 +36,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/repro/wormhole/internal/bench"
 	"github.com/repro/wormhole/internal/core"
 	"github.com/repro/wormhole/internal/index"
 	"github.com/repro/wormhole/internal/netkv"
@@ -539,12 +539,11 @@ func clientBench(args []string) {
 		os.Exit(1)
 	}
 	fmt.Printf("loaded %d keys; measuring GETs for %v (batch %d)\n", *keys, *dur, *batch)
-	r := bench.NewRng(1)
 	start := time.Now()
 	ops := 0
 	for time.Since(start) < *dur {
 		for i := 0; i < *batch; i++ {
-			cl.QueueGet([]byte(fmt.Sprintf("bench:%08d", r.Intn(*keys))))
+			cl.QueueGet([]byte(fmt.Sprintf("bench:%08d", rand.IntN(*keys))))
 		}
 		rs, err := cl.Flush()
 		if err != nil {

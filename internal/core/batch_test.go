@@ -332,7 +332,7 @@ func TestGetBatchZeroAllocs(t *testing.T) {
 	for _, depth := range []int32{defaultBatchDepth, maxBatchLanes} {
 		w.batchDepth.Store(depth)
 		i := 0
-		if n, gcs := testsupport.Mallocs(500, func() {
+		if n, win := testsupport.Mallocs(500, testsupport.PoolAllocs(500), func() {
 			for j := range batch {
 				batch[j] = keys[(i*2654435761+j*40503)%len(keys)]
 			}
@@ -340,14 +340,14 @@ func TestGetBatchZeroAllocs(t *testing.T) {
 			r.GetBatchInto(batch, vals, found, nil)
 			i++
 		}); n > testsupport.PoolAllocs(500) {
-			t.Errorf("depth %d: Reader.GetBatch: %d allocs over 500 batches, want <= %d (%d GCs in the window)", depth, n, testsupport.PoolAllocs(500), gcs)
+			t.Errorf("depth %d: Reader.GetBatch: %d allocs over 500 batches, want <= %d (%s)", depth, n, testsupport.PoolAllocs(500), win)
 		}
 		i = 0
-		if n, gcs := testsupport.Mallocs(500, func() {
+		if n, win := testsupport.Mallocs(500, testsupport.PoolAllocs(500), func() {
 			w.GetBatchInto(batch, vals, found, nil)
 			i++
 		}); n > testsupport.PoolAllocs(500) {
-			t.Errorf("depth %d: Wormhole.GetBatch: %d allocs over 500 batches, want <= %d (%d GCs in the window)", depth, n, testsupport.PoolAllocs(500), gcs)
+			t.Errorf("depth %d: Wormhole.GetBatch: %d allocs over 500 batches, want <= %d (%s)", depth, n, testsupport.PoolAllocs(500), win)
 		}
 	}
 }

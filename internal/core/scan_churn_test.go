@@ -201,29 +201,29 @@ func TestScanZeroAllocs(t *testing.T) {
 		cnt++
 		return cnt < 200
 	}
-	if n, gcs := testsupport.Mallocs(200, func() {
+	if n, win := testsupport.Mallocs(200, testsupport.PoolAllocs(200), func() {
 		cnt = 0
 		w.Scan(keys[5000], fn)
 	}); n > testsupport.PoolAllocs(200) {
-		t.Errorf("Scan: %d allocs over 200 scans of 200 keys, want <= %d (%d GCs in the window)", n, testsupport.PoolAllocs(200), gcs)
+		t.Errorf("Scan: %d allocs over 200 scans of 200 keys, want <= %d (%s)", n, testsupport.PoolAllocs(200), win)
 	}
-	if n, gcs := testsupport.Mallocs(200, func() {
+	if n, win := testsupport.Mallocs(200, testsupport.PoolAllocs(200), func() {
 		cnt = 0
 		w.ScanDesc(keys[5000], fn)
 	}); n > testsupport.PoolAllocs(200) {
-		t.Errorf("ScanDesc: %d allocs over 200 scans of 200 keys, want <= %d (%d GCs in the window)", n, testsupport.PoolAllocs(200), gcs)
+		t.Errorf("ScanDesc: %d allocs over 200 scans of 200 keys, want <= %d (%s)", n, testsupport.PoolAllocs(200), win)
 	}
 	rd := w.NewReader()
 	defer rd.Close()
-	if n, gcs := testsupport.Mallocs(200, func() {
+	if n, win := testsupport.Mallocs(200, testsupport.PoolAllocs(200), func() {
 		cnt = 0
 		rd.Scan(keys[5000], fn)
 	}); n > testsupport.PoolAllocs(200) {
-		t.Errorf("Reader.Scan: %d allocs over 200 scans of 200 keys, want <= %d (%d GCs in the window)", n, testsupport.PoolAllocs(200), gcs)
+		t.Errorf("Reader.Scan: %d allocs over 200 scans of 200 keys, want <= %d (%s)", n, testsupport.PoolAllocs(200), win)
 	}
 	it := w.NewIter(nil)
 	defer it.Close()
-	if n, gcs := testsupport.Mallocs(100, func() {
+	if n, win := testsupport.Mallocs(100, 0, func() {
 		for j := 0; j < 100; j++ {
 			if !it.Next() {
 				t.Fatal("iterator ran dry mid-measurement")
@@ -232,7 +232,7 @@ func TestScanZeroAllocs(t *testing.T) {
 			_ = it.Value()
 		}
 	}); n != 0 {
-		t.Errorf("Iter.Next: %d allocs over 100 runs of 100 pulls, want 0 (%d GCs in the window)", n, gcs)
+		t.Errorf("Iter.Next: %d allocs over 100 runs of 100 pulls, want 0 (%s)", n, win)
 	}
 }
 

@@ -126,20 +126,20 @@ func TestGetZeroAllocs(t *testing.T) {
 	}
 	miss := []byte("az-miss-000000000")
 	i := 0
-	if n, gcs := testsupport.Mallocs(2000, func() {
+	if n, win := testsupport.Mallocs(2000, 0, func() {
 		w.Get(keys[(i*2654435761)%len(keys)])
 		w.Get(miss)
 		i++
 	}); n != 0 {
-		t.Errorf("Get: %d allocs over 2000 runs, want 0 (%d GCs in the window)", n, gcs)
+		t.Errorf("Get: %d allocs over 2000 runs, want 0 (%s)", n, win)
 	}
 	r := w.NewReader()
 	defer r.Close()
 	i = 0
-	if n, gcs := testsupport.Mallocs(2000, func() {
+	if n, win := testsupport.Mallocs(2000, 0, func() {
 		r.Get(keys[(i*2654435761)%len(keys)])
 		i++
 	}); n != 0 {
-		t.Errorf("Reader.Get: %d allocs over 2000 runs, want 0 (%d GCs in the window)", n, gcs)
+		t.Errorf("Reader.Get: %d allocs over 2000 runs, want 0 (%s)", n, win)
 	}
 }

@@ -2,8 +2,8 @@ package core
 
 import "unsafe"
 
-// Stats summarizes the index's shape; used by tests, the whbench tables
-// and the Figure 16 memory accounting.
+// Stats summarizes the index's shape; used by tests, the leaf-capacity
+// benchmark's leaf and item counts, and the Figure 16 memory accounting.
 type Stats struct {
 	Keys         int64
 	Leaves       int // LeafList length

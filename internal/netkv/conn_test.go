@@ -74,14 +74,15 @@ func TestPointBatchZeroAllocs(t *testing.T) {
 				}
 				i++
 			}
-			n, gcs := testsupport.Mallocs(batches, batch)
+			budget := testsupport.PoolAllocs(batches * tc.poolGets)
+			n, win := testsupport.Mallocs(batches, budget, batch)
 			if bad != 0 {
 				t.Fatalf("%d wrong responses", bad)
 			}
-			if budget := testsupport.PoolAllocs(batches * tc.poolGets); n > budget {
-				t.Fatalf("%d allocations over %d batches of %d Gets, want <= %d (%d GCs in the window)", n, batches, perB, budget, gcs)
+			if n > budget {
+				t.Fatalf("%d allocations over %d batches of %d Gets, want <= %d (%s)", n, batches, perB, budget, win)
 			}
-			t.Logf("%d allocations over %d batches of %d Gets (%d GCs in the window)", n, batches, perB, gcs)
+			t.Logf("%d allocations over %d batches of %d Gets (%s)", n, batches, perB, win)
 		})
 	}
 }
@@ -147,7 +148,8 @@ func TestPointSetBatchAllocs(t *testing.T) {
 				}
 				i++
 			}
-			n, gcs := testsupport.Mallocs(batches, batch)
+			budget := uint64(batches*perB/4) + testsupport.PoolAllocs(batches*tc.poolGets)
+			n, win := testsupport.Mallocs(batches, budget-1, batch)
 			if bad != 0 {
 				t.Fatalf("%d wrong responses", bad)
 			}
@@ -157,10 +159,10 @@ func TestPointSetBatchAllocs(t *testing.T) {
 					t.Fatalf("Get(%s) = %x, %v; want the last value Set, %d", key, v, ok, last[k])
 				}
 			}
-			if budget := uint64(batches*perB/4) + testsupport.PoolAllocs(batches*tc.poolGets); n >= budget {
-				t.Fatalf("%d allocations over %d batches of %d Sets, want < %d (%d GCs in the window)", n, batches, perB, budget, gcs)
+			if n >= budget {
+				t.Fatalf("%d allocations over %d batches of %d Sets, want < %d (%s)", n, batches, perB, budget, win)
 			}
-			t.Logf("%d allocations over %d batches of %d Sets (%d GCs in the window)", n, batches, perB, gcs)
+			t.Logf("%d allocations over %d batches of %d Sets (%s)", n, batches, perB, win)
 		})
 	}
 }

@@ -3,7 +3,13 @@
 // allocation and heap gates depend on.
 package testsupport
 
-import "runtime"
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"runtime/pprof"
+	"strings"
+)
 
 // Mallocs runs f runs times to warm up, then runs times more, and returns
 // the exact number of heap allocations the whole process made during the
@@ -11,26 +17,54 @@ import "runtime"
 // rounds its per-run mean down to an integer, which hides up to runs-1
 // allocations; this count does not round. Like AllocsPerRun it runs on
 // one P. Collecting garbage first keeps a cycle's clean-up out of the
-// count, and the full warm-up pass on that P lets every kept buffer and
-// pooled scratch reach its size and fills the P's cache of the records a
-// blocked goroutine parks on, which the runtime otherwise allocates
-// afresh now and then as goroutines block on other Ps. gcs is how many
-// collections completed inside the counted pass: a collection empties
-// every sync.Pool, so a pooled path's count is only meaningful with it.
-func Mallocs(runs int, f func()) (allocs uint64, gcs uint32) {
+// count, and returning the freed memory to the OS (debug.FreeOSMemory)
+// leaves the background scavenger no work, so it parks instead of
+// re-arming its timer inside the window: that can grow the P's timer
+// heap, a 32-byte allocation from runtime.bgscavenge. The full warm-up
+// pass on that P lets every kept buffer and pooled scratch reach its size
+// and fills the P's cache of the records a blocked goroutine parks on,
+// which the runtime otherwise allocates afresh now and then as goroutines
+// block on other Ps.
+//
+// window describes the counted pass for the caller's message: how many
+// collections completed inside it (a collection empties every sync.Pool,
+// so a pooled path's count is only meaningful with it), the size classes
+// whose allocation count grew, and, when allocs exceeds limit, every
+// goroutine's stack. All of it is read after the pass, so building it
+// allocates nothing inside the count.
+func Mallocs(runs int, limit uint64, f func()) (allocs uint64, window string) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
+	var before, after runtime.MemStats
+	debug.FreeOSMemory()
 	for i := 0; i < runs; i++ {
 		f()
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	before, gcBefore := ms.Mallocs, ms.NumGC
+	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
 		f()
 	}
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs - before, ms.NumGC - gcBefore
+	runtime.ReadMemStats(&after)
+	allocs = after.Mallocs - before.Mallocs
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d GCs in the window; size classes:", after.NumGC-before.NumGC)
+	inClasses := uint64(0)
+	for i := range after.BySize {
+		if d := after.BySize[i].Mallocs - before.BySize[i].Mallocs; d > 0 {
+			fmt.Fprintf(&b, " %dB×%d", after.BySize[i].Size, d)
+			inClasses += d
+		}
+	}
+	if rest := allocs - inClasses; rest > 0 {
+		fmt.Fprintf(&b, " tiny-or-large×%d", rest)
+	} else if inClasses == 0 {
+		b.WriteString(" none")
+	}
+	if allocs > limit {
+		b.WriteString("; goroutines after the window:\n")
+		pprof.Lookup("goroutine").WriteTo(&b, 1)
+	}
+	return allocs, b.String()
 }
 
 // PoolAllocs is how many allocations a path that takes its scratch from a
