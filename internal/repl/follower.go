@@ -653,24 +653,18 @@ func (f *Follower) reconcileLocal(shard int, st *snapState, hi []byte, present [
 }
 
 func (f *Follower) snapChunk(body []byte) error {
-	if len(body) < 6 {
-		return fmt.Errorf("%w: short snapshot chunk", errProto)
+	// Decode the chunk's pairs (they may alias the message buffer, so they
+	// are consumed within this call), then reconcile the local key range
+	// they cover, then apply them.
+	shard, keys, vals, err := decodeSnapChunk(body)
+	if err != nil {
+		return err
 	}
-	shard := int(binary.LittleEndian.Uint16(body[:2]))
-	count := binary.LittleEndian.Uint32(body[2:6])
-	rest := body[6:]
 	f.mu.Lock()
 	st := f.snap[shard]
 	f.mu.Unlock()
 	if st == nil {
 		return fmt.Errorf("%w: snapshot chunk without begin", errProto)
-	}
-	// Decode the chunk's prefix-compressed pairs (values alias the message
-	// buffer; only consumed within this call), then reconcile the local
-	// key range they cover, then apply them.
-	keys, vals, err := decodeChunkPairs(rest, count)
-	if err != nil {
-		return err
 	}
 	if len(keys) == 0 {
 		return nil

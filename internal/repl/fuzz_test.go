@@ -2,6 +2,8 @@ package repl
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"github.com/repro/wormhole/internal/shard"
@@ -68,5 +70,60 @@ func FuzzSubscribeHandshake(f *testing.F) {
 				t.Fatalf("resume %d changed: %+v -> %+v", i, resume[i], r2[i])
 			}
 		}
+	})
+}
+
+// FuzzSnapChunk throws arbitrary msgSnapChunk bodies at the follower's
+// chunk decoder, the one parser that turns leader bytes into pairs the
+// follower applies: raw, and with the segment image's CRC made valid so
+// the fuzzer reaches the entries behind it. It must never panic, and a
+// chunk it accepts must be strictly ascending and within the key budget
+// the follower sets itself.
+func FuzzSnapChunk(f *testing.F) {
+	snapChunks(1, func(fn func(k, v []byte) bool) {
+		for i, k := range urlKeys(40) {
+			if !fn(k, []byte{byte(i)}) {
+				return
+			}
+		}
+	}, func(body []byte) bool {
+		f.Add(append([]byte(nil), body...)) // a real leader chunk
+		return true
+	})
+	amp := amplifyingChunk(9000)
+	f.Add(amp)
+	for _, n := range []int{len(amp) - 1, len(amp) / 2, 10, 2, 1, 0} {
+		f.Add(amp[:n])
+	}
+
+	check := func(t *testing.T, body []byte) {
+		t.Helper()
+		_, keys, vals, err := decodeSnapChunk(body)
+		if err != nil {
+			return
+		}
+		if len(keys) != len(vals) {
+			t.Fatalf("%d keys but %d vals", len(keys), len(vals))
+		}
+		var kb uint64
+		for i, k := range keys {
+			kb += uint64(len(k))
+			if i > 0 && bytes.Compare(keys[i-1], k) >= 0 {
+				t.Fatalf("accepted chunk with unsorted keys at %d", i)
+			}
+		}
+		if kb > max(maxChunkKeyBytes, uint64(len(body))) {
+			t.Fatalf("accepted chunk decoding to %d key bytes from %d", kb, len(body))
+		}
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		check(t, body)
+		if len(body) < 2+4 {
+			return
+		}
+		fixed := append([]byte(nil), body[:len(body)-4]...)
+		fixed = binary.LittleEndian.AppendUint32(fixed, crc32.Checksum(fixed[2:], castagnoli))
+		check(t, fixed)
 	})
 }

@@ -24,7 +24,6 @@ package repl
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,9 +45,13 @@ import (
 // partially applied snapshot cursors — so a reconnect mid-catch-up
 // continues from the last applied key instead of re-sending the
 // already-shipped range.
+// Version 4 ships each msgSnapChunk as one whole snapshot segment image
+// (wal.SegmentBuilder; the image carries its own pair count and CRC), so
+// disk and wire share one pair encoder and one decoder, and bounds a
+// chunk's decoded key bytes (maxChunkKeyBytes).
 const (
 	magic        = "WHRP1"
-	protoVersion = 3
+	protoVersion = 4
 )
 
 // Handshake status codes.
@@ -65,7 +68,7 @@ const (
 const (
 	msgBatch     byte = 1 // epoch u64, shard u16, gen u64, startSeq u64, count u32, count×(len u32, payload)
 	msgSnapBegin byte = 2 // epoch u64, shard u16, gen u64, seq u64 — the position the tail resumes from
-	msgSnapChunk byte = 3 // shard u16, count u32, count×(plen uvarint, slen uvarint, vlen uvarint, suffix, val); first pair's plen is 0
+	msgSnapChunk byte = 3 // shard u16, segment image (wal.SegmentBuilder)
 	msgSnapEnd   byte = 4 // shard u16
 	msgHeartbeat byte = 5 // epoch u64, shard u16, gen u64, endSeq u64 — the leader's current end
 	msgAck       byte = 6 // epoch u64, shard u16, gen u64, seq u64 — follower's applied position
@@ -74,9 +77,15 @@ const (
 const (
 	maxMsg = 64 << 20
 	// maxBatchBytes bounds one msgBatch's record payload; maxChunkBytes one
-	// snapshot chunk's pair bytes.
+	// snapshot chunk's encoded pair bytes.
 	maxBatchBytes = 256 << 10
 	maxChunkBytes = 256 << 10
+	// maxChunkKeyBytes bounds one snapshot chunk's decoded key bytes. Prefix
+	// compression lets a few encoded bytes stand for a whole previous key,
+	// so without it a chunk could decode to quadratically more than it
+	// weighs. A chunk's first pair is exempt (alone, it decodes to no more
+	// than its image), so the follower's budget is max(this, image length).
+	maxChunkKeyBytes = 4 << 20
 )
 
 var errProto = errors.New("repl: protocol error")
@@ -283,72 +292,22 @@ func decodeSubscribe(payload []byte) (epoch uint64, hist []shard.EpochEntry, pos
 	return epoch, hist, positions, resume, nil
 }
 
-// appendChunkPair appends one prefix-compressed pair to a msgSnapChunk
-// body being built: the shared-prefix length against the previous key in
-// the chunk, the suffix, and the value — the disk segment entry layout,
-// reused on the wire so catch-up ships compressed bytes.
-func appendChunkPair(b []byte, prev, key, val []byte) []byte {
-	plen := 0
-	if prev != nil {
-		n := min(len(prev), len(key))
-		for plen < n && prev[plen] == key[plen] {
-			plen++
-		}
+// decodeSnapChunk parses a msgSnapChunk body: the shard, then one
+// segment image. The key budget is the follower's own, never a number
+// the sender supplies: an honest leader cuts every chunk within it, and
+// a hostile image that grafts each whole previous key onto the next
+// fails the moment its decoded keys pass it, before allocating past it.
+// Values alias body, as do keys that share no prefix.
+func decodeSnapChunk(body []byte) (shard int, keys, vals [][]byte, err error) {
+	if len(body) < 2 {
+		return 0, nil, nil, fmt.Errorf("%w: short snapshot chunk", errProto)
 	}
-	b = binary.AppendUvarint(b, uint64(plen))
-	b = binary.AppendUvarint(b, uint64(len(key)-plen))
-	b = binary.AppendUvarint(b, uint64(len(val)))
-	b = append(b, key[plen:]...)
-	return append(b, val...)
-}
-
-// decodeChunkPairs parses a msgSnapChunk body's pair section (after the
-// shard and count header) into materialized keys and aliased values.
-// The first pair's prefix length must be 0 (chunks decode with no
-// cross-chunk context) and keys must be strictly ascending. Allocation
-// is bounded by the body length: keys cost their decoded bytes, values
-// alias the frame.
-func decodeChunkPairs(rest []byte, count uint32) (keys, vals [][]byte, err error) {
-	keys = make([][]byte, 0, min(int(count), len(rest)/3+1))
-	vals = make([][]byte, 0, cap(keys))
-	var prev []byte
-	for i := uint32(0); i < count; i++ {
-		plen, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("%w: chunk pair truncated", errProto)
-		}
-		rest = rest[n:]
-		slen, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("%w: chunk pair truncated", errProto)
-		}
-		rest = rest[n:]
-		vlen, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("%w: chunk pair truncated", errProto)
-		}
-		rest = rest[n:]
-		if plen > uint64(len(prev)) || (i == 0 && plen != 0) ||
-			slen > uint64(len(rest)) || vlen > uint64(len(rest))-slen {
-			return nil, nil, fmt.Errorf("%w: chunk pair lengths", errProto)
-		}
-		suffix := rest[:slen:slen]
-		val := rest[slen : slen+vlen : slen+vlen]
-		rest = rest[slen+vlen:]
-		if i > 0 && bytes.Compare(suffix, prev[plen:]) <= 0 {
-			return nil, nil, fmt.Errorf("%w: chunk keys out of order", errProto)
-		}
-		key := make([]byte, 0, int(plen)+len(suffix))
-		key = append(key, prev[:plen]...)
-		key = append(key, suffix...)
-		keys = append(keys, key)
-		vals = append(vals, val)
-		prev = key
+	img := body[2:]
+	keys, vals, err = wal.DecodeSegment(img, uint64(len(img)), max(maxChunkKeyBytes, uint64(len(img))))
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("%w: snapshot chunk: %v", errProto, err)
 	}
-	if len(rest) != 0 {
-		return nil, nil, fmt.Errorf("%w: chunk trailing bytes", errProto)
-	}
-	return keys, vals, nil
+	return int(binary.LittleEndian.Uint16(body)), keys, vals, nil
 }
 
 // writeHandshake sends the leader's handshake response: status, the

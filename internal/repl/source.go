@@ -544,52 +544,16 @@ func (sub *subscriber) sendSnapshot(st *shard.Store, shard int) (wal.Position, b
 // for a full snapshot the EndPos just read, for a resumed one the
 // previous connection's original position (which the caller verified is
 // still reachable; re-reading EndPos here would skip mutations to the
-// already-shipped range). Pairs ship prefix-compressed in the disk
-// segment entry layout; each chunk restarts compression so it decodes
-// with no cross-chunk context.
+// already-shipped range).
 func (sub *subscriber) sendSnapshotFrom(st *shard.Store, shard int, pos wal.Position, start []byte) (wal.Position, bool) {
-	var body []byte
-	if !sub.send(msgSnapBegin, appendPosMsg(body, sub.epoch, shard, pos)) {
+	if !sub.send(msgSnapBegin, appendPosMsg(nil, sub.epoch, shard, pos)) {
 		return wal.Position{}, false
 	}
-	var prev []byte
-	newChunk := func() []byte {
-		body = binary.LittleEndian.AppendUint16(body[:0], uint16(shard))
-		body = append(body, 0, 0, 0, 0)
-		prev = prev[:0]
-		return body
-	}
-	flushChunk := func(count uint32) bool {
-		binary.LittleEndian.PutUint32(body[2:6], count)
-		return sub.send(msgSnapChunk, body)
-	}
-	body = newChunk()
-	count := uint32(0)
-	ok := true
-	st.ShardScan(shard, start, func(k, v []byte) bool {
-		if count == 0 {
-			body = appendChunkPair(body, nil, k, v)
-		} else {
-			body = appendChunkPair(body, prev, k, v)
-		}
-		prev = append(prev[:0], k...)
-		count++
-		if len(body) >= maxChunkBytes {
-			if ok = flushChunk(count); !ok {
-				return false
-			}
-			body = newChunk()
-			count = 0
-		}
-		return true
-	})
-	if !ok {
+	scan := func(fn func(k, v []byte) bool) { st.ShardScan(shard, start, fn) }
+	if !snapChunks(shard, scan, func(b []byte) bool { return sub.send(msgSnapChunk, b) }) {
 		return wal.Position{}, false
 	}
-	if count > 0 && !flushChunk(count) {
-		return wal.Position{}, false
-	}
-	if !sub.send(msgSnapEnd, binary.LittleEndian.AppendUint16(body[:0], uint16(shard))) {
+	if !sub.send(msgSnapEnd, binary.LittleEndian.AppendUint16(nil, uint16(shard))) {
 		return wal.Position{}, false
 	}
 	sub.mu.Lock()
@@ -597,4 +561,34 @@ func (sub *subscriber) sendSnapshotFrom(st *shard.Store, shard int, pos wal.Posi
 	sub.mu.Unlock()
 	sub.setSent(shard, pos)
 	return pos, true
+}
+
+// snapChunks cuts the ascending pairs scan yields into msgSnapChunk
+// bodies for shard, each one segment image, and hands them to send; it
+// reports false as soon as send does. Every chunk restarts prefix
+// compression, so it decodes with no context, and a chunk is cut once
+// its image reaches maxChunkBytes or before its decoded keys would pass
+// maxChunkKeyBytes, save its first pair: the follower's decode budget.
+func snapChunks(shard int, scan func(fn func(k, v []byte) bool), send func(body []byte) bool) bool {
+	var seg wal.SegmentBuilder
+	var body []byte
+	flush := func() bool {
+		body = binary.LittleEndian.AppendUint16(body[:0], uint16(shard))
+		body = append(body, seg.Finish()...)
+		return send(body)
+	}
+	ok := true
+	scan(func(k, v []byte) bool {
+		if seg.Pairs() > 0 && seg.KeyBytes()+uint64(len(k)) > maxChunkKeyBytes {
+			if ok = flush(); !ok {
+				return false
+			}
+		}
+		seg.Add(k, v)
+		if seg.Size() >= maxChunkBytes {
+			ok = flush()
+		}
+		return ok
+	})
+	return ok && (seg.Pairs() == 0 || flush())
 }

@@ -233,9 +233,9 @@ func (s *Store) RecoveredRecords() int {
 	return n
 }
 
-// RecoveredSegments returns the total v2 snapshot segments decoded at
-// Open across all shards (0 when every snapshot was v1 monolithic, or
-// for volatile stores). Combined with the per-shard open fan-out, it is
+// RecoveredSegments returns the total snapshot segments decoded at Open
+// across all shards (0 when no shard had a snapshot, or for volatile
+// stores). Combined with the per-shard open fan-out, it is
 // the recovery parallelism actually available: segments × shards decode
 // units.
 func (s *Store) RecoveredSegments() int {

@@ -3,6 +3,8 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -63,7 +65,7 @@ func FuzzWALDecode(f *testing.F) {
 			t.Skip()
 		}
 		records := 0
-		validLen, err := Replay(p, func(payload []byte) error {
+		validLen, err := replayFS(vfs.OS(), p, func(payload []byte) error {
 			if _, _, _, derr := decodeRecord(payload); derr != nil {
 				return derr
 			}
@@ -181,7 +183,7 @@ func FuzzSegmentLoad(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Raw: arbitrary bytes straight into both parsers.
-		if keys, vals, err := decodeSegment(data, maxPairs, maxKeyBytes); err == nil {
+		if keys, vals, err := DecodeSegment(data, maxPairs, maxKeyBytes); err == nil {
 			check(t, keys, vals)
 		}
 		_, _, _ = parseSnapshotFooter(data)
@@ -196,7 +198,7 @@ func FuzzSegmentLoad(f *testing.F) {
 		seg = append(seg, data[1:]...)
 		seg = binary.LittleEndian.AppendUint32(seg, uint32(data[0]))
 		seg = binary.LittleEndian.AppendUint32(seg, crc32.Checksum(seg, castagnoli))
-		if keys, vals, err := decodeSegment(seg, maxPairs, maxKeyBytes); err == nil {
+		if keys, vals, err := DecodeSegment(seg, maxPairs, maxKeyBytes); err == nil {
 			check(t, keys, vals)
 		}
 
@@ -216,60 +218,71 @@ func FuzzSegmentLoad(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotLoad feeds arbitrary bytes to the snapshot loader: it must
-// reject anything structurally invalid and, when it accepts, the pairs
-// must be strictly ascending and bulk-loadable.
+// FuzzSnapshotLoad feeds arbitrary bytes to the generation loader as the
+// snapshot file of a directory that already holds a real multi-segment
+// generation, two ways: raw, as the file Open reads (a retired v1 file
+// must be refused as retired — never loaded, never taken for corrupt),
+// and, when the bytes open with the footer magic, CRC-corrected, so the
+// fuzzer can make a footer lie about segments that exist: pair counts,
+// key budgets, first keys, segment counts. Nothing may panic, and
+// anything accepted must be strictly ascending, bulk-loadable, and no
+// more than the generation holds.
 func FuzzSnapshotLoad(f *testing.F) {
-	seed := func(pairs ...string) []byte {
-		dir := f.TempDir()
-		p := filepath.Join(dir, "s.snap")
-		if err := writeSnapshotFS(vfs.OS(), p, func(fn func(k, v []byte) bool) {
-			for i := 0; i+1 < len(pairs); i += 2 {
-				if !fn([]byte(pairs[i]), []byte(pairs[i+1])) {
-					return
-				}
-			}
-		}); err != nil {
-			f.Fatal(err)
-		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return data
+	fsys := vfs.NewMemFS()
+	if err := fsys.MkdirAll("/db", 0o755); err != nil {
+		f.Fatal(err)
 	}
+	keys, vals := prefixedPairs(40)
+	if err := writeSnapshotV2FS(fsys, "/db", 1, 256, scanPairs(keys, vals)); err != nil {
+		f.Fatal(err)
+	}
+	footer, err := fsys.ReadFile(snapPath("/db", 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	v1, _ := hex.DecodeString(retiredSnapshot)
 	f.Add([]byte{})
-	f.Add([]byte("WHSNAP1\n"))
-	f.Add(seed())
-	f.Add(seed("a", "1", "b", "2", "c", "3"))
-	long := seed("key-with-some-length", string(bytes.Repeat([]byte("v"), 300)))
-	f.Add(long)
-	f.Add(long[:len(long)-1])
+	f.Add(retiredSnapMagic)
+	f.Add(footer)
+	f.Add(footer[:len(footer)-1])
+	f.Add(snapMagic2)
+	f.Add(v1)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		p := filepath.Join(dir, "f.snap")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Skip()
+	check := func(t *testing.T, got, gotV [][]byte) {
+		t.Helper()
+		if len(got) != len(gotV) || len(got) > len(keys) {
+			t.Fatalf("accepted %d keys and %d vals from a %d-pair generation", len(got), len(gotV), len(keys))
 		}
-		keys, vals, err := LoadSnapshot(p)
-		if err != nil {
-			return // rejected: fine, as long as it didn't panic
-		}
-		if len(keys) != len(vals) {
-			t.Fatalf("%d keys but %d vals", len(keys), len(vals))
-		}
-		for i := 1; i < len(keys); i++ {
-			if bytes.Compare(keys[i-1], keys[i]) >= 0 {
+		for i := 1; i < len(got); i++ {
+			if bytes.Compare(got[i-1], got[i]) >= 0 {
 				t.Fatalf("accepted snapshot with unsorted keys at %d", i)
 			}
 		}
 		w := core.New(core.DefaultOptions())
-		if err := w.BulkLoad(keys, vals); err != nil {
+		if err := w.BulkLoad(got, gotV); err != nil {
 			t.Fatalf("accepted snapshot failed bulkload: %v", err)
 		}
-		if int(w.Count()) != len(keys) {
-			t.Fatalf("bulkload count %d != %d", w.Count(), len(keys))
+		if int(w.Count()) != len(got) {
+			t.Fatalf("bulkload count %d != %d", w.Count(), len(got))
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		writeRaw(t, fsys, snapPath("/db", 1), data)
+		got, gotV, _, err := loadSnapshotFS(fsys, "/db", 1, 2)
+		if bytes.HasPrefix(data, retiredSnapMagic) != errors.Is(err, errRetiredSnapshot) {
+			t.Fatalf("v1 magic %v, but load returned %v", bytes.HasPrefix(data, retiredSnapMagic), err)
+		}
+		if err == nil {
+			check(t, got, gotV)
+		}
+		if !bytes.HasPrefix(data, snapMagic2) || len(data) < len(snapMagic2)+snapTrailer {
+			return
+		}
+		fixed := append([]byte(nil), data[:len(data)-snapTrailer]...)
+		fixed = binary.LittleEndian.AppendUint32(fixed, crc32.Checksum(fixed, castagnoli))
+		if got, gotV, _, err := loadSnapshotV2FS(fsys, "/db", 1, fixed, 2); err == nil {
+			check(t, got, gotV)
 		}
 	})
 }

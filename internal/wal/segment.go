@@ -14,11 +14,8 @@ import (
 
 // Snapshot format v2: one generation's snapshot is a set of
 // independently loadable, prefix-compressed, key-ordered segment files
-// plus a footer that indexes them. The footer lives under the same
-// snap-G.snap name as a v1 snapshot (recovery sniffs the magic), so the
-// generation bookkeeping — listing, GC, newest-valid fallback — is
-// format-blind; only the rename of the footer publishes the set, making
-// a segmented snapshot exactly as atomic as a monolithic one.
+// plus a footer that indexes them. Only the rename of the footer
+// publishes the set, so a segmented snapshot is as atomic as one file.
 //
 // Segment file (snap-GGGGGGGGGGGGGGGG-NNNNN.seg):
 //
@@ -33,7 +30,9 @@ import (
 // it. Keys must be strictly ascending, which the decoder checks by
 // comparing suffixes past the shared prefix — cheaper than full-key
 // compares when prefixes are long, which is exactly when compression
-// pays.
+// pays. A segment image is also the replication catch-up chunk: it is
+// the only pair encoding (SegmentBuilder writes it, DecodeSegment reads
+// it).
 //
 // Footer (snap-GGGGGGGGGGGGGGGG.snap):
 //
@@ -84,27 +83,57 @@ func commonPrefixLen(a, b []byte) int {
 	return i
 }
 
-// writeSegmentBytes persists one complete segment image atomically
-// (temp + fsync + rename; the caller owes the directory fsync before
-// publishing the footer).
-func writeSegmentBytes(fsys vfs.FS, path string, full []byte) error {
-	tmp, err := fsys.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
+// SegmentBuilder encodes strictly ascending pairs into one segment
+// image. The zero value is ready to use.
+type SegmentBuilder struct {
+	img      []byte // magic + entries so far
+	prev     []byte
+	pairs    uint64
+	keyBytes uint64
+}
+
+// Add appends one pair; key must sort strictly after the previous one
+// added since the last Finish. Key and value are copied.
+func (b *SegmentBuilder) Add(key, val []byte) {
+	plen := 0
+	if b.pairs == 0 {
+		b.img = append(b.img[:0], segMagic...)
+	} else {
+		plen = commonPrefixLen(b.prev, key)
 	}
-	if _, err = tmp.Write(full); err == nil {
-		err = tmp.Sync()
+	b.img = binary.AppendUvarint(b.img, uint64(plen))
+	b.img = binary.AppendUvarint(b.img, uint64(len(key)-plen))
+	b.img = binary.AppendUvarint(b.img, uint64(len(val)))
+	b.img = append(b.img, key[plen:]...)
+	b.img = append(b.img, val...)
+	b.pairs++
+	b.keyBytes += uint64(len(key))
+	b.prev = append(b.prev[:0], key...)
+}
+
+// Pairs returns how many pairs were added since the last Finish.
+func (b *SegmentBuilder) Pairs() uint64 { return b.pairs }
+
+// KeyBytes returns the decoded key bytes of those pairs: what
+// DecodeSegment's key budget must allow.
+func (b *SegmentBuilder) KeyBytes() uint64 { return b.keyBytes }
+
+// Size returns the encoded entry bytes of those pairs.
+func (b *SegmentBuilder) Size() int {
+	if b.pairs == 0 {
+		return 0
 	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = fsys.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		fsys.Remove(tmp.Name())
-	}
-	return err
+	return len(b.img) - len(segMagic)
+}
+
+// Finish seals the pairs added since the last Finish, at least one,
+// into a complete segment image and starts a new one. The image aliases
+// the builder's buffer: it is valid until the next Add.
+func (b *SegmentBuilder) Finish() []byte {
+	img := binary.LittleEndian.AppendUint32(b.img, uint32(b.pairs))
+	img = binary.LittleEndian.AppendUint32(img, crc32.Checksum(img, castagnoli))
+	b.img, b.pairs, b.keyBytes = img[:0], 0, 0
+	return img
 }
 
 // writeSnapshotV2FS streams the pairs produced by scan into a segmented
@@ -119,13 +148,9 @@ func writeSnapshotV2FS(fsys vfs.FS, dir string, gen uint64, segBytes int, scan f
 		segBytes = DefaultSegmentBytes
 	}
 	var (
-		segs     []segMeta
-		seg      []byte // current segment: magic + entries so far
-		prev     []byte
-		first    []byte
-		pairs    uint64
-		keyBytes uint64
-		scratch  [3 * binary.MaxVarintLen64]byte
+		segs  []segMeta
+		seg   SegmentBuilder
+		first []byte
 	)
 	defer func() {
 		if err != nil {
@@ -137,62 +162,32 @@ func writeSnapshotV2FS(fsys vfs.FS, dir string, gen uint64, segBytes int, scan f
 			}
 		}
 	}()
-	newSeg := func() {
-		seg = append(seg[:0], segMagic...)
-		pairs, keyBytes = 0, 0
-		prev = prev[:0]
-	}
 	flush := func() error {
-		var tr [segTrailer]byte
-		binary.LittleEndian.PutUint32(tr[:4], uint32(pairs))
-		seg = append(seg, tr[:4]...)
-		crc := crc32.Checksum(seg, castagnoli)
-		binary.LittleEndian.PutUint32(tr[4:], crc)
-		seg = append(seg, tr[4:]...)
-		if err := writeSegmentBytes(fsys, segPath(dir, gen, len(segs)), seg); err != nil {
+		m := segMeta{pairs: seg.Pairs(), keyBytes: seg.KeyBytes(), firstKey: append([]byte(nil), first...)}
+		img := seg.Finish()
+		if err := writeFileSynced(fsys, segPath(dir, gen, len(segs)), img); err != nil {
 			return err
 		}
 		// The file's own CRC covers magic+entries+count; the footer's crc
 		// field covers the complete file including the trailer.
-		segs = append(segs, segMeta{
-			pairs:     pairs,
-			fileBytes: uint64(len(seg)),
-			keyBytes:  keyBytes,
-			crc:       crc32.Checksum(seg, castagnoli),
-			firstKey:  append([]byte(nil), first...),
-		})
+		m.fileBytes, m.crc = uint64(len(img)), crc32.Checksum(img, castagnoli)
+		segs = append(segs, m)
 		return nil
 	}
-	newSeg()
 	scan(func(key, val []byte) bool {
-		if pairs == 0 {
+		if seg.Pairs() == 0 {
 			first = append(first[:0], key...)
 		}
-		plen := 0
-		if pairs > 0 {
-			plen = commonPrefixLen(prev, key)
+		seg.Add(key, val)
+		if seg.Size() >= segBytes {
+			err = flush()
 		}
-		n := binary.PutUvarint(scratch[:], uint64(plen))
-		n += binary.PutUvarint(scratch[n:], uint64(len(key)-plen))
-		n += binary.PutUvarint(scratch[n:], uint64(len(val)))
-		seg = append(seg, scratch[:n]...)
-		seg = append(seg, key[plen:]...)
-		seg = append(seg, val...)
-		pairs++
-		keyBytes += uint64(len(key))
-		prev = append(prev[:0], key...)
-		if len(seg)-len(segMagic) >= segBytes {
-			if err = flush(); err != nil {
-				return false
-			}
-			newSeg()
-		}
-		return true
+		return err == nil
 	})
 	if err != nil {
 		return err
 	}
-	if pairs > 0 {
+	if seg.Pairs() > 0 {
 		if err = flush(); err != nil {
 			return err
 		}
@@ -298,15 +293,15 @@ func parseSnapshotFooter(data []byte) ([]segMeta, uint64, error) {
 	return segs, total, nil
 }
 
-// decodeSegment parses one segment file's bytes into ascending pairs.
-// maxPairs and maxKeyBytes are the footer's (CRC-vouched) claims: the
-// decoder errors out the moment the data would exceed either, so a
-// corrupt length can never make it allocate beyond what the footer
-// promised — and with no footer (the fuzz harness), the caller picks the
-// budget. Values alias data; keys are materialized into chunked arenas
-// (a key with no shared prefix aliases data too), so allocation tracks
-// bytes actually decoded, never a claimed length.
-func decodeSegment(data []byte, maxPairs, maxKeyBytes uint64) (keys, vals [][]byte, err error) {
+// DecodeSegment parses one segment image into ascending pairs. maxPairs
+// and maxKeyBytes are budgets the caller vouches for — a snapshot
+// footer's CRC'd claims, or a bound the replication follower computes
+// itself: the decoder errors out the moment the data would exceed
+// either, so a corrupt or hostile length can never make it allocate
+// beyond them. Values alias data; keys are materialized into chunked
+// arenas (a key with no shared prefix aliases data too), so allocation
+// tracks bytes actually decoded, never a claimed length.
+func DecodeSegment(data []byte, maxPairs, maxKeyBytes uint64) (keys, vals [][]byte, err error) {
 	if len(data) < len(segMagic)+segTrailer || !bytes.Equal(data[:len(segMagic)], segMagic) {
 		return nil, nil, errSnapshot
 	}
@@ -355,7 +350,7 @@ func decodeSegment(data []byte, maxPairs, maxKeyBytes uint64) (keys, vals [][]by
 			if i > 0 && bytes.Compare(suffix, prev) <= 0 {
 				return nil, nil, errSnapshot // not strictly ascending
 			}
-			key = suffix // no prefix to graft: alias the file bytes, like v1
+			key = suffix // no prefix to graft: alias the image bytes
 		} else {
 			// Strictly ascending == the suffix sorts after the previous
 			// key's bytes past the shared prefix; no full-key compare.
@@ -410,7 +405,7 @@ func loadSnapshotV2FS(fsys vfs.FS, dir string, gen uint64, footer []byte, worker
 	}
 	// total was cross-checked against the per-segment sum by the footer
 	// parse; bound it by the stat-verified on-disk bytes before sizing the
-	// result slices (>= 3 bytes per pair, as in decodeSegment).
+	// result slices (>= 3 bytes per pair, as in DecodeSegment).
 	if total != offsets[len(metas)] || total > diskBytes/3 {
 		return nil, nil, 0, errSnapshot
 	}
@@ -442,7 +437,7 @@ func loadSnapshotV2FS(fsys vfs.FS, dir string, gen uint64, footer []byte, worker
 			fail(errSnapshot)
 			return
 		}
-		sk, sv, derr := decodeSegment(data, m.pairs, m.keyBytes)
+		sk, sv, derr := DecodeSegment(data, m.pairs, m.keyBytes)
 		if derr != nil || uint64(len(sk)) != m.pairs || !bytes.Equal(sk[0], m.firstKey) {
 			fail(errSnapshot)
 			return
@@ -488,19 +483,19 @@ func loadSnapshotV2FS(fsys vfs.FS, dir string, gen uint64, footer []byte, worker
 	return keys, vals, len(metas), nil
 }
 
-// loadAnySnapshotFS reads generation gen's snapshot in whichever format
-// it was written: the first bytes of snap-G.snap pick the v1 monolithic
-// or v2 segmented loader. segs is 0 for v1.
-func loadAnySnapshotFS(fsys vfs.FS, dir string, gen uint64, workers int) (keys, vals [][]byte, segs int, err error) {
-	data, err := fsys.ReadFile(snapPath(dir, gen))
+// loadSnapshotFS reads generation gen's snapshot. A file in the retired
+// v1 format fails with errRetiredSnapshot, naming the file, so Open can
+// refuse it instead of falling back as it does past a corrupt one.
+func loadSnapshotFS(fsys vfs.FS, dir string, gen uint64, workers int) (keys, vals [][]byte, segs int, err error) {
+	path := snapPath(dir, gen)
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if len(data) >= len(snapMagic2) && bytes.Equal(data[:len(snapMagic2)], snapMagic2) {
-		return loadSnapshotV2FS(fsys, dir, gen, data, workers)
+	if bytes.HasPrefix(data, retiredSnapMagic) {
+		return nil, nil, 0, fmt.Errorf("%s: %w", path, errRetiredSnapshot)
 	}
-	keys, vals, err = loadSnapshotBytes(data)
-	return keys, vals, 0, err
+	return loadSnapshotV2FS(fsys, dir, gen, data, workers)
 }
 
 // removeSegsBelow garbage-collects segment files of generations below

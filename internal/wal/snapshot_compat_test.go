@@ -1,20 +1,23 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/repro/wormhole/internal/vfs"
 )
 
-// Format-compatibility suite: stores holding a v1 snapshot (written by
-// older builds; here by the writeSnapshotFS fixture) must recover
-// byte-identically through the current loader and upgrade to v2 on the
-// next Snapshot, directories mixing v1 and v2 generations must recover
-// from the newest valid one, and a v2 footer whose segment set is
-// incomplete must fall back to the previous generation rather than load
-// a partial shard.
+// Generation suite: a directory whose snapshot is in the retired v1
+// format is refused and left untouched, directories holding several
+// snapshot generations recover from the newest valid one, and a footer
+// whose segment set is incomplete falls back to the previous generation
+// rather than loading a partial shard.
 
 func scanAll(b Backend) []string {
 	var out []string
@@ -25,81 +28,91 @@ func scanAll(b Backend) []string {
 	return out
 }
 
-func TestV1WrittenStoreRecoversThroughCurrentLoader(t *testing.T) {
-	dir := t.TempDir()
-	// A v1-era store: a monolithic snapshot at generation 1, then a WAL
-	// tail logged on top of it.
-	var keys, vals [][]byte
-	for i := 0; i < 500; i++ {
-		keys = append(keys, []byte(fmt.Sprintf("https://example.com/page/%05d", i)))
-		vals = append(vals, []byte(fmt.Sprintf("v%d", i)))
-	}
-	if err := writeSnapshotFS(vfs.OS(), snapPath(dir, 1), scanPairs(keys, vals)); err != nil {
-		t.Fatal(err)
-	}
-	w, st := openStore(t, dir, Options{Sync: SyncNone})
-	w.Set([]byte("after-snap"), []byte("tail"))
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := scanAll(w)
-	if len(want) != 501 {
-		t.Fatalf("v1 store holds %d keys, want 501", len(want))
-	}
+// retiredSnapshot is a v1 snapshot file as builds before the segment
+// format wrote it, holding alpha=1, beta=2, gamma=3:
+// [magic][count u64] count × ([klen uvarint][vlen uvarint][key][val])
+// [crc32c u32].
+const retiredSnapshot = "5748534e4150310a0300000000000000" +
+	"0501616c7068613104016265746132050167616d6d6133ab554e9f"
 
-	// Reopen: the snapshot comes back through the v1 loader, the tail
-	// through WAL replay.
-	w2, st2 := openStore(t, dir, Options{Sync: SyncNone})
-	if st2.RecoveredPairs() != 500 {
-		t.Fatalf("recovered %d snapshot pairs, want 500", st2.RecoveredPairs())
+// TestRetiredSnapshotFormatRefused opens a directory holding a v1
+// snapshot at generation 2 and the WAL generations 2 and 3 logged after
+// it. Open must fail with an error naming the snapshot file — not load
+// it, not skip it as corrupt (that fallback would remove both WAL files
+// as a gap) — and must leave every file in place, byte for byte.
+func TestRetiredSnapshotFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	v1, _ := hex.DecodeString(retiredSnapshot)
+	if err := os.WriteFile(snapPath(dir, 2), v1, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if st2.RecoveredSegments() != 0 {
-		t.Fatalf("v1 snapshot reported %d segments, want 0", st2.RecoveredSegments())
-	}
-	got := scanAll(w2)
-	if len(got) != len(want) {
-		t.Fatalf("recovered %d keys, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d = %q, want %q", i, got[i], want[i])
+	for g := uint64(2); g <= 3; g++ {
+		l, err := openLog(vfs.OS(), walPath(dir, g), 0, SyncNone, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if _, err := l.Append(appendSetRecord(nil, []byte(fmt.Sprintf("g%d-%d", g, i)), []byte("v"))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
+	before := readDir(t, dir)
 
-	// And the next snapshot upgrades the directory to v2 in place.
-	if err := st2.Snapshot(); err != nil {
-		t.Fatal(err)
+	for attempt := 0; attempt < 2; attempt++ { // the refusal releases the directory lock
+		_, err := Open(dir, backend(), Options{Sync: SyncNone})
+		if !errors.Is(err, errRetiredSnapshot) {
+			t.Fatalf("attempt %d: Open = %v, want the retired-format refusal", attempt, err)
+		}
+		if !strings.Contains(err.Error(), snapPath(dir, 2)) {
+			t.Fatalf("attempt %d: refusal %q does not name the snapshot file", attempt, err)
+		}
 	}
-	if n := countSegs(t, dir); n == 0 {
-		t.Fatal("snapshot after v1 recovery wrote no v2 segments")
+	after := readDir(t, dir)
+	delete(after, "LOCK")
+	if len(after) != len(before) {
+		t.Fatalf("directory changed: %d files before Open, %d after", len(before), len(after))
 	}
-	if err := st2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w3, st3 := openStore(t, dir, Options{Sync: SyncNone})
-	defer st3.Close()
-	if st3.RecoveredSegments() == 0 {
-		t.Fatal("upgraded directory did not recover through the v2 loader")
-	}
-	got = scanAll(w3)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("after upgrade, pair %d = %q, want %q", i, got[i], want[i])
+	for name, data := range before {
+		if got, ok := after[name]; !ok || !bytes.Equal(got, data) {
+			t.Fatalf("%s removed or rewritten by a refused Open", name)
 		}
 	}
 }
 
-// mixedGenDir builds a directory holding a v1 snapshot at generation 2
-// (pairs keyed v1-*) and a v2 snapshot at generation 5 (pairs keyed
-// v2-*), with no WAL files — recovery must pick the newest valid one.
+// readDir returns every regular file in dir by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
+}
+
+// mixedGenDir builds a directory holding a two-pair snapshot at
+// generation 2 (keys old-*) and a 50-pair multi-segment snapshot at
+// generation 5, with no WAL files — recovery must pick the newest valid
+// one.
 func mixedGenDir(t *testing.T) vfs.FS {
 	t.Helper()
 	fsys := vfs.NewMemFS()
 	if err := fsys.MkdirAll("/db", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	k1, v1 := [][]byte{[]byte("v1-a"), []byte("v1-b")}, [][]byte{[]byte("1"), []byte("2")}
-	if err := writeSnapshotFS(fsys, snapPath("/db", 2), scanPairs(k1, v1)); err != nil {
+	k1, v1 := [][]byte{[]byte("old-a"), []byte("old-b")}, [][]byte{[]byte("1"), []byte("2")}
+	if err := writeSnapshotV2FS(fsys, "/db", 2, 0, scanPairs(k1, v1)); err != nil {
 		t.Fatal(err)
 	}
 	k2, v2 := prefixedPairs(50)
@@ -147,7 +160,7 @@ func writeRaw(t *testing.T, fsys vfs.FS, path string, data []byte) {
 func TestMissingSegmentFallsBackToPreviousGeneration(t *testing.T) {
 	for _, damage := range []string{"missing", "truncated", "crcflip"} {
 		fsys := mixedGenDir(t)
-		// Damage one middle segment of the v2 generation.
+		// Damage one middle segment of the newer generation.
 		path := segPath("/db", 5, 1)
 		switch damage {
 		case "missing":
@@ -173,14 +186,14 @@ func TestMissingSegmentFallsBackToPreviousGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", damage, err)
 		}
-		// Never a partial shard: the damaged v2 generation must be skipped
-		// wholesale in favor of the older v1 snapshot.
-		if st.RecoveredPairs() != 2 || st.RecoveredSegments() != 0 {
-			t.Fatalf("%s: recovered %d pairs / %d segments, want the 2-pair v1 fallback",
+		// Never a partial shard: the damaged newer generation must be
+		// skipped wholesale in favor of the older one-segment snapshot.
+		if st.RecoveredPairs() != 2 || st.RecoveredSegments() != 1 {
+			t.Fatalf("%s: recovered %d pairs / %d segments, want the 2-pair fallback",
 				damage, st.RecoveredPairs(), st.RecoveredSegments())
 		}
 		got := scanAll(w)
-		if len(got) != 2 || got[0] != "v1-a=1" || got[1] != "v1-b=2" {
+		if len(got) != 2 || got[0] != "old-a=1" || got[1] != "old-b=2" {
 			t.Fatalf("%s: fallback scan = %v", damage, got)
 		}
 		st.Close()

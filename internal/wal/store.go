@@ -126,7 +126,7 @@ type Store struct {
 	// Recovery statistics, fixed at Open.
 	recoveredSnap int // pairs bulk-loaded from the snapshot
 	recoveredTail int // WAL records replayed after it
-	recoveredSegs int // v2 segments decoded for it (0 for v1)
+	recoveredSegs int // segments decoded for it
 
 	// Last replication position marker seen during replay, fixed at Open.
 	recoveredPos    Position
@@ -194,14 +194,18 @@ func Open(dir string, b Backend, opt Options) (*Store, error) {
 	if err != nil {
 		return fail(err)
 	}
-	// Newest loadable snapshot wins; an invalid one falls back to the next
-	// (normally none exists: each snapshot GCs its predecessors).
+	// Newest loadable snapshot wins; an invalid one — a damaged footer or
+	// segment set (missing file, CRC flip, boundary lie) — falls back to
+	// the next (normally none exists: each snapshot GCs its predecessors).
+	// A retired-format snapshot is no such damage: Open refuses it and
+	// touches nothing, where falling back would remove the WAL
+	// generations after it as a gap.
 	var snapGen uint64
 	for i := len(snaps) - 1; i >= 0; i-- {
-		// Format-blind fallback: a v2 footer whose segment set is damaged
-		// (missing file, CRC flip, boundary lie) fails exactly like a
-		// corrupt v1 file and the loop tries the older generation.
-		keys, vals, segs, err := loadAnySnapshotFS(fsys, dir, snaps[i], opt.DecodeWorkers)
+		keys, vals, segs, err := loadSnapshotFS(fsys, dir, snaps[i], opt.DecodeWorkers)
+		if errors.Is(err, errRetiredSnapshot) {
+			return fail(err)
+		}
 		if err != nil {
 			continue
 		}
@@ -276,7 +280,7 @@ func Open(dir string, b Backend, opt Options) (*Store, error) {
 			replayed++
 			return nil
 		})
-		// Replay returns an error either from the callback (always a
+		// replayFS returns an error either from the callback (always a
 		// decode failure here, flagged by decodeOK and handled as a tear
 		// below) or from opening/statting the file itself — a real I/O
 		// problem recovery must not paper over.
@@ -382,9 +386,9 @@ func (s *Store) tornAt(gen uint64, validLen int64) bool {
 func (s *Store) RecoveredPairs() int   { return s.recoveredSnap }
 func (s *Store) RecoveredRecords() int { return s.recoveredTail }
 
-// RecoveredSegments returns how many v2 snapshot segments the snapshot
-// restored at Open decoded (0 when the snapshot was v1 monolithic, or
-// when recovery started from an empty index).
+// RecoveredSegments returns how many snapshot segments the snapshot
+// restored at Open decoded (0 when recovery started from an empty index
+// or an empty snapshot).
 func (s *Store) RecoveredSegments() int { return s.recoveredSegs }
 
 // recordPool recycles mutation-record encode buffers: the append path

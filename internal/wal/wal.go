@@ -354,18 +354,13 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Replay streams every valid record of the file at path to fn, in order,
-// stopping cleanly at the first torn or corrupt record (short header,
-// length out of range, short payload, CRC mismatch) — corruption is the
-// end of the log, not an error. It returns the byte length of the valid
-// prefix; opening the log for appending at that offset truncates the
-// garbage tail. fn returning an error aborts the replay and is returned
-// verbatim. A missing file replays zero records.
-func Replay(path string, fn func(payload []byte) error) (validLen int64, err error) {
-	return replayFS(vfs.OS(), path, fn)
-}
-
-// replayFS is Replay over an injectable filesystem.
+// replayFS streams every valid record of the file at path to fn, in
+// order, stopping cleanly at the first torn or corrupt record (short
+// header, length out of range, short payload, CRC mismatch) — corruption
+// is the end of the log, not an error. It returns the byte length of the
+// valid prefix; opening the log for appending at that offset truncates
+// the garbage tail. fn returning an error aborts the replay and is
+// returned verbatim. A missing file replays zero records.
 func replayFS(fsys vfs.FS, path string, fn func(payload []byte) error) (validLen int64, err error) {
 	f, err := fsys.Open(path)
 	if err != nil {

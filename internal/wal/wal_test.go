@@ -36,7 +36,7 @@ func TestLogAppendReplayRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got [][]byte
-	n, err := Replay(path, func(p []byte) error {
+	n, err := replayFS(vfs.OS(), path, func(p []byte) error {
 		got = append(got, append([]byte(nil), p...))
 		return nil
 	})
@@ -58,7 +58,7 @@ func TestLogAppendReplayRoundtrip(t *testing.T) {
 }
 
 func TestLogReplayMissingFile(t *testing.T) {
-	n, err := Replay(filepath.Join(t.TempDir(), "nope.log"), func([]byte) error {
+	n, err := replayFS(vfs.OS(), filepath.Join(t.TempDir(), "nope.log"), func([]byte) error {
 		t.Fatal("callback on missing file")
 		return nil
 	})
@@ -99,7 +99,7 @@ func TestLogGroupCommitConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if _, err := Replay(path, func([]byte) error { count++; return nil }); err != nil {
+	if _, err := replayFS(vfs.OS(), path, func([]byte) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != workers*per {
@@ -127,69 +127,76 @@ func TestLogDoubleCloseIdempotent(t *testing.T) {
 }
 
 func TestSnapshotRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.snap")
+	dir := t.TempDir()
 	var keys, vals [][]byte
 	for i := 0; i < 1000; i++ {
 		keys = append(keys, []byte(fmt.Sprintf("key-%06d", i)))
 		vals = append(vals, []byte(fmt.Sprintf("val-%d", i*i)))
 	}
-	err := writeSnapshotFS(vfs.OS(), path, func(fn func(k, v []byte) bool) {
-		for i := range keys {
-			if !fn(keys[i], vals[i]) {
-				return
-			}
-		}
-	})
+	if err := writeSnapshotV2FS(vfs.OS(), dir, 1, 4096, scanPairs(keys, vals)); err != nil {
+		t.Fatal(err)
+	}
+	gk, gv, segs, err := loadSnapshotFS(vfs.OS(), dir, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gk, gv, err := LoadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
+	if segs < 2 {
+		t.Fatalf("loaded %d segments, want several at a 4 KiB budget", segs)
 	}
-	if len(gk) != len(keys) {
-		t.Fatalf("loaded %d pairs, want %d", len(gk), len(keys))
-	}
-	for i := range gk {
-		if !bytes.Equal(gk[i], keys[i]) || !bytes.Equal(gv[i], vals[i]) {
-			t.Fatalf("pair %d = (%q,%q) want (%q,%q)", i, gk[i], gv[i], keys[i], vals[i])
-		}
-	}
+	checkPairs(t, gk, gv, keys, vals)
 }
 
 func TestSnapshotEmpty(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.snap")
-	if err := writeSnapshotFS(vfs.OS(), path, func(func(k, v []byte) bool) {}); err != nil {
+	dir := t.TempDir()
+	if err := writeSnapshotV2FS(vfs.OS(), dir, 3, 0, func(func(k, v []byte) bool) {}); err != nil {
 		t.Fatal(err)
 	}
-	gk, gv, err := LoadSnapshot(path)
-	if err != nil || len(gk) != 0 || len(gv) != 0 {
-		t.Fatalf("empty snapshot: %d pairs, err %v", len(gk), err)
+	gk, gv, segs, err := loadSnapshotFS(vfs.OS(), dir, 3, 0)
+	if err != nil || len(gk) != 0 || len(gv) != 0 || segs != 0 {
+		t.Fatalf("empty snapshot: %d pairs, %d segments, err %v", len(gk), segs, err)
+	}
+	// And a store whose snapshot is empty reopens empty, from that snapshot.
+	_, st := openStore(t, dir, Options{Sync: SyncNone})
+	defer st.Close()
+	if st.RecoveredPairs() != 0 || st.RecoveredRecords() != 0 {
+		t.Fatalf("recovered %d pairs, %d records from an empty snapshot",
+			st.RecoveredPairs(), st.RecoveredRecords())
+	}
+	if st.gen != 3 {
+		t.Fatalf("store appends to generation %d, want the empty snapshot's 3", st.gen)
 	}
 }
 
 func TestSnapshotCorruptionRejected(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "s.snap")
-	if err := writeSnapshotFS(vfs.OS(), path, func(fn func(k, v []byte) bool) {
+	if err := writeSnapshotV2FS(vfs.OS(), dir, 1, 0, func(fn func(k, v []byte) bool) {
 		fn([]byte("a"), []byte("1"))
 		fn([]byte("b"), []byte("2"))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	orig, _ := os.ReadFile(path)
-	mutate := func(name string, f func([]byte) []byte) {
-		data := f(append([]byte(nil), orig...))
-		p := filepath.Join(dir, name)
-		os.WriteFile(p, data, 0o644)
-		if _, _, err := LoadSnapshot(p); err == nil {
+	footer, _ := os.ReadFile(snapPath(dir, 1))
+	seg, _ := os.ReadFile(segPath(dir, 1, 0))
+	mutate := func(name, path string, orig []byte, f func([]byte) []byte) {
+		os.WriteFile(path, f(append([]byte(nil), orig...)), 0o644)
+		defer os.WriteFile(path, orig, 0o644)
+		if _, _, _, err := loadSnapshotFS(vfs.OS(), dir, 1, 0); err == nil {
 			t.Fatalf("%s: corrupt snapshot loaded", name)
 		}
 	}
-	mutate("truncated", func(b []byte) []byte { return b[:len(b)-3] })
-	mutate("flipped", func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b })
-	mutate("badmagic", func(b []byte) []byte { b[0] ^= 0xff; return b })
-	mutate("extended", func(b []byte) []byte { return append(b, 0, 0, 0, 0) })
+	for _, c := range []struct {
+		file string
+		path string
+		orig []byte
+	}{{"footer", snapPath(dir, 1), footer}, {"segment", segPath(dir, 1, 0), seg}} {
+		mutate(c.file+" truncated", c.path, c.orig, func(b []byte) []byte { return b[:len(b)-3] })
+		mutate(c.file+" flipped", c.path, c.orig, func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b })
+		mutate(c.file+" badmagic", c.path, c.orig, func(b []byte) []byte { b[0] ^= 0xff; return b })
+		mutate(c.file+" extended", c.path, c.orig, func(b []byte) []byte { return append(b, 0, 0, 0, 0) })
+	}
+	if _, _, _, err := loadSnapshotFS(vfs.OS(), dir, 1, 0); err != nil {
+		t.Fatalf("restored snapshot: %v", err)
+	}
 }
 
 // backend returns a fresh core index satisfying wal.Backend.
